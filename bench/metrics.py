@@ -1,99 +1,81 @@
-"""Names, units and meaning of every metric the benchmark reports.
+"""Which end-to-end metric each per-layer metric should move, and on which workload.
 
-``END_TO_END`` are measured with tracing off; ``PER_LAYER`` come only from
-the traced run.  Each per-layer entry names the end-to-end metric it should
-move and on which workload, so a change to one layer can be checked against
-the workload that exercises it and the one that bypasses it.
+The names, units and directions of every metric are in ``BENCHMARK.json``;
+this map is what that file has no field for.  A change to one layer can be
+checked against the workload that exercises it and the one that bypasses it.
+End-to-end metrics are measured with tracing off; per-layer metrics come only
+from the traced run.
 
 Nothing in tensorgeom waits on another thread, queue or lock, so no layer has
 a wait-time metric; reporting zeros for it would say nothing.
 """
 
-from __future__ import annotations
+_GRID = "work_per_s on grid"
+_MARCH = "work_per_s on march"
+_QUERY = "work_per_s on query"
+_IMPORT = "setup_s on all; wall_s most on query"
+_SERIALIZE = "work_per_s on grid and march"
+_JETS = "work_per_s on grid, then query and march"
 
-import re
-
-NAME = re.compile(r"[A-Za-z0-9_.-]+")
-
-# name, unit, better, what it is
-END_TO_END = (
-    ("setup_s", "s", "lower",
-     "fresh interpreter start plus `import tensorgeom.cli`, median over samples"),
-    ("wall_s", "s", "lower",
-     "all CLI invocations of the workload, each a fresh process from spawn to exit, "
-     "summed per pass; median over passes"),
-    ("work_per_s", "1/s", "higher",
-     "work units per second through tensorgeom.cli.main in one process after an "
-     "untimed warm-up pass; median over passes"),
-    ("peak_rss_mb", "MB", "lower",
-     "largest max-RSS among the pass's CLI child processes (os.wait4); median over passes"),
-)
-
-# Printed with every result but not a bounded metric: it is 0 when the
-# program is correct, and it is carried by the result's attempted/failed.
-FAIL_RATIO = "fail_ratio"
-
-_MOVES_GRID = "work_per_s on grid"
-PER_LAYER = (
-    # name, unit, better, end-to-end metric and workload it should move
-    ("cli.import_s", "s", "lower", "setup_s on all; wall_s most on query"),
-    ("cli.import.scipy_s", "s", "lower", "setup_s on all; wall_s most on query"),
-    ("cli.import.numpy_s", "s", "lower", "setup_s on all; wall_s most on query"),
-    ("cli.main.self_s", "s", "lower", "work_per_s on all"),
-    ("cli.format_json.self_s", "s", "lower", "work_per_s on grid and march"),
-    ("cli.write_csv.self_s", "s", "lower", "work_per_s on grid and march"),
-    ("cli.report_bytes", "B", "lower", "work_per_s on grid and march"),
-    ("cli.skipped_points", "count", "lower", "work_per_s on grid"),
-    ("expr.eval_jet.calls", "count", "lower", "work_per_s on grid, then query and march"),
-    ("expr.eval_jet.self_s", "s", "lower", "work_per_s on grid, then query and march"),
-    ("expr.eval_jet.us_per_call", "us", "lower", "work_per_s on grid, then query and march"),
-    ("expr.jet_mul.calls", "count", "lower", "work_per_s on grid, then query and march"),
-    ("expr.eval_float.calls", "count", "lower", "work_per_s on march"),
-    ("expr.eval_float.self_s", "s", "lower", "work_per_s on march"),
-    ("expr.parse.calls", "count", "lower", "work_per_s on query"),
-    ("expr.parse.self_s", "s", "lower", "work_per_s on query"),
-    ("surface.jet_at.calls", "count", "lower", _MOVES_GRID),
-    ("surface.jet_at.self_s", "s", "lower", _MOVES_GRID),
-    ("surface.egregium_curvature.calls", "count", "lower", _MOVES_GRID),
-    ("surface.egregium_curvature.self_s", "s", "lower", _MOVES_GRID),
-    ("surface.surface_area.calls", "count", "lower", _MOVES_GRID),
-    ("surface.surface_area.self_s", "s", "lower", _MOVES_GRID),
-    ("surface.geodesic_integrate.self_s", "s", "lower", "work_per_s on march"),
-    ("surface.geodesic.steps", "count", "lower", "work_per_s on march"),
-    ("surface.geodesic.us_per_step", "us", "lower", "work_per_s on march"),
-    ("curve.Curve.calls", "count", "lower", _MOVES_GRID),
-    ("curve.Curve.self_s", "s", "lower", _MOVES_GRID),
-    ("curve.frenet.calls", "count", "lower", _MOVES_GRID),
-    ("curve.frenet.self_s", "s", "lower", _MOVES_GRID),
-    ("curve.evolute.calls", "count", "lower", _MOVES_GRID),
-    ("curve.evolute.self_s", "s", "lower", _MOVES_GRID),
-    ("curve.arc_length.calls", "count", "lower", _MOVES_GRID),
-    ("curve.arc_length.self_s", "s", "lower", _MOVES_GRID),
-    ("curve.quad.calls", "count", "lower", _MOVES_GRID),
-    ("curve.bonnet_reconstruct.self_s", "s", "lower", "work_per_s on march"),
-    ("curve.bonnet.steps", "count", "lower", "work_per_s on march"),
-    ("curve.bonnet.us_per_step", "us", "lower", "work_per_s on march"),
-    ("curve.osculating.calls", "count", "lower", "work_per_s on query"),
-    ("curve.osculating.self_s", "s", "lower", "work_per_s on query"),
-    ("curve.canonical_coefficients.calls", "count", "lower", "work_per_s on query"),
-    ("curve.canonical_coefficients.self_s", "s", "lower", "work_per_s on query"),
-    ("coords.metric_at.calls", "count", "lower", "work_per_s on query"),
-    ("coords.metric_at.self_s", "s", "lower", "work_per_s on query"),
-    ("coords.christoffel.calls", "count", "lower", "work_per_s on query"),
-    ("coords.christoffel.self_s", "s", "lower", "work_per_s on query"),
-    ("coords.second_partials.calls", "count", "lower", "work_per_s on query"),
-    ("coords.second_partials.self_s", "s", "lower", "work_per_s on query"),
-    ("coords.laplacian_curvilinear.calls", "count", "lower", "work_per_s on query"),
-    ("coords.laplacian_curvilinear.self_s", "s", "lower", "work_per_s on query"),
-    ("coords.eval_jet_per_point", "ratio", "lower", "work_per_s on query"),
-    ("tensor2.eigen_sym.calls", "count", "lower", "work_per_s on march"),
-    ("tensor2.eigen_sym.self_s", "s", "lower", "work_per_s on march"),
-    ("tensor2.sqrt_spd.calls", "count", "lower", "work_per_s on march"),
-    ("tensor2.sqrt_spd.self_s", "s", "lower", "work_per_s on march"),
-    ("tensor2.inverse.calls", "count", "lower", "work_per_s on march"),
-    ("tensor2.inverse.self_s", "s", "lower", "work_per_s on march"),
-    ("tensor2.polar.self_s", "s", "lower", "work_per_s on query"),
-    ("tensor4.kelvin_rotation.self_s", "s", "lower", "work_per_s on query"),
-    ("tensor4.to_kelvin.self_s", "s", "lower", "work_per_s on query"),
-    ("trace.overhead_ratio", "ratio", "lower", "none: traced over untraced in-process time"),
-)
+MOVES = {
+    "cli.import_s": _IMPORT,
+    "cli.import.scipy_s": _IMPORT,
+    "cli.import.numpy_s": _IMPORT,
+    "cli.main.self_s": "work_per_s on all",
+    "cli.format_json.self_s": _SERIALIZE,
+    "cli.write_csv.self_s": _SERIALIZE,
+    "cli.report_bytes": _SERIALIZE,
+    "cli.skipped_points": _GRID,
+    "expr.eval_jet.calls": _JETS,
+    "expr.eval_jet.self_s": _JETS,
+    "expr.eval_jet.us_per_call": _JETS,
+    "expr.jet_mul.calls": _JETS,
+    "expr.eval_float.calls": _MARCH,
+    "expr.eval_float.self_s": _MARCH,
+    "expr.parse.calls": _QUERY,
+    "expr.parse.self_s": _QUERY,
+    "surface.jet_at.calls": _GRID,
+    "surface.jet_at.self_s": _GRID,
+    "surface.egregium_curvature.calls": _GRID,
+    "surface.egregium_curvature.self_s": _GRID,
+    "surface.surface_area.calls": _GRID,
+    "surface.surface_area.self_s": _GRID,
+    "surface.geodesic_integrate.self_s": _MARCH,
+    "surface.geodesic.steps": _MARCH,
+    "surface.geodesic.us_per_step": _MARCH,
+    "curve.Curve.calls": _GRID,
+    "curve.Curve.self_s": _GRID,
+    "curve.frenet.calls": _GRID,
+    "curve.frenet.self_s": _GRID,
+    "curve.evolute.calls": _GRID,
+    "curve.evolute.self_s": _GRID,
+    "curve.arc_length.calls": _GRID,
+    "curve.arc_length.self_s": _GRID,
+    "curve.quad.calls": _GRID,
+    "curve.bonnet_reconstruct.self_s": _MARCH,
+    "curve.bonnet.steps": _MARCH,
+    "curve.bonnet.us_per_step": _MARCH,
+    "curve.osculating.calls": _QUERY,
+    "curve.osculating.self_s": _QUERY,
+    "curve.canonical_coefficients.calls": _QUERY,
+    "curve.canonical_coefficients.self_s": _QUERY,
+    "coords.metric_at.calls": _QUERY,
+    "coords.metric_at.self_s": _QUERY,
+    "coords.christoffel.calls": _QUERY,
+    "coords.christoffel.self_s": _QUERY,
+    "coords.second_partials.calls": _QUERY,
+    "coords.second_partials.self_s": _QUERY,
+    "coords.laplacian_curvilinear.calls": _QUERY,
+    "coords.laplacian_curvilinear.self_s": _QUERY,
+    "coords.eval_jet_per_point": _QUERY,
+    "tensor2.eigen_sym.calls": _MARCH,
+    "tensor2.eigen_sym.self_s": _MARCH,
+    "tensor2.sqrt_spd.calls": _MARCH,
+    "tensor2.sqrt_spd.self_s": _MARCH,
+    "tensor2.inverse.calls": _MARCH,
+    "tensor2.inverse.self_s": _MARCH,
+    "tensor2.polar.self_s": _QUERY,
+    "tensor4.kelvin_rotation.self_s": _QUERY,
+    "tensor4.to_kelvin.self_s": _QUERY,
+    "trace.overhead_ratio": "none: traced over untraced in-process time",
+}

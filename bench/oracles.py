@@ -18,13 +18,15 @@ from pathlib import Path
 
 from scenes import Op
 
+MAX_ERRORS = 5  # errors kept per oracle call; the first few say what went wrong
+
 
 # ---------------------------------------------------------------------------
 # small helpers
 # ---------------------------------------------------------------------------
 
-def _close(got, want, tol, what, errors, limit=5):
-    if not (abs(got - want) <= tol) and len(errors) < limit:
+def _close(got, want, tol, what, errors):
+    if not (abs(got - want) <= tol) and len(errors) < MAX_ERRORS:
         errors.append(f"{what}: got {got!r}, want {want!r} (tol {tol:.1e})")
 
 

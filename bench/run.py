@@ -8,8 +8,10 @@ With ``--trace 0`` it measures the end-to-end metrics: ``setup_s`` (fresh
 interpreter plus ``import tensorgeom.cli``), ``wall_s`` (every CLI operation
 of the workload as its own process), ``work_per_s`` (the same argv through
 ``tensorgeom.cli.main`` in one worker process) and ``peak_rss_mb``.  With
-``--trace 1`` it reports the per-layer metrics of ``metrics.PER_LAYER`` from
-a separate traced run; no end-to-end number comes from it.
+``--trace 1`` it reports the per-layer metrics from a separate traced run; no
+end-to-end number comes from it.  The metric names and units, and the default
+``--seconds``, are read from ``BENCHMARK.json``; ``metrics.MOVES`` says which
+end-to-end metric each per-layer metric should move.
 
 Load is one process at a time: the driver, then one CLI child or the worker,
 with BLAS pinned to one thread.  Every output of every timed pass is checked
@@ -44,10 +46,9 @@ ROOT = BENCH.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".bench_work"
 BASELINE = BENCH / "baseline.json"
+SPEC = ROOT / "BENCHMARK.json"
 
 BLAS_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-SETUP_PER_ROUND = 2
-WORKER_SHARE = 0.7       # in-process time per round, as a share of the process pass's
 OP_TIMEOUT_S = 150
 WORKER_TIMEOUT_S = 170
 
@@ -56,13 +57,13 @@ def child_env() -> dict:
     return dict(os.environ, PYTHONPATH=str(SRC), **BLAS_ENV)
 
 
-def _spawn(argv: list[str], stdout, stderr, timeout: float):
+def _spawn(argv: list[str], stdout, stderr):
     """Run one child to completion; (exit code, wall seconds, max RSS in MB)."""
     t0 = time.perf_counter()
     proc = subprocess.Popen(argv, stdout=stdout, stderr=stderr, stdin=subprocess.DEVNULL,
                             env=child_env(), cwd=ROOT)
     try:
-        deadline = t0 + timeout
+        deadline = t0 + OP_TIMEOUT_S
         while True:
             pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
             if pid:
@@ -81,11 +82,10 @@ def _spawn(argv: list[str], stdout, stderr, timeout: float):
     return proc.returncode, wall, usage.ru_maxrss / 1024.0
 
 
-def measure_setup(samples: int) -> list[float]:
-    """Wall seconds of fresh ``import tensorgeom.cli`` processes."""
+def measure_setup() -> float:
+    """Wall seconds of a fresh ``import tensorgeom.cli`` process."""
     argv = [sys.executable, "-c", "import tensorgeom.cli"]
-    return [_spawn(argv, subprocess.DEVNULL, subprocess.DEVNULL, OP_TIMEOUT_S)[1]
-            for _ in range(samples)]
+    return _spawn(argv, subprocess.DEVNULL, subprocess.DEVNULL)[1]
 
 
 def measure_imports() -> dict:
@@ -95,7 +95,7 @@ def measure_imports() -> dict:
     log = WORK / f"importtime-{os.getpid()}.txt"
     with open(log, "wb") as fh:
         _spawn([sys.executable, "-X", "importtime", "-c", "import tensorgeom.cli"],
-               subprocess.DEVNULL, fh, OP_TIMEOUT_S)
+               subprocess.DEVNULL, fh)
     for line in log.read_text(encoding="utf-8").splitlines():
         m = re.match(r"import time:\s+(\d+) \|\s+(\d+) \|\s*(\S+)", line)
         if not m:
@@ -118,7 +118,7 @@ def process_pass(ops, scene_dir: Path, out: Path) -> dict:
         argv = [sys.executable, "-m", "tensorgeom.cli", *op.argv(str(scene_dir), str(out))]
         with open(out / f"{op.name}.stdout", "wb") as so, \
                 open(out / f"{op.name}.stderr", "wb") as se:
-            code, seconds, peak = _spawn(argv, so, se, OP_TIMEOUT_S)
+            code, seconds, peak = _spawn(argv, so, se)
         codes.append(code)
         wall += seconds
         rss = max(rss, peak)
@@ -135,10 +135,10 @@ class Worker:
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                      env=child_env(), cwd=ROOT)
 
-    def ask(self, cmd: dict, timeout: float = WORKER_TIMEOUT_S) -> dict:
+    def ask(self, cmd: dict) -> dict:
         self.proc.stdin.write((json.dumps(cmd) + "\n").encode())
         self.proc.stdin.flush()
-        ready, _, _ = select.select([self.proc.stdout], [], [], timeout)
+        ready, _, _ = select.select([self.proc.stdout], [], [], WORKER_TIMEOUT_S)
         line = self.proc.stdout.readline() if ready else b""
         if not line:
             raise RuntimeError(f"worker gave no reply to {cmd['cmd']!r} "
@@ -220,18 +220,31 @@ class Checker:
                                f"{sorted(self.unit_counts)}")
 
 
-def _rounds(seconds: float, body) -> int:
-    """Call ``body(round)`` at least once, and again while another round of
-    the mean length so far would end within ``seconds``.  Rounds spread every
-    metric's samples over the whole run, which averages out the host's speed
-    swings; on a slow host there are fewer rounds, not a longer run."""
+def share_time(seconds: float, kinds: dict) -> dict:
+    """Take samples until ``seconds`` are spent; return the count per kind.
+
+    ``kinds`` maps a name to ``(share, sample)``, where ``sample()`` takes one
+    sample.  Each kind gets its share of the run: the next sample is of the
+    kind that has used the least of its share, among the kinds whose last
+    sample would still end within ``seconds``.  Every kind is sampled at
+    least once.  Interleaving the kinds over the whole run averages out the
+    speed swings of a shared host; on a slow host there are fewer samples,
+    not a longer run."""
     t0 = time.perf_counter()
-    k = 0
+    spent = dict.fromkeys(kinds, 0.0)
+    last = dict.fromkeys(kinds, 0.0)
+    count = dict.fromkeys(kinds, 0)
     while True:
-        body(k)
-        k += 1
-        if (time.perf_counter() - t0) * (k + 1) / k > seconds:
-            return k
+        now = time.perf_counter() - t0
+        fits = [k for k in kinds if not count[k] or now + last[k] <= seconds]
+        if not fits:
+            return count
+        kind = min(fits, key=lambda k: spent[k] / kinds[k][0])
+        t = time.perf_counter()
+        kinds[kind][1]()
+        last[kind] = time.perf_counter() - t
+        spent[kind] += last[kind]
+        count[kind] += 1
 
 
 def timed_run(ops, scene_dir: Path, run_dir: Path, seconds: float, checker: Checker):
@@ -241,20 +254,21 @@ def timed_run(ops, scene_dir: Path, run_dir: Path, seconds: float, checker: Chec
         info = worker.ask({"cmd": "info"})
         checker.check(worker.run_pass(run_dir / "warmup"))
 
-        def one_round(k):
-            setup.extend(measure_setup(SETUP_PER_ROUND))
-            proc = process_pass(ops, scene_dir, run_dir / f"proc{k}")
+        def process():
+            proc = process_pass(ops, scene_dir, run_dir / f"proc{len(procs)}")
             checker.check(proc)
             procs.append(proc)
-            # in-process passes for a share of the process pass's time
-            spent = 0.0
-            while spent == 0.0 or spent < proc["seconds"] * WORKER_SHARE:
-                run = worker.run_pass(run_dir / f"w{len(passes)}")
-                spent += run["seconds"]
-                checker.check(run)
-                passes.append(run)
 
-        rounds = _rounds(seconds, one_round)
+        def in_process():
+            run = worker.run_pass(run_dir / f"w{len(passes)}")
+            checker.check(run)
+            passes.append(run)
+
+        # A process pass is the longest sample (8-11 s); half the run buys
+        # every workload two of them.
+        samples = share_time(seconds, {
+            "process": (0.5, process), "in_process": (0.35, in_process),
+            "setup": (0.15, lambda: setup.append(measure_setup()))})
     finally:
         worker.close()
     checker.consistent()
@@ -265,7 +279,7 @@ def timed_run(ops, scene_dir: Path, run_dir: Path, seconds: float, checker: Chec
         "work_per_s": statistics.median(rates) if rates else float("nan"),
         "peak_rss_mb": statistics.median(p["rss_mb"] for p in procs),
     }
-    notes = {"rounds": rounds, "setup_samples": len(setup),
+    notes = {"samples": samples,
              "process_pass_s": [p["seconds"] for p in procs],
              "worker_pass_s": [p["seconds"] for p in passes],
              "work_units": sorted(checker.unit_counts)}
@@ -282,7 +296,7 @@ def _chart_requests(ops) -> int:
     return count
 
 
-def layer_values(ops, traced: list[dict], plain: list[dict], imports: dict) -> dict:
+def layer_values(names, ops, traced: list[dict], plain: list[dict], imports: dict) -> dict:
     """Per-layer metrics; times are medians over the traced passes."""
     def med(fn):
         return statistics.median(fn(run) for run in traced)
@@ -310,7 +324,7 @@ def layer_values(ops, traced: list[dict], plain: list[dict], imports: dict) -> d
                                               _chart_requests(ops), 1.0)
     values["trace.overhead_ratio"] = (med(lambda r: r["seconds"])
                                       / statistics.median(p["seconds"] for p in plain))
-    for name, *_ in metrics.PER_LAYER:
+    for name in names:
         if name in values:
             continue
         base, key = name.rsplit(".", 1)
@@ -323,21 +337,23 @@ def layer_values(ops, traced: list[dict], plain: list[dict], imports: dict) -> d
     return values
 
 
-def traced_run(ops, scene_dir: Path, run_dir: Path, seconds: float, checker: Checker):
+def traced_run(names, ops, scene_dir: Path, run_dir: Path, seconds: float,
+               checker: Checker):
     imports, plain, traced = [], [], []
     worker = Worker(ops, scene_dir)
     try:
         info = worker.ask({"cmd": "info"})
         checker.check(worker.run_pass(run_dir / "warmup"))
 
-        def one_round(k):
-            imports.append(measure_imports())
-            for trace, runs in ((False, plain), (True, traced)):
-                run = worker.run_pass(run_dir / f"{'t' if trace else 'p'}{k}", trace)
-                checker.check(run)
-                runs.append(run)
+        def in_process(trace: bool, runs: list):
+            run = worker.run_pass(run_dir / f"{'t' if trace else 'p'}{len(runs)}", trace)
+            checker.check(run)
+            runs.append(run)
 
-        rounds = _rounds(seconds, one_round)
+        samples = share_time(seconds, {
+            "untraced": (0.4, lambda: in_process(False, plain)),
+            "traced": (0.5, lambda: in_process(True, traced)),
+            "imports": (0.1, lambda: imports.append(measure_imports()))})
     finally:
         worker.close()
     checker.consistent()
@@ -349,10 +365,10 @@ def traced_run(ops, scene_dir: Path, run_dir: Path, seconds: float, checker: Che
     good = [r for r in traced if "units" in r]
     plain = [r for r in plain if "units" in r]
     if not good or not plain:
-        return {name: float("nan") for name, *_ in metrics.PER_LAYER}, {}, info
+        return dict.fromkeys(names, float("nan")), {}, info
     median_imports = {k: statistics.median(r[k] for r in imports) for k in imports[0]}
-    values = layer_values(ops, good, plain, median_imports)
-    notes = {"rounds": rounds, "untraced_passes": len(plain), "traced_passes": len(traced),
+    values = layer_values(names, ops, good, plain, median_imports)
+    notes = {"samples": samples,
              "chart_requests": _chart_requests(ops),
              "eval_jet_under_coords": good[0]["eval_jet_under_coords"],
              "work_units": sorted(checker.unit_counts)}
@@ -364,21 +380,16 @@ def traced_run(ops, scene_dir: Path, run_dir: Path, seconds: float, checker: Che
 # ---------------------------------------------------------------------------
 
 def git_commit():
-    """The checkout's commit, if it is a git working tree; None otherwise."""
-    git = ROOT / ".git"
+    """The checkout's commit, if it is a git working tree; None otherwise.
+    Git does not look above the checkout, so an enclosing repository's commit
+    is never reported."""
     try:
-        head = (git / "HEAD").read_text(encoding="utf-8").strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        if (git / ref).is_file():
-            return (git / ref).read_text(encoding="utf-8").strip()
-        for line in (git / "packed-refs").read_text(encoding="utf-8").splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    except OSError:
-        pass
-    return None
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+                              cwd=ROOT, timeout=30,
+                              env=dict(os.environ, GIT_CEILING_DIRECTORIES=str(ROOT.parent)))
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def cpu_model():
@@ -420,10 +431,11 @@ def run_record(args, checker: Checker, worker: dict, notes: dict) -> dict:
 
 
 def main(argv=None) -> int:
+    spec = json.loads(SPEC.read_text(encoding="utf-8"))
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True, choices=scenes.WORKLOADS)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=10.0)
+    p.add_argument("--seconds", type=float, default=spec["run_seconds"])
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
     # Turn a termination request into an exception, so children are stopped.
@@ -441,9 +453,13 @@ def main(argv=None) -> int:
         for name, text in op.inputs.items():
             (scene_dir / name).write_text(text, encoding="utf-8")
     checker = Checker(ops)
+    units = {m["name"]: m["unit"] for m in spec["per_layer" if args.trace else "end_to_end"]}
     try:
-        measure = traced_run if args.trace else timed_run
-        values, notes, info = measure(ops, scene_dir, run_dir, args.seconds, checker)
+        if args.trace:
+            values, notes, info = traced_run(list(units), ops, scene_dir, run_dir,
+                                             args.seconds, checker)
+        else:
+            values, notes, info = timed_run(ops, scene_dir, run_dir, args.seconds, checker)
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
 
@@ -453,8 +469,6 @@ def main(argv=None) -> int:
     (records / f"{args.workload}-seed{args.seed}-trace{args.trace}.json").write_text(
         json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
-    table = metrics.PER_LAYER if args.trace else metrics.END_TO_END
-    units = {name: unit for name, unit, *_ in table}
     print("record " + json.dumps({k: v for k, v in record.items() if k != "files"},
                                  sort_keys=True))
     print(f"fingerprint {record['fingerprint']} ({record['fingerprint_status']}; "
@@ -462,8 +476,11 @@ def main(argv=None) -> int:
     for err in checker.errors[:10]:
         print(f"FAILED {err}")
     for name, unit in units.items():
-        print(f"{args.workload} {name} = {values[name]!r} {unit}")
-    print(f"{args.workload} {metrics.FAIL_RATIO} = "
+        moves = f"  (moves {metrics.MOVES[name]})" if args.trace else ""
+        print(f"{args.workload} {name} = {values[name]!r} {unit}{moves}")
+    # fail_ratio is printed, not a BENCHMARK.json metric: it is 0 when the
+    # program is correct, and the result's attempted/failed carry it.
+    print(f"{args.workload} fail_ratio = "
           f"{checker.failed / max(checker.attempted, 1)!r} "
           f"({checker.failed} of {checker.attempted} operations)")
     result = {"correct": checker.failed == 0, "attempted": checker.attempted,

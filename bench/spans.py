@@ -29,6 +29,11 @@ CLASS_ATTRS = {
     ("curve", "Curve", "__init__"): "curve.Curve",
 }
 
+# ``aggregate`` counts the NESTED spans that run under a span of a CHART_PREFIX
+# layer: the jet evaluations each chart request costs.
+CHART_PREFIX = "coords."
+NESTED = "expr.eval_jet"
+
 
 class Tracer:
     def __init__(self):
@@ -101,22 +106,21 @@ class Tracer:
         return aggregate(self.names, self.name_id, self.parent, self.start, self.end)
 
 
-def aggregate(names, name_id, parent, start, end, under_prefix: str = "coords.",
-              counted: str = "expr.eval_jet"):
+def aggregate(names, name_id, parent, start, end):
     """Per span name: calls, total seconds and self seconds.
 
     Span ``i`` has name ``names[name_id[i]]``, parent span ``parent[i]`` (-1
     for none, always a smaller index) and the interval ``start[i]..end[i]``.
-    Also returns how many ``counted`` spans have an ancestor whose name
-    starts with ``under_prefix``.
+    Also returns how many ``NESTED`` spans have an ancestor whose name
+    starts with ``CHART_PREFIX``.
     """
     n = len(name_id)
     child = array("d", bytes(8 * n))
     for i in range(n):
         if parent[i] >= 0:
             child[parent[i]] += end[i] - start[i]
-    marks = [name.startswith(under_prefix) for name in names]
-    target = names.index(counted) if counted in names else -1
+    marks = [name.startswith(CHART_PREFIX) for name in names]
+    target = names.index(NESTED) if NESTED in names else -1
     under = bytearray(n)
     nested = 0
     calls = [0] * len(names)

@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 bench/sweep.py --workloads grid march query --seeds 1-10 --seconds 36
+    python3 bench/sweep.py --workloads grid march query --seeds 1-10
     python3 bench/sweep.py ... --write-baseline
 
 For each workload and metric it prints the median over the seeds and the
@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent
+SPEC = BENCH.parent / "BENCHMARK.json"
 
 
 def _seeds(text: str) -> list[int]:
@@ -50,10 +51,11 @@ def spread(values: list[float]) -> tuple[float, float | None]:
 
 
 def main() -> int:
+    spec = json.loads(SPEC.read_text(encoding="utf-8"))
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--workloads", nargs="+", default=["grid", "march", "query"])
+    p.add_argument("--workloads", nargs="+", default=[w["name"] for w in spec["workloads"]])
     p.add_argument("--seeds", default="1-10")
-    p.add_argument("--seconds", type=int, default=36)
+    p.add_argument("--seconds", type=int, default=spec["run_seconds"])
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--write-baseline", action="store_true")
     args = p.parse_args()

@@ -1,11 +1,12 @@
-"""Tests of the benchmark itself: seeded scenes, oracles, span accounting and
-metric names.  Run with ``python3 -m pytest -q bench`` from the repository
-root; they are not part of the package's own test suite.
+"""Tests of the benchmark itself: seeded scenes, oracles, time sharing, span
+accounting and metric names.  Run with ``python3 -m pytest -q bench`` from
+the repository root; they are not part of the package's own test suite.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -18,6 +19,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import metrics  # noqa: E402
 import oracles  # noqa: E402
+import run  # noqa: E402
 import scenes  # noqa: E402
 import spans  # noqa: E402
 import worker  # noqa: E402
@@ -203,6 +205,31 @@ def test_work_units_come_from_the_reports(outputs):
 
 
 # ---------------------------------------------------------------------------
+# sharing a run's time between kinds of sample
+# ---------------------------------------------------------------------------
+
+def test_share_time_interleaves_kinds_and_ends_in_time(monkeypatch):
+    clock = [0.0]
+    order = []
+    monkeypatch.setattr(run.time, "perf_counter", lambda: clock[0])
+
+    def sample(name, seconds):
+        def take():
+            order.append(name)
+            clock[0] += seconds
+        return take
+
+    counts = run.share_time(20.0, {"long": (0.5, sample("long", 4.0)),
+                                   "short": (0.5, sample("short", 1.0))})
+    assert counts == {"long": 3, "short": 8}
+    assert clock[0] <= 20.0
+    assert order[:6] == ["long", "short", "short", "short", "short", "long"]
+    # a kind longer than the whole run is still sampled once
+    clock[0] = 0.0
+    assert run.share_time(1.0, {"slow": (1.0, sample("slow", 5.0))}) == {"slow": 1}
+
+
+# ---------------------------------------------------------------------------
 # spans and self time
 # ---------------------------------------------------------------------------
 
@@ -261,22 +288,17 @@ def test_recursive_calls_belong_to_the_outer_span():
 
 
 # ---------------------------------------------------------------------------
-# metric names and BENCHMARK.json
+# metric names
 # ---------------------------------------------------------------------------
 
-def test_metric_names_are_well_formed_and_unique():
-    names = [m[0] for m in metrics.END_TO_END + metrics.PER_LAYER] + [metrics.FAIL_RATIO]
+def test_metric_names_are_well_formed_and_every_layer_is_mapped():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    layers = [m["name"] for m in spec["per_layer"]]
+    names = [m["name"] for m in spec["end_to_end"]] + layers + ["fail_ratio"]
     assert len(names) == len(set(names))
     for name in names:
-        assert metrics.NAME.fullmatch(name), name
-
-
-def test_benchmark_json_matches_the_metric_tables():
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        assert re.fullmatch(r"[A-Za-z0-9_.-]+", name), name
+    assert set(metrics.MOVES) == set(layers)
     assert [w["name"] for w in spec["workloads"]] == list(scenes.WORKLOADS)
-    assert [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]] \
-        == [m[:3] for m in metrics.END_TO_END]
-    assert [(m["name"], m["unit"], m["better"]) for m in spec["per_layer"]] \
-        == [m[:3] for m in metrics.PER_LAYER]
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     assert bounds["setup_s"] == max(bounds.values())
