@@ -19,7 +19,7 @@ import numpy as np
 from .expr import ExprMap, parse
 
 __all__ = [
-    "DegenerateJacobian", "InsufficientResolution", "CoordinateSingularity",
+    "DegenerateJacobian", "CoordinateSingularity",
     "CoordMap", "Metric", "metric_at", "second_partials", "christoffel",
     "raise_lower", "covariant_derivative", "divergence_from_chart",
     "laplacian_curvilinear", "diff_ops", "integral_theorem_residual",
@@ -31,10 +31,6 @@ _SING_GUARD = 1e-8
 
 
 class DegenerateJacobian(ValueError):
-    pass
-
-
-class InsufficientResolution(ValueError):
     pass
 
 
@@ -53,13 +49,20 @@ class CoordMap:
         self.domain = tuple(tuple(float(b) for b in box) for box in (domain or ()))
 
     def jacobian(self, z) -> np.ndarray:
-        n = self.ndim
-        J = np.empty((n, n))
-        for k in range(n):
-            jets = self.map.eval_jet(z, order=1, active=(k,))
-            for i in range(n):
-                J[i, k] = jets[i].partial(1)
-        return J
+        return _partials(self.map.eval_jet(z, order=1))[0]
+
+
+def _partials(jets: list):
+    """First partials D1[c, k] of each component jet by z^k and, for jets of
+    order 2 or more, second partials D2[c, k, l] by z^k and z^l."""
+    n = jets[0].nvars
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    D1 = np.array([[j.partial(*u) for u in units] for j in jets])
+    if jets[0].order < 2:
+        return D1, None
+    D2 = np.array([[[j.partial(*(a + b for a, b in zip(u, w))) for w in units]
+                    for u in units] for j in jets])
+    return D1, D2
 
 
 @dataclass(frozen=True)
@@ -82,10 +85,9 @@ class Metric:
         return float(dz @ self.cov @ dz)
 
 
-def metric_at(chart: CoordMap, z) -> Metric:
-    J = chart.jacobian(z)
+def _metric_from_jacobian(J: np.ndarray, z) -> Metric:
     d = np.linalg.det(J)
-    scale = max(np.linalg.norm(J) ** chart.ndim, np.finfo(float).tiny)
+    scale = max(np.linalg.norm(J) ** len(J), np.finfo(float).tiny)
     if abs(d) <= 1e-10 * scale:
         raise DegenerateJacobian(f"Jacobian determinant {d:g} at z={tuple(z)}")
     g = J.T @ J
@@ -93,20 +95,24 @@ def metric_at(chart: CoordMap, z) -> Metric:
     return Metric(cov=g, con=Jinv @ Jinv.T, tangent=J, dual=Jinv, jacobian=J)
 
 
+def metric_at(chart: CoordMap, z) -> Metric:
+    return _metric_from_jacobian(chart.jacobian(z), z)
+
+
 def second_partials(chart: CoordMap, z) -> np.ndarray:
     """S[m, k, l] = second derivative of x_m by z^k and z^l."""
-    n = chart.ndim
-    S = np.empty((n, n, n))
-    for k in range(n):
-        jets = chart.map.eval_jet(z, order=2, active=(k,))
-        for m in range(n):
-            S[m, k, k] = jets[m].partial(2)
-    for k in range(n):
-        for l in range(k + 1, n):
-            jets = chart.map.eval_jet(z, order=2, active=(k, l))
-            for m in range(n):
-                S[m, k, l] = S[m, l, k] = jets[m].partial(1, 1)
-    return S
+    return _partials(chart.map.eval_jet(z, order=2))[1]
+
+
+def _metric_and_second_partials(chart: CoordMap, z):
+    """Metric and S[m, k, l] from one order-2 evaluation of the chart."""
+    J, S = _partials(chart.map.eval_jet(z, order=2))
+    return _metric_from_jacobian(J, z), S
+
+
+def _metric_derivative(J: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """dg[a, b, c] = derivative of g_ab by z^c."""
+    return np.einsum("mac,mb->abc", S, J) + np.einsum("ma,mbc->abc", J, S)
 
 
 def christoffel(chart: CoordMap, z, method: str = "second_derivative") -> np.ndarray:
@@ -116,15 +122,16 @@ def christoffel(chart: CoordMap, z, method: str = "second_derivative") -> np.nda
     map's second derivatives; ``method="metric_derivative"`` uses the metric
     and its first derivatives.  Both are exact up to rounding.
     """
-    met = metric_at(chart, z)
-    S = second_partials(chart, z)
-    n = chart.ndim
+    met, S = _metric_and_second_partials(chart, z)
+    return _connection(met, S, method)
+
+
+def _connection(met: Metric, S: np.ndarray, method: str) -> np.ndarray:
     if method == "second_derivative":
         return np.einsum("hm,mkl->hkl", met.dual, S)
     if method == "metric_derivative":
-        J = met.jacobian
-        # dg[a, b, c] = derivative of g_ab by z^c
-        dg = np.einsum("mac,mb->abc", S, J) + np.einsum("ma,mbc->abc", J, S)
+        n = len(S)
+        dg = _metric_derivative(met.jacobian, S)
         gamma = np.empty((n, n, n))
         for h in range(n):
             for k in range(n):
@@ -174,19 +181,14 @@ def raise_lower(components, metric: Metric, direction: str) -> np.ndarray:
 def _field_values_and_partials(field, z, n: int):
     """(values, partials) with partials[..., k] = d(field)/dz^k.
 
-    ``field`` may be an ExprMap (exact jets), a callable (central
-    differences), or a pair (axes, samples) of grid data.
+    ``field`` may be an ExprMap (exact jets) or a callable (central
+    differences).
     """
     z = tuple(float(c) for c in z)
     if isinstance(field, ExprMap):
         if field.arity != n:
             raise ValueError("field arity does not match the chart")
-        values = np.array(field(*z))
-        partials = np.empty(values.shape + (n,))
-        for k in range(n):
-            jets = field.eval_jet(z, order=1, active=(k,))
-            partials[..., k] = [j.partial(1) for j in jets]
-        return values, partials
+        return np.array(field(*z)), _partials(field.eval_jet(z, order=1))[0]
     if callable(field):
         values = np.asarray(field(z), float)
         h = 1e-5
@@ -199,13 +201,7 @@ def _field_values_and_partials(field, z, n: int):
             partials[..., k] = (np.asarray(field(zp), float)
                                 - np.asarray(field(zm), float)) / (2.0 * h)
         return values, partials
-    axes, samples = field
-    axes = [np.asarray(a, float) for a in axes]
-    samples = np.asarray(samples, float)
-    if any(len(a) < 4 for a in axes):
-        raise InsufficientResolution("need at least 4 samples per axis")
-    raise InsufficientResolution("grid-sampled fields must be interpolated by "
-                                 "the caller; pass a callable instead")
+    raise ValueError("a field must be an ExprMap or a callable")
 
 
 def covariant_derivative(field, chart: CoordMap, z, variance: str) -> np.ndarray:
@@ -244,26 +240,15 @@ def divergence_from_chart(field, chart: CoordMap, z) -> float:
 
 def laplacian_curvilinear(field, chart: CoordMap, z) -> float:
     """Laplace operator of a scalar field in arbitrary coordinates."""
-    n = chart.ndim
     z = tuple(float(c) for c in z)
     if not isinstance(field, ExprMap) or field.dimension != 1:
         raise ValueError("needs a scalar ExprMap over the chart variables")
-    met = metric_at(chart, z)
-    gamma = christoffel(chart, z)
-    d1 = np.empty(n)
-    d2 = np.empty((n, n))
-    for k in range(n):
-        jet = field.eval_jet(z, order=2, active=(k,))[0]
-        d1[k] = jet.partial(1)
-        d2[k, k] = jet.partial(2)
-    for k in range(n):
-        for l in range(k + 1, n):
-            jet = field.eval_jet(z, order=2, active=(k, l))[0]
-            d2[k, l] = d2[l, k] = jet.partial(1, 1)
+    met, S = _metric_and_second_partials(chart, z)
+    gamma = _connection(met, S, "second_derivative")
+    D1, D2 = _partials(field.eval_jet(z, order=2))
+    d1, d2 = D1[0], D2[0]
     # derivative of the inverse metric from the metric derivative
-    S = second_partials(chart, z)
-    J = met.jacobian
-    dg = np.einsum("mac,mb->abc", S, J) + np.einsum("ma,mbc->abc", J, S)
+    dg = _metric_derivative(met.jacobian, S)
     dgi = -np.einsum("ha,abc,bk->hkc", met.con, dg, met.con)
     term1 = float(np.einsum("hk,hk->", met.con, d2))
     term2 = float(np.einsum("hkh,k->", dgi, d1))
@@ -275,26 +260,12 @@ def laplacian_curvilinear(field, chart: CoordMap, z) -> float:
 # closed-form differential operators
 # ---------------------------------------------------------------------------
 
-def _partials_up_to_2(field: ExprMap, point, mixed_pairs=()):
-    """Per-component values, first and diagonal-second partials, plus the
-    requested mixed second partials (as a dict keyed by sorted pairs)."""
-    n = field.arity
-    m = field.dimension
+def _partials_up_to_2(field: ExprMap, point):
+    """Per-component values, first partials d1[c, k] and diagonal second
+    partials d2[c, k]."""
     point = tuple(float(c) for c in point)
-    values = np.array(field(*point))
-    d1 = np.empty((m, n))
-    d2 = np.empty((m, n))
-    for k in range(n):
-        jets = field.eval_jet(point, order=2, active=(k,))
-        for c in range(m):
-            d1[c, k] = jets[c].partial(1)
-            d2[c, k] = jets[c].partial(2)
-    mixed = {}
-    for (a, b) in mixed_pairs:
-        a, b = sorted((a, b))
-        jets = field.eval_jet(point, order=2, active=(a, b))
-        mixed[(a, b)] = np.array([j.partial(1, 1) for j in jets])
-    return values, d1, d2, mixed
+    d1, d2 = _partials(field.eval_jet(point, order=2))
+    return np.array(field(*point)), d1, np.einsum("ckk->ck", d2)
 
 
 def _check_kind(field: ExprMap, kind: str):
@@ -329,7 +300,7 @@ def diff_ops(system: str, kind: str, op: str, field: ExprMap, point) -> np.ndarr
 
 
 def _cartesian_ops(kind, op, field, point):
-    values, d1, d2, _ = _partials_up_to_2(field, point)
+    values, d1, d2 = _partials_up_to_2(field, point)
     if kind == "scalar":
         if op == "grad":
             return d1[0].copy()
@@ -354,7 +325,7 @@ def _cartesian_ops(kind, op, field, point):
 
 def _cylindrical_ops(kind, op, field, point):
     rho = point[0]
-    values, d1, d2, _ = _partials_up_to_2(field, point)
+    values, d1, d2 = _partials_up_to_2(field, point)
     if kind == "scalar":
         f1, f2 = d1[0], d2[0]
         if op == "grad":
@@ -399,7 +370,7 @@ def _spherical_ops(kind, op, field, point):
     r, phi = point[0], point[1]
     sin_p, cos_p = math.sin(phi), math.cos(phi)
     cot = cos_p / sin_p
-    values, d1, d2, _ = _partials_up_to_2(field, point)
+    values, d1, d2 = _partials_up_to_2(field, point)
     if kind == "scalar":
         f1, f2 = d1[0], d2[0]
         if op == "grad":

@@ -47,6 +47,7 @@ class NonOrthonormalSeed(ValueError):
 
 
 _REG_TOL = 1e-10
+_SCALE_SAMPLES = 128  # parameter samples that set a curve's length scale
 
 
 class Curve:
@@ -56,7 +57,7 @@ class Curve:
     curves are embedded in the plane x3 = 0.
     """
 
-    def __init__(self, cmap: ExprMap, domain: tuple[float, float], grid: int = 128):
+    def __init__(self, cmap: ExprMap, domain: tuple[float, float]):
         if cmap.arity != 1:
             raise ValueError("a curve map takes exactly one variable")
         if cmap.dimension not in (2, 3):
@@ -65,7 +66,7 @@ class Curve:
             raise ValueError("empty parameter interval")
         self.map = cmap
         self.domain = (float(domain[0]), float(domain[1]))
-        ts = np.linspace(*self.domain, grid)
+        ts = np.linspace(*self.domain, _SCALE_SAMPLES)
         pts = np.array([self._point_unchecked(t) for t in ts])
         self.scale = float(np.max(np.linalg.norm(pts, axis=1)))
         self._planar = bool(np.max(np.abs(pts[:, 2])) <= _REG_TOL * max(self.scale, 1.0))

@@ -2,7 +2,7 @@
 
 Expressions are parsed into an immutable AST and evaluated either as plain
 floats or as truncated Taylor jets carrying all mixed partial derivatives up
-to total order 3 in one or two variables.  Every curve, surface and
+to total order 3 in any number of variables.  Every curve, surface and
 coordinate map in this package is defined through this module.
 
 Grammar::
@@ -20,6 +20,7 @@ exponent part.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -77,45 +78,53 @@ class DomainError(ArithmeticError):
 # Truncated Taylor jets
 # ---------------------------------------------------------------------------
 
-# Flat coefficient layout per arity: exponent multi-indices in graded order.
-_POWERS = {
-    1: [(0,), (1,), (2,), (3,)],
-    2: [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)],
-}
-_COUNT = {1: (1, 2, 3, 4), 2: (1, 3, 6, 10)}
+# Flat coefficient layout per arity, filled by ``_layout`` on first use:
+# exponent multi-indices in graded order (total degree, then the exponents
+# in descending lexicographic order), the coefficient count per order, the
+# position of each multi-index, and per (arity, order) the (i, j) pairs of
+# every product slot.  Plain dicts keep ``Jet.__mul__`` at one C-level lookup.
+_POWERS: dict = {}
+_COUNT: dict = {}
+_INDEX: dict = {}
+_MUL: dict = {}
 _FACT = (1.0, 1.0, 2.0, 6.0)
 
 
-def _build_mul_tables():
-    tables = {}
-    for n, powers in _POWERS.items():
-        for order in range(MAX_ORDER + 1):
-            cnt = _COUNT[n][order]
-            index = {p: k for k, p in enumerate(powers[:cnt])}
-            per_slot = []
-            for k in range(cnt):
-                target = powers[k]
-                pairs = []
-                for i in range(cnt):
-                    rem = tuple(t - a for t, a in zip(target, powers[i]))
-                    if min(rem) < 0:
-                        continue
-                    j = index.get(rem)
-                    if j is not None:
-                        pairs.append((i, j))
-                per_slot.append(tuple(pairs))
-            tables[(n, order)] = tuple(per_slot)
-    return tables
+def _layout(nvars: int) -> tuple:
+    """Coefficient counts per order for ``nvars`` variables; builds the
+    layout tables of that arity on first use."""
+    counts = _COUNT.get(nvars)
+    if counts is not None:
+        return counts
+    if nvars < 1:
+        raise ValueError("jets need at least one variable")
+    powers = sorted((p for p in itertools.product(range(MAX_ORDER + 1), repeat=nvars)
+                     if sum(p) <= MAX_ORDER),
+                    key=lambda p: (sum(p), tuple(-e for e in p)))
+    index = {p: k for k, p in enumerate(powers)}
+    counts = tuple(sum(1 for p in powers if sum(p) <= order)
+                   for order in range(MAX_ORDER + 1))
+    for order, cnt in enumerate(counts):
+        per_slot = []
+        for target in powers[:cnt]:
+            pairs = []
+            for i in range(cnt):
+                rem = tuple(t - a for t, a in zip(target, powers[i]))
+                if min(rem) >= 0:
+                    pairs.append((i, index[rem]))
+            per_slot.append(tuple(pairs))
+        _MUL[(nvars, order)] = tuple(per_slot)
+    _POWERS[nvars] = powers
+    _INDEX[nvars] = index
+    _COUNT[nvars] = counts
+    return counts
 
-
-_MUL = _build_mul_tables()
-_INDEX = {n: {p: k for k, p in enumerate(_POWERS[n])} for n in _POWERS}
 
 Number = Union[int, float]
 
 
 class Jet:
-    """Truncated Taylor expansion (degree <= 3) in one or two variables.
+    """Truncated Taylor expansion (degree <= 3) in any number of variables.
 
     Coefficients are stored Taylor-style, i.e. divided by factorials, so
     multiplication is a plain truncated convolution.  ``partial`` restores
@@ -132,18 +141,18 @@ class Jet:
     # -- constructors -------------------------------------------------
     @classmethod
     def constant(cls, value: float, nvars: int, order: int) -> "Jet":
-        coef = [0.0] * _COUNT[nvars][order]
+        coef = [0.0] * (_COUNT.get(nvars) or _layout(nvars))[order]
         coef[0] = float(value)
         return cls(nvars, order, coef)
 
     @classmethod
     def variable(cls, value: float, which: int, nvars: int, order: int) -> "Jet":
-        coef = [0.0] * _COUNT[nvars][order]
-        coef[0] = float(value)
+        if not 0 <= which < nvars:
+            raise ValueError(f"variable {which} out of range for {nvars} variables")
+        jet = cls.constant(value, nvars, order)
         if order >= 1:
-            unit = (1,) if nvars == 1 else ((1, 0) if which == 0 else (0, 1))
-            coef[_INDEX[nvars][unit]] = 1.0
-        return cls(nvars, order, coef)
+            jet.coef[1 + which] = 1.0  # graded order puts each unit monomial at 1 + which
+        return jet
 
     # -- accessors ----------------------------------------------------
     @property
@@ -429,12 +438,8 @@ _FLOAT_FUNCS = {
 }
 
 
-def _float_call(name: str, args: list[float]) -> float:
-    if name == "atan2":
-        if args[0] == 0.0 and args[1] == 0.0:
-            raise DomainError("atan2(0, 0)")
-        return math.atan2(args[0], args[1])
-    a = args[0]
+def _float_call(name: str, a: float) -> float:
+    """A one-argument builtin on a float (``atan2`` goes through ``jet_atan2``)."""
     if name == "ln":
         if a <= 0.0:
             raise DomainError("log of a non-positive value")
@@ -672,45 +677,12 @@ def unparse(node: Node) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _eval_float(node: Node, values: Sequence[float]) -> float:
-    try:
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, ConstRef):
-            return node.value
-        if isinstance(node, Var):
-            return values[node.index]
-        if isinstance(node, Neg):
-            return -_eval_float(node.operand, values)
-        if isinstance(node, BinOp):
-            a = _eval_float(node.left, values)
-            b = _eval_float(node.right, values)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                if b == 0.0:
-                    raise DomainError("division by zero")
-                return a / b
-            if b != round(b) and a < 0.0:
-                raise DomainError("non-integer power of a negative base")
-            if a == 0.0 and b < 0.0:
-                raise DomainError("zero raised to a negative power")
-            return a ** b
-        if isinstance(node, Call):
-            args = [_eval_float(a, values) for a in node.args]
-            return _float_call(node.func, args)
-    except DomainError as err:
-        if err.expression is None:
-            raise DomainError(err.reason, unparse(node), node.span[0]) from None
-        raise
-    raise TypeError(f"not an AST node: {node!r}")
+def _eval(node: Node, env: list):
+    """Evaluate an AST on a mix of floats and jets.
 
-
-def _eval_jet(node: Node, env: list):
+    On floats alone every branch is plain float arithmetic, so this is also
+    the float evaluator.
+    """
     try:
         if isinstance(node, Num):
             return node.value
@@ -719,10 +691,10 @@ def _eval_jet(node: Node, env: list):
         if isinstance(node, Var):
             return env[node.index]
         if isinstance(node, Neg):
-            return -_eval_jet(node.operand, env)
+            return -_eval(node.operand, env)
         if isinstance(node, BinOp):
-            a = _eval_jet(node.left, env)
-            b = _eval_jet(node.right, env)
+            a = _eval(node.left, env)
+            b = _eval(node.right, env)
             if node.op == "+":
                 return a + b
             if node.op == "-":
@@ -749,13 +721,13 @@ def _eval_jet(node: Node, env: list):
                 raise DomainError("zero raised to a negative power")
             return a ** b
         if isinstance(node, Call):
-            args = [_eval_jet(a, env) for a in node.args]
+            args = [_eval(a, env) for a in node.args]
             if node.func == "atan2":
                 return jet_atan2(args[0], args[1])
             a = args[0]
             if isinstance(a, Jet):
-                return getattr(a, node.func if node.func != "abs" else "abs")()
-            return _float_call(node.func, args)
+                return getattr(a, node.func)()
+            return _float_call(node.func, a)
     except DomainError as err:
         if err.expression is None:
             raise DomainError(err.reason, unparse(node), node.span[0]) from None
@@ -767,8 +739,8 @@ def _eval_jet(node: Node, env: list):
 class ExprMap:
     """Immutable map R^n -> R^m defined by parsed expressions.
 
-    ``arity`` is the number of variables (jets support 1 or 2 active ones),
-    ``dimension`` the number of components.
+    ``arity`` is the number of variables (jets carry derivatives in all of
+    them), ``dimension`` the number of components.
     """
 
     variables: tuple
@@ -790,35 +762,21 @@ class ExprMap:
         if len(point) != self.arity:
             raise ValueError(f"expected {self.arity} coordinates, got {len(point)}")
         values = [float(p) for p in point]
-        return [_eval_float(c, values) for c in self.components]
+        return [_eval(c, values) for c in self.components]
 
-    def eval_jet(self, point: Sequence[float], order: int = MAX_ORDER,
-                 active: tuple | None = None):
-        """Evaluate all components as jets of the given order.
-
-        ``active`` selects which variables carry derivatives (at most two);
-        the remaining ones are frozen at their point values.  With ``order=0``
-        plain floats are returned.
-        """
+    def eval_jet(self, point: Sequence[float], order: int = MAX_ORDER):
+        """Evaluate all components as jets of the given order in all the
+        variables.  With ``order=0`` plain floats are returned."""
         point = tuple(float(p) for p in point)
         if len(point) != self.arity:
             raise ValueError(f"expected {self.arity} coordinates, got {len(point)}")
         if order == 0:
             return self.__call__(*point)
-        if active is None:
-            if self.arity > 2:
-                raise ValueError("maps with more than 2 variables need an explicit "
-                                 "active pair")
-            active = tuple(range(self.arity))
-        if not 1 <= len(active) <= 2:
-            raise ValueError("jets support 1 or 2 active variables")
-        nv = len(active)
-        env: list = list(point)
-        for slot, var_index in enumerate(active):
-            env[var_index] = Jet.variable(point[var_index], slot, nv, order)
+        nv = self.arity
+        env = [Jet.variable(p, k, nv, order) for k, p in enumerate(point)]
         out = []
         for comp in self.components:
-            val = _eval_jet(comp, env)
+            val = _eval(comp, env)
             if not isinstance(val, Jet):
                 val = Jet.constant(val, nv, order)
             out.append(val)

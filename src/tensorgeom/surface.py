@@ -256,11 +256,26 @@ def _christoffel_2d(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return gamma
 
 
+def _metric_and_connection(fu, fv, fuu, fuv, fvv):
+    """First fundamental form and the surface connection from the first and
+    second parameter derivatives of the map."""
+    g = np.array([[fu @ fu, fu @ fv], [fu @ fv, fv @ fv]])
+    # metric derivatives feed the three 2x2 systems for the connection
+    dg = np.empty((2, 2, 2))
+    seconds = {(0, 0): fuu, (0, 1): fuv, (1, 0): fuv, (1, 1): fvv}
+    firsts = {0: fu, 1: fv}
+    for a_ in range(2):
+        for b_ in range(2):
+            for c_ in range(2):
+                dg[a_, b_, c_] = seconds[(a_, c_)] @ firsts[b_] + firsts[a_] @ seconds[(b_, c_)]
+    return g, _christoffel_2d(g, dg)
+
+
 def jet_at(surface: Surface, u: float, v: float) -> SurfaceJet:
     jets = surface.mapper.eval_jets(u, v, 2)
     p, fu, fv, fuu, fuv, fvv = _first_second(jets)
     N = _normal_of(fu, fv, u, v)
-    g = np.array([[fu @ fu, fu @ fv], [fu @ fv, fv @ fv]])
+    g, gamma = _metric_and_connection(fu, fv, fuu, fuv, fvv)
     B = np.array([[N @ fuu, N @ fuv], [N @ fuv, N @ fvv]])
     X = np.linalg.solve(g, B)
     detg = g[0, 0] * g[1, 1] - g[0, 1] ** 2
@@ -288,16 +303,6 @@ def jet_at(surface: Surface, u: float, v: float) -> SurfaceJet:
     d2 = gis @ y2
     d1 = d1 / math.sqrt(d1 @ g @ d1)
     d2 = d2 / math.sqrt(d2 @ g @ d2)
-
-    # metric derivatives feed the three 2x2 systems for the connection
-    dg = np.empty((2, 2, 2))
-    seconds = {(0, 0): fuu, (0, 1): fuv, (1, 0): fuv, (1, 1): fvv}
-    firsts = {0: fu, 1: fv}
-    for a_ in range(2):
-        for b_ in range(2):
-            for c_ in range(2):
-                dg[a_, b_, c_] = seconds[(a_, c_)] @ firsts[b_] + firsts[a_] @ seconds[(b_, c_)]
-    gamma = _christoffel_2d(g, dg)
 
     return SurfaceJet(u, v, p, fu, fv, N, g, B, X, k1, k2, d1, d2, K, H,
                       gamma, umbilical)
@@ -381,16 +386,7 @@ class GeodesicTrajectory:
 
 def _metric_and_gamma(surface: Surface, u: float, v: float):
     jets = surface.mapper.eval_jets(u, v, 2)
-    _, fu, fv, fuu, fuv, fvv = _first_second(jets)
-    g = np.array([[fu @ fu, fu @ fv], [fu @ fv, fv @ fv]])
-    dg = np.empty((2, 2, 2))
-    seconds = {(0, 0): fuu, (0, 1): fuv, (1, 0): fuv, (1, 1): fvv}
-    firsts = {0: fu, 1: fv}
-    for a_ in range(2):
-        for b_ in range(2):
-            for c_ in range(2):
-                dg[a_, b_, c_] = seconds[(a_, c_)] @ firsts[b_] + firsts[a_] @ seconds[(b_, c_)]
-    return g, _christoffel_2d(g, dg)
+    return _metric_and_connection(*_first_second(jets)[1:])
 
 
 def geodesic_integrate(surface: Surface, state0: GeodesicState, s_max: float,

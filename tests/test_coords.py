@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tensorgeom import coords as co
-from tensorgeom.expr import parse
+from tensorgeom.expr import ExprMap, parse
 
 rng = np.random.default_rng(99)
 
@@ -273,6 +273,30 @@ def test_curvilinear_laplacian_matches_closed_forms():
     closed = co.diff_ops("spherical", "scalar", "laplacian", f_sph, point)
     general = co.laplacian_curvilinear(f_sph, co.spherical_map(), point)
     assert general == pytest.approx(closed, rel=1e-8)
+
+
+def test_one_jet_evaluation_per_map_per_point(monkeypatch):
+    calls = []
+    eval_jet = ExprMap.eval_jet
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return eval_jet(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExprMap, "eval_jet", counted)
+    chart = co.spherical_map()
+    field = parse("r^2*cos(p) + r*sin(p)*cos(t)", ["r", "p", "t"])
+    z = (1.4, 0.9, 0.3)
+
+    def count(op):
+        calls.clear()
+        op()
+        return len(calls)
+
+    assert count(lambda: co.metric_at(chart, z)) == 1
+    assert count(lambda: co.christoffel(chart, z, "second_derivative")) == 1
+    assert count(lambda: co.christoffel(chart, z, "metric_derivative")) == 1
+    assert count(lambda: co.laplacian_curvilinear(field, chart, z)) == 2
 
 
 def test_spherical_divergence_against_pushforward():

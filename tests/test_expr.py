@@ -1,5 +1,6 @@
 """Parser and jet-evaluation tests."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorgeom.expr import (ArityMismatch, DomainError, Jet, ParseError,
-                             UnknownIdentifier, jet_atan2, parse, unparse)
+                             UnknownIdentifier, _layout, jet_atan2, parse, unparse)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,11 @@ def test_exp_series():
         assert j.partial(k) == pytest.approx(1.0, rel=1e-15)
 
 
+def test_jets_need_a_variable():
+    with pytest.raises(ValueError):
+        parse("2", []).eval_jet((), 1)
+
+
 def test_order_zero_returns_floats():
     out = parse(["t", "t^2"], ["t"]).eval_jet((3.0,), 0)
     assert out == [3.0, 9.0]
@@ -128,66 +134,86 @@ def test_domain_error_reports_subexpression():
 # jets vs an exact finite-difference oracle on random polynomials
 # ---------------------------------------------------------------------------
 
-def _random_poly(rng):
-    """Random bivariate polynomial of total degree <= 3 with integer coefs."""
+_NAMES = ("u", "v", "w")
+
+# central stencils as (offset in steps, weight); divide by h^order
+_STENCILS = {
+    1: ((1, Fraction(1, 2)), (-1, Fraction(-1, 2))),
+    2: ((1, 1), (0, -2), (-1, 1)),
+    3: ((2, Fraction(1, 2)), (1, -1), (-1, 1), (-2, Fraction(-1, 2))),
+}
+
+
+def _multi_indices(nvars):
+    """Exponent tuples of total degree <= 3."""
+    return [p for p in itertools.product(range(4), repeat=nvars) if sum(p) <= 3]
+
+
+def _random_poly(rng, nvars):
+    """Random polynomial of total degree <= 3 with integer coefs."""
     terms = []
-    for i in range(4):
-        for j in range(4 - i):
-            c = int(rng.integers(-4, 5))
-            if c:
-                terms.append((c, i, j))
+    for powers in _multi_indices(nvars):
+        c = int(rng.integers(-4, 5))
+        if c:
+            terms.append((c, powers))
     if not terms:
-        terms = [(1, 1, 0)]
-    source = "+".join(f"({c})*u^{i}*v^{j}" for c, i, j in terms)
+        terms = [(1, (1,) + (0,) * (nvars - 1))]
+    source = "+".join(f"({c})*" + "*".join(f"{x}^{e}" for x, e in zip(_NAMES, powers))
+                      for c, powers in terms)
     return source, terms
 
 
-def _poly_eval(terms, u: Fraction, v: Fraction) -> Fraction:
-    return sum(Fraction(c) * u ** i * v ** j for c, i, j in terms)
+def _poly_eval(terms, point) -> Fraction:
+    total = Fraction(0)
+    for c, powers in terms:
+        term = Fraction(c)
+        for x, e in zip(point, powers):
+            term *= x ** e
+        total += term
+    return total
 
 
-def _fd_partial(terms, u0, v0, du, dv, h=Fraction(1, 100000)):
+def _along(f, axis, order, h):
+    def derivative(point):
+        total = Fraction(0)
+        for steps, weight in _STENCILS[order]:
+            shifted = list(point)
+            shifted[axis] += steps * h
+            total += weight * f(tuple(shifted))
+        return total / h ** order
+    return derivative
+
+
+def _fd_partial(terms, point, orders, h=Fraction(1, 100000)):
     """Exact-rational central differences, nested per variable.
 
     For polynomials of degree <= 3 the central stencils are exact.
     """
-    def along_u(f, order):
-        if order == 0:
-            return f
-        return lambda u, v: (f(u + h, v) - f(u - h, v)) / (2 * h) if order == 1 else \
-            (f(u + h, v) - 2 * f(u, v) + f(u - h, v)) / (h * h) if order == 2 else \
-            (f(u + 2 * h, v) - 2 * f(u + h, v) + 2 * f(u - h, v) - f(u - 2 * h, v)) / (2 * h ** 3)
-
-    def along_v(f, order):
-        if order == 0:
-            return f
-        return lambda u, v: (f(u, v + h) - f(u, v - h)) / (2 * h) if order == 1 else \
-            (f(u, v + h) - 2 * f(u, v) + f(u, v - h)) / (h * h) if order == 2 else \
-            (f(u, v + 2 * h) - 2 * f(u, v + h) + 2 * f(u, v - h) - f(u, v - 2 * h)) / (2 * h ** 3)
-
-    base = lambda u, v: _poly_eval(terms, u, v)
-    return float(along_v(along_u(base, du), dv)(Fraction(u0), Fraction(v0)))
+    f = lambda p: _poly_eval(terms, p)
+    for axis, order in enumerate(orders):
+        if order:
+            f = _along(f, axis, order, h)
+    return float(f(tuple(point)))
 
 
 def test_jet_partials_match_finite_differences():
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        source, terms = _random_poly(rng)
-        m = parse(source, ["u", "v"])
-        u0 = Fraction(int(rng.integers(-3, 4)), 2)
-        v0 = Fraction(int(rng.integers(-3, 4)), 2)
-        jet = m.eval_jet((float(u0), float(v0)), 3)[0]
-        for du in range(4):
-            for dv in range(4 - du):
-                expected = _fd_partial(terms, u0, v0, du, dv)
-                got = jet.partial(du, dv)
+    for nvars in (1, 2, 3):
+        for _ in range(20):
+            source, terms = _random_poly(rng, nvars)
+            m = parse(source, _NAMES[:nvars])
+            point = [Fraction(int(rng.integers(-3, 4)), 2) for _ in range(nvars)]
+            jet = m.eval_jet([float(x) for x in point], 3)[0]
+            assert len(jet.coef) == len(_multi_indices(nvars))
+            for orders in _multi_indices(nvars):
+                expected = _fd_partial(terms, point, orders)
+                got = jet.partial(*orders)
                 assert got == pytest.approx(expected, rel=1e-6, abs=1e-9), \
-                    f"{source} d^{du},{dv} at ({u0},{v0})"
+                    f"{source} d^{orders} at {point}"
 
 
 def _random_jet(rng, nvars=2, order=3):
-    count = {1: 4, 2: 10}[nvars]
-    return Jet(nvars, order, [float(c) for c in rng.normal(size=count)])
+    return Jet(nvars, order, [float(c) for c in rng.normal(size=_layout(nvars)[order])])
 
 
 def test_jet_algebra_commutative_associative():
