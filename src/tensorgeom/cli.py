@@ -11,7 +11,8 @@ Scene files are JSON objects with ``kind``, ``components`` (expression
 strings), ``variables``, ``constants``, ``domain`` ([min, max] pairs) and
 ``requests`` ([{"op": ..., "params": {...}}]).  Reports are JSON with sorted
 keys and floats printed at 17 significant digits, so identical inputs give
-byte-identical output.
+byte-identical output.  Every input ends in exit 0, 2 (``ValidationError``:
+it breaks its row of ``PARAMS``) or 3 (a ``NumericalFailure`` or an overflow).
 """
 
 from __future__ import annotations
@@ -21,17 +22,23 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, coords, curve, surface, tensor2, tensor4
-from .expr import DomainError, ExprMap, ParseError, parse
+from .expr import DomainError, ExprMap, parse
 
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_NUMERICAL = 3
+EXIT_NUMERICAL = 3  # any ArithmeticError: each NumericalFailure, and float overflow
+
+MAX_SAMPLES = 10 ** 6   # grid samples per axis; keeps every table allocatable
+MAX_ORDER = 1000        # Gauss-Legendre order; its companion matrix is order^2
+MAX_STEPS = 10 ** 6     # integrator steps; each is stored
+MAX_JSON_DEPTH = 32     # input nesting; the report writer recurses per level
 
 
 class ValidationError(ValueError):
@@ -44,7 +51,7 @@ class ValidationError(ValueError):
 
 def _fmt_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
-        raise ValidationError(f"non-finite value {x!r} in report")
+        raise DomainError(f"non-finite value {x!r} in report")
     if x == int(x) and abs(x) < 1e16:
         return format(x, ".1f")
     return format(x, ".17g")
@@ -91,29 +98,49 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _output(args, suffix: str) -> Path:
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir / f"{Path(args.path).stem}_{suffix}"
+
+
+def _write_report(args, scene, results: list, diagnostics: dict) -> None:
+    """Write the report envelope of any command as JSON and print its path."""
+    report = {"schema_version": SCHEMA_VERSION, "version": __version__,
+              "scene": scene, "results": results, "diagnostics": diagnostics}
+    path = _output(args, "report.json")
+    path.write_text(format_json(report) + "\n", encoding="utf-8", newline="\n")
+    print(path)
+
+
+def _write_table(args, name: str, table: dict) -> None:
+    path = _output(args, f"{name}.csv")
+    write_csv(path, table["columns"], table["rows"])
+    print(path)
+
+
 # ---------------------------------------------------------------------------
-# scene loading and validation
+# input files and the parameter table
 # ---------------------------------------------------------------------------
 
-def _need(scene: dict, key: str, types, path: str):
-    if key not in scene:
-        raise ValidationError(f"missing field '{path}{key}'")
-    value = scene[key]
-    if not isinstance(value, types):
-        raise ValidationError(f"field '{path}{key}' has the wrong type")
-    return value
+def _nesting(obj) -> int:
+    depth, level = 0, [obj]
+    while level:
+        depth += 1
+        level = [x for o in level if isinstance(o, (dict, list))
+                 for x in (o.values() if isinstance(o, dict) else o)]
+    return depth
 
 
 def _load_json(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"file not found: {path}")
     try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"top level of {path} must be an object")
+    if _nesting(data) > MAX_JSON_DEPTH:
+        raise ValidationError(f"{path} is nested deeper than {MAX_JSON_DEPTH} levels")
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValidationError(f"schema_version {version} unsupported "
@@ -121,31 +148,163 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _parse_components(scene: dict) -> ExprMap:
-    components = _need(scene, "components", list, "")
-    variables = _need(scene, "variables", list, "")
-    constants = scene.get("constants", {})
-    if not isinstance(constants, dict):
-        raise ValidationError("field 'constants' must be an object")
+def _parse(source, variables, constants: dict) -> ExprMap:
     try:
-        return parse(components, variables, {k: float(v) for k, v in constants.items()})
-    except ParseError as exc:
+        return parse(source, variables, constants)
+    except ValueError as exc:  # a ParseError, or a name that is both variable and constant
         raise ValidationError(f"expression error: {exc}") from exc
 
 
-def _parse_domain(scene: dict, n: int) -> list[tuple[float, float]]:
-    domain = _need(scene, "domain", list, "")
-    if len(domain) != n:
-        raise ValidationError(f"field 'domain' needs {n} [min, max] pairs")
-    out = []
-    for i, pair in enumerate(domain):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)):
-            raise ValidationError(f"field 'domain[{i}]' must be [min, max]")
-        lo, hi = float(pair[0]), float(pair[1])
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValidationError(f"field 'domain[{i}]' must be finite with min < max")
-        out.append((lo, hi))
+# What a scene fixes for its requests' parameters; and a parameter kind: what a
+# valid value is, and ``convert(value, context)``, its plain value or None.
+_Context = NamedTuple("_Context", [("arity", int), ("grid", int), ("domain", list)])
+Kind = NamedTuple("Kind", [("text", str), ("convert", Callable)])
+
+
+def _array(v, shape: tuple):
+    """Nested lists of finite numbers of this shape (``()``: a number), or None."""
+    if shape:
+        if not isinstance(v, list) or len(v) != shape[0]:
+            return None
+        items = [_array(x, shape[1:]) for x in v]
+        return None if None in items else items
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _numbers(text: str, shape=(), test=None, out=None) -> Kind:
+    """A kind of numbers of one shape (None: one per scene variable)."""
+    def convert(v, ctx):
+        x = _array(v, (ctx.arity,) if shape is None else shape)
+        if x is None or test is not None and not test(x):
+            return None
+        return x if out is None else out(x)
+    return Kind(text, convert)
+
+
+def _count(limit: int) -> Kind:
+    return _numbers(f"an integer from 1 to {limit}", (),
+                    lambda x: x.is_integer() and 1 <= x <= limit, int)
+
+
+def _list_of(convert: Callable) -> Callable:
+    def convert_all(v, ctx):
+        items = [convert(x, ctx) for x in v] if isinstance(v, list) else [None]
+        return None if None in items else items
+    return convert_all
+
+
+def _constants(v, ctx):
+    numbers = _list_of(NUMBER.convert)(list(v.values()), ctx) if isinstance(v, dict) else None
+    return None if numbers is None else dict(zip(v, numbers))
+
+
+def _enum(*choices: str) -> Kind:
+    return Kind("one of " + ", ".join(choices), lambda v, ctx: v if v in choices else None)
+
+
+NUMBER = _numbers("a finite number")
+POSITIVE = _numbers("a positive number", (), lambda x: x > 0.0)
+COUNT = _count(MAX_SAMPLES)
+RANGE = _numbers("[lo, hi] with lo < hi", (2,), lambda x: x[0] < x[1])
+POINT = _numbers("one finite number per variable", None)
+VECTOR = _numbers("3 finite numbers", (3,))
+DIRECTION = _numbers("3 finite numbers, not all zero", (3,), lambda x: tensor2.norm(x) > 0.0)
+MATRIX = _numbers("a 3x3 array of finite numbers", (3, 3), out=np.array)
+TENSOR = _numbers("a 3x3x3x3 array of finite numbers", (3, 3, 3, 3), out=np.array)
+EXPRESSION = Kind("an expression string", lambda v, ctx: v if isinstance(v, str) else None)
+STRINGS = Kind("a list of strings", _list_of(EXPRESSION.convert))
+CONSTANTS = Kind("an object of finite numbers", _constants)
+DOMAIN = Kind("a list of [lo, hi] pairs with lo < hi", _list_of(RANGE.convert))
+REQUESTS = Kind("a list of objects with 'op'", _list_of(lambda r, ctx: (
+    r["op"], r.get("params", {})) if isinstance(r, dict) and "op" in r else None))
+
+_SAMPLES = (("samples", COUNT, lambda ctx: ctx.grid),)
+_MATRIX = (("matrix", MATRIX),)
+_T = (("t", NUMBER),)
+
+# (name, kind) of every required and (name, kind, default) of every optional
+# parameter of every operation, by group.  A callable default is computed
+# from the scene's _Context.
+PARAMS = {
+    "scene": {"analyze": (
+        ("kind", _enum("curve", "surface", "coordmap")), ("components", STRINGS),
+        ("variables", STRINGS), ("constants", CONSTANTS, {}), ("domain", DOMAIN),
+        ("requests", REQUESTS))},
+    "curve": {
+        "frenet": _SAMPLES, "evolute": _SAMPLES, "osculating": _T, "canonical": _T,
+        "arc_length": (("t0", NUMBER, lambda ctx: ctx.domain[0][0]),
+                       ("t1", NUMBER, lambda ctx: ctx.domain[0][1]))},
+    "surface": {
+        "gauss_curvature": _SAMPLES, "curvatures": _SAMPLES, "egregium": _SAMPLES,
+        "jet": (("u", NUMBER), ("v", NUMBER)),
+        "area": (("u_range", RANGE, None), ("v_range", RANGE, None),
+                 ("order", _count(MAX_ORDER), 32)),
+        "geodesic": (("u", NUMBER), ("v", NUMBER), ("du", NUMBER), ("dv", NUMBER),
+                     ("s_max", POSITIVE, 1.0), ("step", POSITIVE, 1e-3), ("samples", COUNT, 200))},
+    "coordmap": {
+        "metric": (("z", POINT),),
+        "christoffel": (("z", POINT), ("method", _enum(
+            "second_derivative", "metric_derivative"), "second_derivative")),
+        "laplacian": (("z", POINT), ("field", EXPRESSION))},
+    "tensor": {
+        "polar": _MATRIX, "eigen": _MATRIX, "invariants": _MATRIX,
+        "axis_angle": _MATRIX, "kelvin_rotation": _MATRIX,
+        "kelvin": (("tensor", TENSOR),),
+        "isotropic": (("lam", NUMBER, 0.0), ("mu", NUMBER, 0.0)),
+        "rotation": (("kind", _enum("euler", "coordinate", "physical")), ("angles", VECTOR)),
+        # a rotation job that has an "axis" takes this row instead
+        ("rotation", "axis"): (("axis", DIRECTION), ("angle", NUMBER))},
+    "reconstruct": {"reconstruct": (
+        ("curvature", EXPRESSION), ("torsion", EXPRESSION),
+        ("constants", CONSTANTS, {}), ("s_range", RANGE),
+        ("step", POSITIVE, 1e-3), ("p0", VECTOR, (0.0, 0.0, 0.0)),
+        ("frame0", MATRIX, lambda ctx: np.eye(3)))},
+}
+
+
+def _steps(span: float, step: float) -> bool:
+    # the integrators take round(span / step) steps
+    return 0.5 < span / step <= MAX_STEPS
+
+
+# Conditions that tie parameters of one operation together.
+RULES = {
+    "arc_length": ((lambda p: p["t0"] < p["t1"], "t0 < t1"),),
+    "geodesic": ((lambda p: p["du"] != 0.0 or p["dv"] != 0.0, "du and dv not both zero"),
+                 (lambda p: _steps(p["s_max"], p["step"]),
+                  f"s_max / step between 0.5 and {MAX_STEPS}")),
+    "reconstruct": ((lambda p: _steps(p["s_range"][1] - p["s_range"][0], p["step"]),
+                     f"(s_range length) / step between 0.5 and {MAX_STEPS}"),),
+}
+
+
+def _validate(group: str, op, params, where: str, ctx: _Context | None = None) -> dict:
+    """Check a request against its rows of PARAMS and RULES; return its plain values."""
+    spec = PARAMS[group].get(op) if isinstance(op, (str, tuple)) else None
+    if spec is None:
+        raise ValidationError(f"unknown {group} operation {op!r}")
+    if not isinstance(params, dict):
+        raise ValidationError(f"field '{where}' must be an object")
+    out = {}
+    for name, kind, *default in spec:
+        path = f"{where}.{name}" if where else name
+        if name in params:
+            out[name] = kind.convert(params[name], ctx)
+            if out[name] is None:
+                raise ValidationError(f"field '{path}' must be {kind.text}")
+        elif default:
+            out[name] = default[0](ctx) if callable(default[0]) else default[0]
+        else:
+            raise ValidationError(f"missing field '{path}'")
+    for holds, text in RULES.get(op, ()):
+        if not holds(out):
+            raise ValidationError(f"request {op!r} needs {text}")
     return out
 
 
@@ -154,350 +313,176 @@ def _parse_domain(scene: dict, n: int) -> list[tuple[float, float]]:
 # ---------------------------------------------------------------------------
 
 def _grid(lo: float, hi: float, n: int, interior: bool = False) -> np.ndarray:
-    if interior:
-        pts = np.linspace(lo, hi, n + 2)[1:-1]
-    else:
-        pts = np.linspace(lo, hi, n)
-    return pts
+    return np.linspace(lo, hi, n + 2)[1:-1] if interior else np.linspace(lo, hi, n)
 
 
-_POINTWISE_ERRORS = (DomainError, curve.IrregularCurve, curve.UndefinedNormal,
-                     surface.IrregularPoint)
-
-
-def _run_curve_request(cv: curve.Curve, op: str, params: dict, grid_n: int,
-                       skipped: list):
-    if op == "frenet":
-        n = int(params.get("samples", grid_n))
-        rows = []
-        for t in _grid(*cv.domain, n):
-            try:
-                d = curve.frenet(cv, t)
-            except _POINTWISE_ERRORS as exc:
-                skipped.append({"point": [t], "error": str(exc)})
-                continue
-            rows.append([t, *d.point, d.curvature, d.torsion])
-        return {"table": {"columns": ["t", "x1", "x2", "x3", "c", "theta"],
-                          "rows": rows}}
-    if op == "arc_length":
-        t0 = float(params.get("t0", cv.domain[0]))
-        t1 = float(params.get("t1", cv.domain[1]))
-        return {"length": curve.arc_length(cv, t0, t1)}
-    if op == "osculating":
-        t = float(params["t"])
-        cc, cr, sc, sr = curve.osculating(cv, t)
-        out = {"circle_center": list(cc), "circle_radius": cr}
-        if sc is not None:
-            out["sphere_center"] = list(sc)
-            out["sphere_radius"] = sr
-        return out
-    if op == "evolute":
-        n = int(params.get("samples", grid_n))
-        rows = []
-        for t in _grid(*cv.domain, n):
-            try:
-                rows.append([t, *curve.evolute(cv, t)])
-            except _POINTWISE_ERRORS as exc:
-                skipped.append({"point": [t], "error": str(exc)})
-        return {"table": {"columns": ["t", "q1", "q2", "q3"], "rows": rows}}
-    if op == "canonical":
-        t = float(params["t"])
-        c0, c0p, th0 = curve.canonical_coefficients(cv, t)
-        return {"c0": c0, "c0_prime": c0p, "theta0": th0}
-    raise ValidationError(f"unknown curve operation {op!r}")
-
-
-def _run_surface_request(sf: surface.Surface, op: str, params: dict, grid_n: int,
-                         skipped: list):
-    (u0, u1), (v0, v1) = sf.domain
-    if op in ("gauss_curvature", "curvatures", "egregium"):
-        n = int(params.get("samples", grid_n))
-        rows = []
-        for u in _grid(u0, u1, n, interior=True):
-            for v in _grid(v0, v1, n, interior=True):
-                try:
-                    jd = surface.jet_at(sf, u, v)
-                    if op == "gauss_curvature":
-                        rows.append([u, v, jd.gaussian])
-                    elif op == "curvatures":
-                        rows.append([u, v, jd.gaussian, jd.mean, jd.k1, jd.k2,
-                                     surface.classify_point(jd)])
-                    else:
-                        ki = surface.egregium_curvature(sf, u, v)
-                        rows.append([u, v, ki, jd.gaussian, abs(ki - jd.gaussian)])
-                except _POINTWISE_ERRORS as exc:
-                    skipped.append({"point": [u, v], "error": str(exc)})
-                    continue
-        columns = {"gauss_curvature": ["u", "v", "K"],
-                   "curvatures": ["u", "v", "K", "H", "k1", "k2", "class"],
-                   "egregium": ["u", "v", "K_intrinsic", "K_shape", "abs_diff"]}[op]
-        return {"table": {"columns": columns, "rows": rows}}
-    if op == "jet":
-        u, v = float(params["u"]), float(params["v"])
-        jd = surface.jet_at(sf, u, v)
-        return {
-            "point": list(jd.point), "normal": list(jd.normal),
-            "first_form": jd.first_form.tolist(),
-            "second_form": jd.second_form.tolist(),
-            "weingarten": jd.weingarten.tolist(),
-            "k1": jd.k1, "k2": jd.k2, "gaussian": jd.gaussian, "mean": jd.mean,
-            "class": surface.classify_point(jd), "umbilical": jd.umbilical,
-        }
-    if op == "area":
-        ur = params.get("u_range")
-        vr = params.get("v_range")
-        order = int(params.get("order", 32))
-        return {"area": surface.surface_area(sf, ur, vr, order=order)}
-    if op == "geodesic":
-        state = surface.GeodesicState(float(params["u"]), float(params["v"]),
-                                      float(params["du"]), float(params["dv"]))
-        s_max = float(params.get("s_max", 1.0))
-        step = float(params.get("step", 1e-3))
-        traj = surface.geodesic_integrate(sf, state, s_max, step)
-        stride = max(1, len(traj) // max(int(params.get("samples", 200)), 2))
-        rows = []
-        for i in range(0, len(traj), stride):
-            p = sf.point(traj.u[i], traj.v[i])
-            rows.append([traj.s[i], traj.u[i], traj.v[i], traj.du[i], traj.dv[i], *p])
-        return {"table": {"columns": ["s", "u", "v", "du", "dv", "x1", "x2", "x3"],
-                          "rows": rows}}
-    raise ValidationError(f"unknown surface operation {op!r}")
-
-
-def _run_coordmap_request(chart: coords.CoordMap, scene: dict, op: str, params: dict):
-    z = params.get("z")
-    if not isinstance(z, list) or len(z) != chart.ndim:
-        raise ValidationError(f"request '{op}' needs params.z with {chart.ndim} numbers")
-    z = [float(c) for c in z]
-    if op == "metric":
-        met = coords.metric_at(chart, z)
-        return {"covariant": met.cov.tolist(), "contravariant": met.con.tolist(),
-                "jacobian": met.jacobian.tolist()}
-    if op == "christoffel":
-        method = params.get("method", "second_derivative")
-        gamma = coords.christoffel(chart, z, method)
-        return {"christoffel": gamma.tolist(), "method": method}
-    if op == "laplacian":
-        field_src = params.get("field")
-        if not isinstance(field_src, str):
-            raise ValidationError("request 'laplacian' needs params.field (expression)")
-        constants = scene.get("constants", {})
+def _table(columns: list[str], points, row: Callable, skipped: list) -> dict:
+    """One row per point, but a point where the numerics fail is recorded instead."""
+    rows = []
+    for point in points:
         try:
-            field = parse(field_src, list(scene["variables"]),
-                          {k: float(v) for k, v in constants.items()})
-        except ParseError as exc:
-            raise ValidationError(f"expression error: {exc}") from exc
-        return {"laplacian": coords.laplacian_curvilinear(field, chart, z)}
-    raise ValidationError(f"unknown coordmap operation {op!r}")
+            rows.append(row(*point))
+        except ArithmeticError as exc:
+            skipped.append({"point": list(point), "error": str(exc)})
+    return {"table": {"columns": columns, "rows": rows}}
 
 
-def _results_to_files(results: list, outdir: Path, fmt: str, stem: str) -> list[str]:
-    written = []
-    if fmt in ("csv", "both"):
-        for i, entry in enumerate(results):
-            table = entry.get("result", {}).get("table")
-            if table:
-                path = outdir / f"{stem}_{entry['op']}_{i}.csv"
-                write_csv(path, table["columns"], table["rows"])
-                written.append(str(path))
-    return written
+def _run_curve_request(cv: curve.Curve, op: str, p: dict, skipped: list):
+    if op in ("frenet", "evolute"):
+        ts = zip(_grid(*cv.domain, p["samples"]))
+        if op == "frenet":
+            def frenet_row(t):
+                d = curve.frenet(cv, t)
+                return [t, *d.point, d.curvature, d.torsion]
+            return _table(["t", "x1", "x2", "x3", "c", "theta"], ts, frenet_row, skipped)
+        if not cv.is_planar:  # a property of the whole curve, not of a point
+            raise curve.NotPlanarCurve("the evolute is defined for plane curves only")
+        return _table(["t", "q1", "q2", "q3"], ts,
+                      lambda t: [t, *curve.evolute(cv, t)], skipped)
+    if op == "arc_length":
+        return {"length": curve.arc_length(cv, p["t0"], p["t1"])}
+    if op == "osculating":
+        cc, cr, sc, sr = curve.osculating(cv, p["t"])
+        sphere = {} if sc is None else {"sphere_center": sc, "sphere_radius": sr}
+        return {"circle_center": cc, "circle_radius": cr, **sphere}
+    c0, c0p, th0 = curve.canonical_coefficients(cv, p["t"])
+    return {"c0": c0, "c0_prime": c0p, "theta0": th0}
+
+
+def _run_surface_request(sf: surface.Surface, op: str, p: dict, skipped: list):
+    (u0, u1), (v0, v1) = sf.domain
+    columns = {"gauss_curvature": ["u", "v", "K"],
+               "curvatures": ["u", "v", "K", "H", "k1", "k2", "class"],
+               "egregium": ["u", "v", "K_intrinsic", "K_shape", "abs_diff"]}.get(op)
+    if columns:
+        def row(u, v):
+            jd = surface.jet_at(sf, u, v)
+            if op == "gauss_curvature":
+                return [u, v, jd.gaussian]
+            if op == "curvatures":
+                return [u, v, jd.gaussian, jd.mean, jd.k1, jd.k2, surface.classify_point(jd)]
+            ki = surface.egregium_curvature(sf, u, v)
+            return [u, v, ki, jd.gaussian, abs(ki - jd.gaussian)]
+        n = p["samples"]
+        points = [(u, v) for u in _grid(u0, u1, n, interior=True)
+                  for v in _grid(v0, v1, n, interior=True)]
+        return _table(columns, points, row, skipped)
+    if op == "jet":
+        jd = surface.jet_at(sf, p["u"], p["v"])
+        return {"point": jd.point, "normal": jd.normal, "first_form": jd.first_form,
+                "second_form": jd.second_form, "weingarten": jd.weingarten,
+                "k1": jd.k1, "k2": jd.k2, "gaussian": jd.gaussian, "mean": jd.mean,
+                "class": surface.classify_point(jd), "umbilical": jd.umbilical}
+    if op == "area":
+        return {"area": surface.surface_area(sf, p["u_range"], p["v_range"], order=p["order"])}
+    state = surface.GeodesicState(p["u"], p["v"], p["du"], p["dv"])
+    traj = surface.geodesic_integrate(sf, state, p["s_max"], p["step"])
+    stride = max(1, len(traj) // max(p["samples"], 2))
+    rows = [[traj.s[i], traj.u[i], traj.v[i], traj.du[i], traj.dv[i],
+             *sf.point(traj.u[i], traj.v[i])] for i in range(0, len(traj), stride)]
+    return {"table": {"columns": ["s", "u", "v", "du", "dv", "x1", "x2", "x3"],
+                      "rows": rows}}
+
+
+def _run_coordmap_request(chart: coords.CoordMap, op: str, p: dict, skipped: list):
+    if op == "metric":
+        met = coords.metric_at(chart, p["z"])
+        return {"covariant": met.cov, "contravariant": met.con, "jacobian": met.jacobian}
+    if op == "christoffel":
+        return {"christoffel": coords.christoffel(chart, p["z"], p["method"]),
+                "method": p["method"]}
+    field = _parse(p["field"], chart.map.variables, dict(chart.map.constants))
+    return {"laplacian": coords.laplacian_curvilinear(field, chart, p["z"])}
+
+
+# (variables, components) each scene kind needs, and what it builds from them
+_SCENE_KINDS = {
+    "curve": (lambda n, m: n == 1 and m in (2, 3), "2 or 3 components of 1 variable",
+              lambda emap, dom: curve.Curve(emap, dom[0]), _run_curve_request),
+    "surface": (lambda n, m: n == 2 and m == 3, "3 components of 2 variables",
+                surface.surface_from_expr, _run_surface_request),
+    "coordmap": (lambda n, m: n == m >= 1, "as many components as variables",
+                 coords.CoordMap, _run_coordmap_request),
+}
 
 
 def cmd_analyze(args) -> int:
-    scene = _load_json(args.scene)
-    kind = _need(scene, "kind", str, "")
-    emap = _parse_components(scene)
-    requests = _need(scene, "requests", list, "")
-    grid_n = args.grid
+    scene = _load_json(args.path)
+    s = _validate("scene", "analyze", scene, "")
+    kind = s["kind"]
+    emap = _parse(s["components"], s["variables"], s["constants"])
+    shape_ok, shape, build, run = _SCENE_KINDS[kind]
+    if not shape_ok(emap.arity, emap.dimension) or len(s["domain"]) != emap.arity:
+        raise ValidationError(f"{kind} scenes need {shape}, and one domain pair per variable")
+    ctx = _Context(emap.arity, args.grid, s["domain"])
+    requests = [(op, _validate(kind, op, params, f"requests[{i}].params", ctx))
+                for i, (op, params) in enumerate(s["requests"])]
 
-    results = []
-    diagnostics = {"tolerances": {"grid": grid_n, "tol": args.tol}}
-    skipped: list = []
-    if kind == "curve":
-        if emap.dimension not in (2, 3):
-            raise ValidationError("curve scenes need 2 or 3 components")
-        domain = _parse_domain(scene, 1)[0]
-        obj = curve.Curve(emap, domain)
-        runner = lambda op, params: _run_curve_request(obj, op, params, grid_n,
-                                                       skipped)
-    elif kind == "surface":
-        if emap.dimension != 3 or emap.arity != 2:
-            raise ValidationError("surface scenes need 3 components of 2 variables")
-        domain = _parse_domain(scene, 2)
-        obj = surface.surface_from_expr(emap, domain)
-        runner = lambda op, params: _run_surface_request(obj, op, params, grid_n,
-                                                         skipped)
-    elif kind == "coordmap":
-        if emap.dimension != emap.arity:
-            raise ValidationError("coordmap scenes need as many components as variables")
-        domain = _parse_domain(scene, emap.arity)
-        chart = coords.CoordMap(emap, domain)
-        runner = lambda op, params: _run_coordmap_request(chart, scene, op, params)
-    else:
-        raise ValidationError(f"unknown scene kind {kind!r}")
-
-    for i, req in enumerate(requests):
-        if not isinstance(req, dict) or "op" not in req:
-            raise ValidationError(f"field 'requests[{i}]' must be an object with 'op'")
-        op = req["op"]
-        params = req.get("params", {})
+    obj = build(emap, s["domain"])
+    results, skipped = [], []
+    diagnostics = {"tolerances": {"grid": args.grid}, "skipped": skipped}
+    failure = None
+    for op, p in requests:
         try:
-            results.append({"op": op, "result": runner(op, params)})
-        except (DomainError, curve.IrregularCurve, curve.UndefinedNormal,
-                curve.NotPlanarCurve, curve.UndefinedOsculatingSphere,
-                surface.IrregularPoint, surface.LeftDomain, surface.PlanarPoint,
-                coords.DegenerateJacobian, coords.CoordinateSingularity) as exc:
+            results.append({"op": op, "result": run(obj, op, p, skipped)})
+        except ArithmeticError as exc:  # report what ran before the failing request
             diagnostics["failure"] = {"request": op, "error": str(exc)}
-            diagnostics["skipped"] = skipped
-            _emit_report(args, scene, results, diagnostics)
-            print(f"numerical failure in request {op!r}: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-
-    diagnostics["skipped"] = skipped
-    _emit_report(args, scene, results, diagnostics)
+            failure = f"numerical failure in request {op!r}: {exc}"
+            break
+    if args.format != "csv":
+        _write_report(args, scene, results, diagnostics)
+    if args.format != "json":
+        for i, entry in enumerate(results):
+            if "table" in entry["result"]:
+                _write_table(args, f"{entry['op']}_{i}", entry["result"]["table"])
+    if failure:
+        print(failure, file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
-
-
-def _emit_report(args, scene, results, diagnostics) -> None:
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-        "scene": scene,
-        "results": results,
-        "diagnostics": diagnostics,
-    }
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    stem = Path(getattr(args, "scene", "report")).stem or "report"
-    if args.format in ("json", "both"):
-        path = outdir / f"{stem}_report.json"
-        path.write_text(format_json(report) + "\n", encoding="utf-8", newline="\n")
-        print(path)
-    files = _results_to_files(results, outdir, args.format, stem)
-    for f in files:
-        print(f)
 
 
 def cmd_reconstruct(args) -> int:
-    job = _load_json(args.profile)
-    constants = {k: float(v) for k, v in job.get("constants", {}).items()}
-    try:
-        c_map = parse(_need(job, "curvature", str, ""), ["s"], constants)
-        t_map = parse(_need(job, "torsion", str, ""), ["s"], constants)
-    except ParseError as exc:
-        raise ValidationError(f"expression error: {exc}") from exc
-    s_range = _need(job, "s_range", list, "")
-    if len(s_range) != 2:
-        raise ValidationError("field 's_range' must be [s0, s1]")
-    step = float(job.get("step", 1e-3))
-    p0 = job.get("p0", [0.0, 0.0, 0.0])
-    frame0 = np.asarray(job.get("frame0", np.eye(3).tolist()), dtype=float)
-    profile = curve.CurvatureProfile.build(c_map, t_map,
-                                           (float(s_range[0]), float(s_range[1])))
-    try:
-        res = curve.bonnet_reconstruct(profile, p0, frame0, step)
-    except (curve.NonOrthonormalSeed, curve.UndefinedNormal) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.profile).stem
+    job = _load_json(args.path)
+    p = _validate("reconstruct", "reconstruct", job, "")
+    c_map, t_map = (_parse(p[k], ["s"], p["constants"]) for k in ("curvature", "torsion"))
+    profile = curve.CurvatureProfile.build(c_map, t_map, p["s_range"])
+    res = curve.bonnet_reconstruct(profile, p["p0"], p["frame0"], p["step"])
     stride = max(1, len(res.s) // 2000)
     rows = [[res.s[i], *res.points[i], *res.tangents[i], *res.normals[i],
              *res.binormals[i]] for i in range(0, len(res.s), stride)]
-    header = ["s", "x1", "x2", "x3", "t1", "t2", "t3", "n1", "n2", "n3",
-              "b1", "b2", "b3"]
-    if args.format in ("csv", "both"):
-        path = outdir / f"{stem}_curve.csv"
-        write_csv(path, header, rows)
-        print(path)
-    if args.format in ("json", "both"):
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "version": __version__,
-            "scene": job,
-            "results": [{"op": "reconstruct",
-                         "result": {"table": {"columns": header, "rows": rows}}}],
-            "diagnostics": {"step": step, "samples": len(rows)},
-        }
-        path = outdir / f"{stem}_report.json"
-        path.write_text(format_json(report) + "\n", encoding="utf-8", newline="\n")
-        print(path)
+    table = {"columns": ["s", "x1", "x2", "x3", "t1", "t2", "t3", "n1", "n2", "n3",
+                         "b1", "b2", "b3"], "rows": rows}
+    if args.format != "json":
+        _write_table(args, "curve", table)
+    if args.format != "csv":
+        _write_report(args, job, [{"op": "reconstruct", "result": {"table": table}}],
+                      {"step": p["step"], "samples": len(rows)})
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# tensor jobs
-# ---------------------------------------------------------------------------
-
-def _matrix_from(job: dict, key: str = "matrix") -> np.ndarray:
-    M = _need(job, key, list, "")
-    arr = np.asarray(M, dtype=float)
-    if arr.shape != (3, 3):
-        raise ValidationError(f"field '{key}' must be a 3x3 matrix")
-    return arr
-
-
 def cmd_tensor(args) -> int:
-    job = _load_json(args.job)
-    op = _need(job, "op", str, "")
-    try:
-        if op == "polar":
-            dec = tensor2.polar(_matrix_from(job))
-            result = {"rotation": dec.rotation.tolist(),
-                      "right_stretch": dec.right_stretch.tolist(),
-                      "left_stretch": dec.left_stretch.tolist()}
-        elif op == "eigen":
-            dec = tensor2.eigen_sym(_matrix_from(job))
-            result = {"values": dec.values.tolist(), "vectors": dec.vectors.tolist()}
-        elif op == "invariants":
-            M = _matrix_from(job)
-            d, (i1, i2, i3), inv, adj = tensor2.determinant_suite(M)
-            result = {"det": d, "I1": i1, "I2": i2, "I3": i3,
-                      "inverse": None if inv is None else inv.tolist(),
-                      "adjugate": adj.tolist()}
-        elif op == "rotation":
-            if "axis" in job:
-                axis = np.asarray(job["axis"], dtype=float)
-                R = tensor2.rotation_from_axis_angle(tensor2.normalize(axis),
-                                                     float(job["angle"]))
-            else:
-                R = tensor2.rotation_composed(_need(job, "kind", str, ""),
-                                              _need(job, "angles", list, ""))
-            result = {"matrix": R.tolist()}
-        elif op == "axis_angle":
-            aa = tensor2.rotation_to_axis_angle(_matrix_from(job))
-            result = {"axis": aa.axis.tolist(), "angle": aa.angle}
-        elif op == "kelvin":
-            LL = np.asarray(_need(job, "tensor", list, ""), dtype=float)
-            if LL.shape != (3, 3, 3, 3):
-                raise ValidationError("field 'tensor' must be 3x3x3x3")
-            result = {"kelvin": tensor4.to_kelvin(LL).tolist()}
-        elif op == "kelvin_rotation":
-            result = {"kelvin": tensor4.kelvin_rotation(_matrix_from(job)).tolist()}
-        elif op == "isotropic":
-            LL = tensor4.isotropic(float(job.get("lam", 0.0)), float(job.get("mu", 0.0)))
-            result = {"kelvin": tensor4.to_kelvin(LL).tolist()}
-        else:
-            raise ValidationError(f"unknown tensor op {op!r}")
-    except (tensor2.SingularTensor, tensor2.NotSymmetric, tensor2.NotSPD,
-            tensor2.NonPositiveDeterminant, tensor2.NotARotation,
-            tensor2.AxisUndefined, tensor2.NotUnit, tensor4.NotOrthogonal,
-            tensor4.MissingMinorSymmetry) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-        "scene": job,
-        "results": [{"op": op, "result": result}],
-        "diagnostics": {},
-    }
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{Path(args.job).stem}_report.json"
-    path.write_text(format_json(report) + "\n", encoding="utf-8", newline="\n")
-    print(path)
+    job = _load_json(args.path)
+    op = job.get("op")
+    p = _validate("tensor", ("rotation", "axis") if op == "rotation" and "axis" in job else op,
+                  job, "")
+    # format_json writes arrays as lists, so results hold the arrays themselves
+    if op in ("polar", "eigen", "axis_angle"):  # their fields are the report keys
+        result = vars({"polar": tensor2.polar, "eigen": tensor2.eigen_sym,
+                       "axis_angle": tensor2.rotation_to_axis_angle}[op](p["matrix"]))
+    elif op == "invariants":
+        d, (i1, i2, i3), inv, adj = tensor2.determinant_suite(p["matrix"])
+        result = {"det": d, "I1": i1, "I2": i2, "I3": i3, "inverse": inv, "adjugate": adj}
+    elif op == "rotation" and "axis" in p:
+        result = {"matrix": tensor2.rotation_from_axis_angle(tensor2.normalize(p["axis"]),
+                                                             p["angle"])}
+    elif op == "rotation":
+        result = {"matrix": tensor2.rotation_composed(p["kind"], p["angles"])}
+    elif op == "kelvin_rotation":
+        result = {"kelvin": tensor4.kelvin_rotation(p["matrix"])}
+    else:
+        LL = p["tensor"] if op == "kelvin" else tensor4.isotropic(p["lam"], p["mu"])
+        result = {"kelvin": tensor4.to_kelvin(LL)}
+    _write_report(args, job, [{"op": op, "result": result}], {})
     return EXIT_OK
 
 
@@ -568,36 +553,46 @@ def cmd_check(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _grid_arg(text: str) -> int:
+    n = COUNT.convert(int(text), None)  # a non-integer raises ValueError: argparse reports it
+    if n is None:
+        raise argparse.ArgumentTypeError(f"{text!r} is not {COUNT.text}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tensorgeom",
                                 description="Analyze expression-defined curves, "
                                             "surfaces and coordinate maps.")
-    p.add_argument("--grid", type=int, default=64, help="samples per axis")
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    p.add_argument("--grid", type=_grid_arg, default=64, help="samples per axis")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", choices=("json", "csv", "both"), default="json")
     sub = p.add_subparsers(dest="command", required=True)
-    pa = sub.add_parser("analyze", help="run a scene file")
-    pa.add_argument("scene")
-    pa.set_defaults(func=cmd_analyze)
-    pr = sub.add_parser("reconstruct", help="rebuild a curve from curvature/torsion")
-    pr.add_argument("profile")
-    pr.set_defaults(func=cmd_reconstruct)
-    pt = sub.add_parser("tensor", help="one-shot tensor computation")
-    pt.add_argument("job")
-    pt.set_defaults(func=cmd_tensor)
-    pc = sub.add_parser("check", help="run the invariant battery")
-    pc.set_defaults(func=cmd_check)
+    for name, func, path, text in (
+            ("analyze", cmd_analyze, "scene", "run a scene file"),
+            ("reconstruct", cmd_reconstruct, "profile", "rebuild a curve from curvature/torsion"),
+            ("tensor", cmd_tensor, "job", "one-shot tensor computation"),
+            ("check", cmd_check, None, "run the invariant battery")):
+        sp = sub.add_parser(name, help=text)
+        if path:
+            sp.add_argument("path", metavar=path)
+        sp.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed usage (exit 2) or help (exit 0)
+        return exc.code
     try:
         return args.func(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except ArithmeticError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

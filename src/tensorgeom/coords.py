@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import ExprMap, parse
+from .expr import ExprMap, NumericalFailure, parse
 
 __all__ = [
     "DegenerateJacobian", "CoordinateSingularity",
@@ -30,11 +30,11 @@ __all__ = [
 _SING_GUARD = 1e-8
 
 
-class DegenerateJacobian(ValueError):
+class DegenerateJacobian(NumericalFailure, ValueError):
     pass
 
 
-class CoordinateSingularity(ValueError):
+class CoordinateSingularity(NumericalFailure, ValueError):
     pass
 
 

@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .expr import ExprMap, Jet
+from .expr import ExprMap, Jet, NumericalFailure
 from .tensor2 import cross, inverse, mixed, norm, normalize, sqrt_spd
 
 __all__ = [
@@ -24,25 +24,25 @@ __all__ = [
 ]
 
 
-class IrregularCurve(ValueError):
+class IrregularCurve(NumericalFailure, ValueError):
     def __init__(self, message, t=None):
         super().__init__(message)
         self.t = t
 
 
-class UndefinedNormal(ValueError):
+class UndefinedNormal(NumericalFailure, ValueError):
     pass
 
 
-class UndefinedOsculatingSphere(ValueError):
+class UndefinedOsculatingSphere(NumericalFailure, ValueError):
     pass
 
 
-class NotPlanarCurve(ValueError):
+class NotPlanarCurve(NumericalFailure, ValueError):
     pass
 
 
-class NonOrthonormalSeed(ValueError):
+class NonOrthonormalSeed(NumericalFailure, ValueError):
     pass
 
 

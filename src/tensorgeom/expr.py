@@ -27,8 +27,14 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 MAX_ORDER = 3
+# Deepest nesting ``parse`` accepts; it keeps the recursive parser and
+# evaluator far from the interpreter's recursion limit.
+MAX_NESTING = 100
+# |cos(x)| below this is a pole of tan: cos(pi/2) rounds to 6.1e-17, not 0.
+_POLE_TOL = 1e-12
 
 __all__ = [
+    "NumericalFailure",
     "ParseError",
     "UnknownIdentifier",
     "ArityMismatch",
@@ -40,6 +46,11 @@ __all__ = [
     "jet_atan2",
     "compose_bivariate",
 ]
+
+
+class NumericalFailure(ArithmeticError):
+    """Base of every typed numerical error in tensorgeom (a pole, overflow, a
+    degenerate frame or metric); each subclass also keeps its builtin base."""
 
 
 class ParseError(ValueError):
@@ -58,9 +69,10 @@ class ArityMismatch(ParseError):
     pass
 
 
-class DomainError(ArithmeticError):
+class DomainError(NumericalFailure):
     """A builtin was evaluated outside its domain (log of non-positive,
-    division by zero, sqrt of a negative, ...)."""
+    division by zero, sqrt of a negative, a pole of tan, overflow, a
+    non-finite result, ...)."""
 
     def __init__(self, message: str, expression: str | None = None, offset: int | None = None):
         self.reason = message
@@ -306,11 +318,7 @@ class Jet:
         return self.compose(c, -s, -c, s)
 
     def tan(self):
-        a = self.value
-        c = math.cos(a)
-        if c == 0.0:
-            raise DomainError("tan at a pole")
-        t = math.tan(a)
+        t = _tan(self.value)
         sec2 = 1.0 + t * t
         return self.compose(t, sec2, 2.0 * t * sec2, 2.0 * sec2 * (1.0 + 3.0 * t * t))
 
@@ -383,6 +391,12 @@ class Jet:
         return f"Jet(nvars={self.nvars}, order={self.order}, coef={self.coef})"
 
 
+def _tan(a: float) -> float:
+    if abs(math.cos(a)) < _POLE_TOL:
+        raise DomainError("tan at a pole")
+    return math.tan(a)
+
+
 def jet_atan2(y, x):
     """Two-argument arctangent for jets and/or floats."""
     yj, xj = isinstance(y, Jet), isinstance(x, Jet)
@@ -432,7 +446,7 @@ _BUILTIN_ARITY["atan2"] = 2
 _NAMED_CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _FLOAT_FUNCS = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan, "asin": math.asin,
+    "sin": math.sin, "cos": math.cos, "tan": _tan, "asin": math.asin,
     "acos": math.acos, "atan": math.atan, "sinh": math.sinh, "cosh": math.cosh,
     "tanh": math.tanh, "exp": math.exp, "abs": abs,
 }
@@ -450,10 +464,7 @@ def _float_call(name: str, a: float) -> float:
         return math.sqrt(a)
     if name in ("asin", "acos") and not -1.0 <= a <= 1.0:
         raise DomainError(f"{name} outside [-1, 1]")
-    try:
-        return _FLOAT_FUNCS[name](a)
-    except ValueError as exc:  # pragma: no cover - guarded above
-        raise DomainError(str(exc)) from exc
+    return _FLOAT_FUNCS[name](a)
 
 
 # ---------------------------------------------------------------------------
@@ -543,45 +554,51 @@ class _Parser:
         return tok
 
     def parse(self) -> Node:
-        node = self.expr()
+        node = self.expr(0)
         kind, text, start, _ = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {text!r}", start)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    # ``level`` counts the parentheses, calls, operators and chained terms
+    # above a node; every descent passes through ``unary``, which bounds it.
+    def expr(self, level: int) -> Node:
+        node = self.term(level)
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             op = self.advance()[1]
-            right = self.term()
+            level += 1
+            right = self.term(level)
             node = BinOp((node.span[0], right.span[1]), op, node, right)
         return node
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self, level: int) -> Node:
+        node = self.factor(level)
         while self.peek()[0] == "op" and self.peek()[1] in "*/":
             op = self.advance()[1]
-            right = self.factor()
+            level += 1
+            right = self.factor(level)
             node = BinOp((node.span[0], right.span[1]), op, node, right)
         return node
 
-    def factor(self) -> Node:
-        base = self.unary()
+    def factor(self, level: int) -> Node:
+        base = self.unary(level)
         if self.peek()[0] == "op" and self.peek()[1] == "^":
             self.advance()
-            exponent = self.factor()
+            exponent = self.factor(level + 1)
             return BinOp((base.span[0], exponent.span[1]), "^", base, exponent)
         return base
 
-    def unary(self) -> Node:
+    def unary(self, level: int) -> Node:
         kind, text, start, _ = self.peek()
+        if level > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", start)
         if kind == "op" and text == "-":
             self.advance()
-            operand = self.unary()
+            operand = self.unary(level + 1)
             return Neg((start, operand.span[1]), operand)
-        return self.atom()
+        return self.atom(level)
 
-    def atom(self) -> Node:
+    def atom(self, level: int) -> Node:
         kind, text, start, end = self.peek()
         if kind == "num":
             self.advance()
@@ -589,7 +606,7 @@ class _Parser:
         if kind == "ident":
             self.advance()
             if self.peek()[0] == "op" and self.peek()[1] == "(":
-                return self.call(text, start)
+                return self.call(text, start, level)
             if text in self.variables:
                 return Var((start, end), self.variables[text], text)
             if text in self.constants:
@@ -599,19 +616,19 @@ class _Parser:
             raise UnknownIdentifier(f"unknown identifier {text!r}", start)
         if kind == "op" and text == "(":
             self.advance()
-            node = self.expr()
+            node = self.expr(level + 1)
             self.expect(")")
             return node
         raise ParseError("expected expression", start)
 
-    def call(self, name: str, start: int) -> Node:
+    def call(self, name: str, start: int, level: int) -> Node:
         if name not in _BUILTIN_ARITY:
             raise UnknownIdentifier(f"unknown function {name!r}", start)
         self.expect("(")
-        args = [self.expr()]
+        args = [self.expr(level + 1)]
         while self.peek()[0] == "op" and self.peek()[1] == ",":
             self.advance()
-            args.append(self.expr())
+            args.append(self.expr(level + 1))
         _, _, _, end = self.expect(")")
         if len(args) != _BUILTIN_ARITY[name]:
             raise ArityMismatch(
@@ -728,11 +745,22 @@ def _eval(node: Node, env: list):
             if isinstance(a, Jet):
                 return getattr(a, node.func)()
             return _float_call(node.func, a)
-    except DomainError as err:
-        if err.expression is None:
-            raise DomainError(err.reason, unparse(node), node.span[0]) from None
-        raise
+    except (ArithmeticError, ValueError) as err:
+        # the one wrap point: math's overflow and domain errors become
+        # DomainError, and each names the innermost node that failed
+        if isinstance(err, DomainError) and err.expression is not None:
+            raise
+        reason = err.reason if isinstance(err, DomainError) else (
+            "overflow" if isinstance(err, OverflowError) else str(err))
+        raise DomainError(reason, unparse(node), node.span[0]) from None
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def _finite(value, node: Node):
+    """A component result, rejected when any of its numbers is not finite."""
+    if not all(map(math.isfinite, value.coef if isinstance(value, Jet) else (value,))):
+        raise DomainError("non-finite value", unparse(node), node.span[0])
+    return value
 
 
 @dataclass(frozen=True)
@@ -762,7 +790,7 @@ class ExprMap:
         if len(point) != self.arity:
             raise ValueError(f"expected {self.arity} coordinates, got {len(point)}")
         values = [float(p) for p in point]
-        return [_eval(c, values) for c in self.components]
+        return [_finite(_eval(c, values), c) for c in self.components]
 
     def eval_jet(self, point: Sequence[float], order: int = MAX_ORDER):
         """Evaluate all components as jets of the given order in all the
@@ -776,7 +804,7 @@ class ExprMap:
         env = [Jet.variable(p, k, nv, order) for k, p in enumerate(point)]
         out = []
         for comp in self.components:
-            val = _eval(comp, env)
+            val = _finite(_eval(comp, env), comp)
             if not isinstance(val, Jet):
                 val = Jet.constant(val, nv, order)
             out.append(val)

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .expr import ExprMap, Jet, compose_bivariate, parse
+from .expr import ExprMap, Jet, NumericalFailure, compose_bivariate, parse
 from .tensor2 import cross, norm, normalize
 
 __all__ = [
@@ -31,23 +31,23 @@ __all__ = [
 _REG_TOL = 1e-10
 
 
-class IrregularPoint(ValueError):
+class IrregularPoint(NumericalFailure, ValueError):
     pass
 
 
-class NonPositiveRadius(ValueError):
+class NonPositiveRadius(NumericalFailure, ValueError):
     pass
 
 
-class DegenerateDirector(ValueError):
+class DegenerateDirector(NumericalFailure, ValueError):
     pass
 
 
-class PlanarPoint(ValueError):
+class PlanarPoint(NumericalFailure, ValueError):
     pass
 
 
-class LeftDomain(RuntimeError):
+class LeftDomain(NumericalFailure, RuntimeError):
     def __init__(self, message, state=None):
         super().__init__(message)
         self.state = state

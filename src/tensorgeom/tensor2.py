@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expr import NumericalFailure
+
 __all__ = [
     "SingularTensor", "NotSkew", "NotSymmetric", "NotSPD",
     "NonPositiveDeterminant", "NotARotation", "AxisUndefined", "NotUnit",
@@ -32,37 +34,37 @@ __all__ = [
 I3 = np.eye(3)
 
 
-class SingularTensor(ValueError):
+class SingularTensor(NumericalFailure, ValueError):
     pass
 
 
-class NotSkew(ValueError):
+class NotSkew(NumericalFailure, ValueError):
     pass
 
 
-class NotSymmetric(ValueError):
+class NotSymmetric(NumericalFailure, ValueError):
     pass
 
 
-class NotSPD(ValueError):
+class NotSPD(NumericalFailure, ValueError):
     def __init__(self, message, eigenvalue=None):
         super().__init__(message)
         self.eigenvalue = eigenvalue
 
 
-class NonPositiveDeterminant(ValueError):
+class NonPositiveDeterminant(NumericalFailure, ValueError):
     pass
 
 
-class NotARotation(ValueError):
+class NotARotation(NumericalFailure, ValueError):
     pass
 
 
-class AxisUndefined(ValueError):
+class AxisUndefined(NumericalFailure, ValueError):
     pass
 
 
-class NotUnit(ValueError):
+class NotUnit(NumericalFailure, ValueError):
     pass
 
 

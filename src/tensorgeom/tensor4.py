@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expr import NumericalFailure
 from .tensor2 import I3, tensor_norm
 
 __all__ = [
@@ -24,11 +25,11 @@ __all__ = [
 ]
 
 
-class NotOrthogonal(ValueError):
+class NotOrthogonal(NumericalFailure, ValueError):
     pass
 
 
-class MissingMinorSymmetry(ValueError):
+class MissingMinorSymmetry(NumericalFailure, ValueError):
     pass
 
 

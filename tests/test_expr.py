@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorgeom.expr import (ArityMismatch, DomainError, Jet, ParseError,
+from tensorgeom.expr import (MAX_NESTING, ArityMismatch, DomainError, Jet, ParseError,
                              UnknownIdentifier, _layout, jet_atan2, parse, unparse)
 
 
@@ -115,11 +115,32 @@ def test_order_zero_returns_floats():
     ("t^0.5", (-2.0,)),
     ("asin(t)", (2.0,)),
     ("atan2(t-t, t)", (0.0,)),
+    ("tan(t)", (math.pi / 2,)),           # cos(pi/2) is 6.1e-17, not 0
+    ("exp(exp(100*t))", (1.0,)),          # overflow
+    ("t^400", (1e10,)),                   # overflow in float pow, inf in jet products
+    ("1e308*10*t", (1.0,)),               # a silent infinity
+    ("sin(1e308*10*t)", (1.0,)),          # math's domain error on an infinity
 ])
 def test_domain_errors(source, point):
     m = parse(source, ["t"])
     with pytest.raises(DomainError):
+        m(*point)
+    with pytest.raises(DomainError):
         m.eval_jet(point, 2)
+
+
+@pytest.mark.parametrize("source", ["(" * 3000 + "t" + ")" * 3000, "+".join(["t"] * 3000),
+                                    "-" * 3000 + "t", "sin(" * 3000 + "t" + ")" * 3000],
+                         ids=["parentheses", "sum", "minus", "calls"])
+def test_nesting_beyond_the_limit_is_a_parse_error(source):
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse(source, ["t"])
+
+
+def test_nesting_up_to_the_limit_evaluates():
+    m = parse("+".join(["t"] * (MAX_NESTING + 1)), ["t"])
+    assert m(1.0) == [MAX_NESTING + 1.0]
+    assert m.eval_jet((1.0,), 1)[0].partial(1) == MAX_NESTING + 1.0
 
 
 def test_domain_error_reports_subexpression():
