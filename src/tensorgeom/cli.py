@@ -11,8 +11,8 @@ Scene files are JSON objects with ``kind``, ``components`` (expression
 strings), ``variables``, ``constants``, ``domain`` ([min, max] pairs) and
 ``requests`` ([{"op": ..., "params": {...}}]).  Reports are JSON with sorted
 keys and floats printed at 17 significant digits, so identical inputs give
-byte-identical output.  Every input ends in exit 0, 2 (``ValidationError``:
-it breaks its row of ``PARAMS``) or 3 (a ``NumericalFailure`` or an overflow).
+byte-identical output.  Every input ends in exit 0, 2 (it breaks its row of
+``PARAMS``, or the output cannot be written) or 3 (a numerical failure).
 """
 
 from __future__ import annotations
@@ -593,6 +593,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # inputs are read in _load_json, so this is the output
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

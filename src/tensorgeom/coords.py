@@ -469,47 +469,25 @@ def integral_theorem_residual(theorem: str, fields, domain, order: int = 16) -> 
     theorem="stokes": fields is one vector ExprMap, domain a dict with keys
                       "center" (3 floats, plane z = center[2]) and "radius".
     """
-    if theorem in ("gauss", "flux"):
-        v = fields if isinstance(fields, ExprMap) else fields[0]
-        _check_kind(v, "vector")
+    if theorem in ("gauss", "flux", "green"):
+        if theorem == "green":  # Gauss's theorem for the field g grad f - f grad g
+            f, g = fields
+            _check_kind(f, "scalar")
+            _check_kind(g, "scalar")
+
+            def skew(op):  # g op(f) - f op(g)
+                return lambda p: (g(*p)[0] * _cartesian_ops("scalar", op, f, p)
+                                  - f(*p)[0] * _cartesian_ops("scalar", op, g, p))
+            vec_at, div_at = skew("grad"), skew("laplacian")
+        else:
+            v = fields if isinstance(fields, ExprMap) else fields[0]
+            _check_kind(v, "vector")
+            vec_at, div_at = (lambda p: v(*p)), (lambda p: _cartesian_ops("vector", "div", v, p))
         box = tuple(tuple(float(b) for b in pair) for pair in domain)
-        flux = _box_flux(lambda p: v(*p), box, order)
+        flux = _box_flux(vec_at, box, order)
         if theorem == "flux":
             return abs(flux)
-        vol = _box_volume_integral(
-            lambda p: _cartesian_ops("vector", "div", v, p), box, order)
-        return abs(flux - vol)
-    if theorem == "green":
-        f, g = fields
-        _check_kind(f, "scalar")
-        _check_kind(g, "scalar")
-        box = tuple(tuple(float(b) for b in pair) for pair in domain)
-
-        def boundary(p_axis_side):
-            p, axis, sign = p_axis_side
-            gf = _cartesian_ops("scalar", "grad", f, p)
-            gg = _cartesian_ops("scalar", "grad", g, p)
-            return sign * (g(*p)[0] * gf[axis] - f(*p)[0] * gg[axis])
-
-        total = 0.0
-        for axis in range(3):
-            lo, hi = box[axis]
-            others = [i for i in range(3) if i != axis]
-            xs, wx = gauss_legendre_nodes(*box[others[0]], order)
-            ys, wy = gauss_legendre_nodes(*box[others[1]], order)
-            for side, sign in ((lo, -1.0), (hi, 1.0)):
-                for xi, wxi in zip(xs, wx):
-                    for yi, wyi in zip(ys, wy):
-                        p = [0.0, 0.0, 0.0]
-                        p[axis] = side
-                        p[others[0]] = xi
-                        p[others[1]] = yi
-                        total += boundary((p, axis, sign)) * wxi * wyi
-        vol = _box_volume_integral(
-            lambda p: (g(*p)[0] * _cartesian_ops("scalar", "laplacian", f, p)
-                       - f(*p)[0] * _cartesian_ops("scalar", "laplacian", g, p)),
-            box, order)
-        return abs(total - vol)
+        return abs(flux - _box_volume_integral(div_at, box, order))
     if theorem == "stokes":
         v = fields if isinstance(fields, ExprMap) else fields[0]
         _check_kind(v, "vector")

@@ -11,14 +11,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
+from .curve import integrate
 from .expr import ExprMap, Jet, NumericalFailure, compose_bivariate, parse
 from .tensor2 import cross, norm, normalize
 
 __all__ = [
     "IrregularPoint", "NonPositiveRadius", "DegenerateDirector", "PlanarPoint",
-    "LeftDomain",
+    "LeftDomain", "ZeroVelocity",
     "Surface", "SurfaceJet", "GeodesicState", "GeodesicTrajectory",
     "DirectionFields",
     "surface_from_expr", "revolution_surface", "ruled_surface",
@@ -44,6 +44,10 @@ class DegenerateDirector(NumericalFailure, ValueError):
 
 
 class PlanarPoint(NumericalFailure, ValueError):
+    pass
+
+
+class ZeroVelocity(NumericalFailure, ValueError):
     pass
 
 
@@ -405,7 +409,7 @@ def geodesic_integrate(surface: Surface, state0: GeodesicState, s_max: float,
     w = np.array([state0.du, state0.dv])
     speed = math.sqrt(w @ g0 @ w)
     if speed == 0.0:
-        raise ValueError("zero initial velocity")
+        raise ZeroVelocity(f"zero surface speed at ({state0.u:g}, {state0.v:g})")
     y = np.array([state0.u, state0.v, state0.du / speed, state0.dv / speed])
 
     def rhs(y_):
@@ -567,8 +571,7 @@ def curve_length_on_surface(surface: Surface, path: ExprMap, t0: float, t1: floa
         g, _ = _metric_and_gamma(surface, *uv)
         return math.sqrt(w @ g @ w)
 
-    value, _ = quad(integrand, t0, t1, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return float(value)
+    return integrate(integrand, t0, t1, 1e-12, 1e-12)
 
 
 # ---------------------------------------------------------------------------

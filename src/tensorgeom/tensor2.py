@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 I3 = np.eye(3)
+_SINGULAR_TOL = 1e-12  # inverse refuses |det| at or below this times |L|^3
+_SYMMETRY_TOL = 1e-10  # eigen_sym refuses |L - L^T| above this times |L|
+_SPD_TOL = 1e-12       # sqrt_spd refuses an eigenvalue at or below this times the largest
 
 
 class SingularTensor(NumericalFailure, ValueError):
@@ -159,25 +162,23 @@ def adjugate(L) -> np.ndarray:
     return out
 
 
-def inverse(L, rel_tol: float = 1e-12) -> np.ndarray:
+def inverse(L) -> np.ndarray:
     L = np.asarray(L, dtype=float)
     d = det(L)
     scale = max(tensor_norm(L) ** 3, np.finfo(float).tiny)
-    if abs(d) <= rel_tol * scale:
+    if abs(d) <= _SINGULAR_TOL * scale:
         raise SingularTensor(f"determinant {d:g} below tolerance")
     return adjugate(L).T / d
 
 
-def determinant_suite(L, want_inverse: bool = True):
+def determinant_suite(L):
     """Determinant, principal invariants, inverse (None when singular), adjugate."""
     L = np.asarray(L, dtype=float)
     d = det(L)
-    inv = None
-    if want_inverse:
-        try:
-            inv = inverse(L)
-        except SingularTensor:
-            inv = None
+    try:
+        inv = inverse(L)
+    except SingularTensor:
+        inv = None
     return d, principal_invariants(L), inv, adjugate(L)
 
 
@@ -240,11 +241,11 @@ def _off_norm(A) -> float:
     return math.sqrt(A[0, 1] ** 2 + A[0, 2] ** 2 + A[1, 2] ** 2)
 
 
-def eigen_sym(L, rel_tol: float = 1e-10) -> SpectralDecomp:
+def eigen_sym(L) -> SpectralDecomp:
     """Eigendecomposition of a symmetric tensor by cyclic Jacobi sweeps."""
     L = np.asarray(L, dtype=float)
     nL = tensor_norm(L)
-    if tensor_norm(L - L.T) > rel_tol * max(nL, np.finfo(float).tiny):
+    if tensor_norm(L - L.T) > _SYMMETRY_TOL * max(nL, np.finfo(float).tiny):
         raise NotSymmetric("symmetry residual above tolerance")
     A = sym_part(L)
     V = np.eye(3)
@@ -275,12 +276,12 @@ def eigen_sym(L, rel_tol: float = 1e-10) -> SpectralDecomp:
     return SpectralDecomp(values, vectors)
 
 
-def sqrt_spd(L, rel_tol: float = 1e-12) -> np.ndarray:
+def sqrt_spd(L) -> np.ndarray:
     """Unique symmetric positive definite square root of an SPD tensor."""
     dec = eigen_sym(L)
     scale = max(abs(dec.values[0]), np.finfo(float).tiny)
     for lam in dec.values:
-        if lam <= rel_tol * scale:
+        if lam <= _SPD_TOL * scale:
             raise NotSPD(f"eigenvalue {lam:g} is not positive", eigenvalue=lam)
     return dec.vectors @ np.diag(np.sqrt(dec.values)) @ dec.vectors.T
 
@@ -337,7 +338,7 @@ def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
     return I3 + math.sin(angle) * W + (1.0 - math.cos(angle)) * (W @ W)
 
 
-def rotation_to_axis_angle(R, tol: float = 1e-9) -> AxisAngle:
+def rotation_to_axis_angle(R) -> AxisAngle:
     """Recover (axis, amplitude) from a proper rotation.
 
     The amplitude comes from the trace; near amplitude pi, where the skew
@@ -345,7 +346,7 @@ def rotation_to_axis_angle(R, tol: float = 1e-9) -> AxisAngle:
     Raises ``AxisUndefined`` below amplitude 1e-8 (the axis is arbitrary).
     """
     R = np.asarray(R, dtype=float)
-    if not is_rotation(R, tol):
+    if not is_rotation(R):
         raise NotARotation("input is not a proper rotation")
     cos_phi = max(-1.0, min(1.0, 0.5 * (trace(R) - 1.0)))
     phi = math.acos(cos_phi)

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tensorgeom
 from tensorgeom import cli
 
 
@@ -172,3 +176,12 @@ def test_reconstruct_helix_profile(tmp_path):
 
 def test_check_command():
     assert run(["check"]) == 0
+
+
+def test_cli_imports_no_scipy():
+    src = str(Path(tensorgeom.__file__).resolve().parent.parent)
+    code = ("import sys, tensorgeom.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -116,6 +116,11 @@ HOSTILE = {
     "reconstruct step 0": ("reconstruct", _scene(PROFILE, step=0)),
     "non-numeric s_range": ("reconstruct", _scene(PROFILE, s_range=["a", "b"])),
     "constants not an object": ("reconstruct", _scene(PROFILE, constants=[1])),
+    "length integral beyond 200 panels": ("analyze", _scene(
+        CURVE_OF_T, components=["t", "abs(sin(20*t))+t^2"], domain=[[0.05, 3.0]],
+        requests=[{"op": "arc_length", "params": {}}])),
+    "geodesic speed underflows to 0": ("analyze", _request(
+        SPHERE, "geodesic", _geodesic(du=1e-200, dv=0.0))),
     "JSON nested 100000 deep": ("tensor", '{"op": "polar", "matrix": '
                                 + "[" * 100000 + "]" * 100000 + "}"),
 }
@@ -133,11 +138,24 @@ def test_negative_grid_is_a_usage_error(tmp_path, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
-def test_exit_code_classes(tmp_path):
+def test_exit_code_classes(tmp_path, capsys):
     """Malformed input is exit 2, a failure of the numerics exit 3."""
     assert _run(tmp_path, "analyze", HOSTILE["osculating without t"][1]) == 2
     assert _run(tmp_path, "analyze", HOSTILE["overflow"][1]) == 3
     assert _run(tmp_path, "reconstruct", HOSTILE["ln(s) across 0"][1]) == 3
+    capsys.readouterr()
+    assert _run(tmp_path, "analyze", HOSTILE["length integral beyond 200 panels"][1]) == 3
+    assert "[0.05, 3]" in capsys.readouterr().err
+    assert _run(tmp_path, "analyze", HOSTILE["geodesic speed underflows to 0"][1]) == 3
+
+
+def test_output_below_a_regular_file_is_exit_2(tmp_path, capsys):
+    (tmp_path / "some_file").write_text("", encoding="utf-8")
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"op": "invariants", "matrix": MATRIX}), encoding="utf-8")
+    assert cli.main(["--out", str(tmp_path / "some_file" / "x"), "tensor", str(job)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write output" in err and "Traceback" not in err
 
 
 def test_non_finite_report_value_is_a_numerical_failure():

@@ -59,6 +59,26 @@ def test_arclength_table_monotone(helix):
     assert s[-1] == pytest.approx(cv.arc_length(helix, *helix.domain), rel=1e-10)
 
 
+@pytest.mark.parametrize("sources, domain, exact", [
+    (["t - sin(t)", "1 - cos(t)"], (0.1, 2.0 * math.pi - 0.1), 8.0 * math.cos(0.05)),
+    (["t", "cosh(t)"], (0.0, 2.0), math.sinh(2.0)),
+    (["t", "t^2"], (0.0, 1.0), (2.0 * math.sqrt(5.0) + math.asinh(2.0)) / 4.0),
+    # the speed jumps at t = 0, so the first panel fails and integrate bisects
+    (["t", "abs(t) + t"], (-1.0, 2.0), 1.0 + 2.0 * math.sqrt(5.0)),
+], ids=["cycloid", "catenary", "parabola", "speed jump"])
+def test_length_matches_closed_form(sources, domain, exact):
+    c = make_curve(sources, domain)
+    top_speed = max(c.speed(t) for t in np.linspace(*domain, 257))
+    requested = max(1e-10 * (domain[1] - domain[0]) * top_speed, 1e-12 * exact)
+    assert abs(cv.arc_length(c, *domain) - exact) <= requested
+
+
+def test_length_that_does_not_converge_names_the_interval():
+    c = make_curve(["t", "abs(sin(20*t)) + t^2"], (0.05, 3.0))
+    with pytest.raises(cv.QuadratureFailure, match=r"\[0\.05, 3\] did not converge"):
+        cv.arc_length(c, 0.05, 3.0)
+
+
 def test_irregular_curve_rejected():
     c = make_curve(["t^3", "0*t", "0*t"], (-1.0, 1.0))
     with pytest.raises(cv.IrregularCurve):
