@@ -138,7 +138,7 @@ _WGK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
 _WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
        0.29552422471475287)
 _EPMACH, _UFLOW = 2.220446049250313e-16, 2.2250738585072014e-308  # d1mach(4), d1mach(1)
-_MAX_PANELS = 200
+_EPSREL, _MAX_PANELS = 1e-12, 200
 
 
 def _kronrod21(f, a: float, b: float) -> tuple[float, float, float]:
@@ -167,12 +167,12 @@ def _kronrod21(f, a: float, b: float) -> tuple[float, float, float]:
     return resk * hlgth, abserr, resasc
 
 
-def integrate(f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel: float):
-    """Integral of f over [a, b] to max(epsabs, epsrel * |value|): one panel if
+def integrate(f: Callable[[float], float], a: float, b: float, epsabs: float):
+    """Integral of f over [a, b] to max(epsabs, 1e-12 * |value|): one panel if
     it passes QUADPACK's dqagse test, else the panel of largest error is bisected
     (no extrapolation) until the summed error estimate meets the bound."""
     result, abserr, resasc = _kronrod21(f, a, b)
-    if (abserr <= max(epsabs, epsrel * abs(result)) and abserr != resasc) or abserr == 0.0:
+    if (abserr <= max(epsabs, _EPSREL * abs(result)) and abserr != resasc) or abserr == 0.0:
         return result
     panels = [(a, b, result, abserr)]  # kept and summed in dqagse's order
     while True:
@@ -186,7 +186,7 @@ def integrate(f: Callable[[float], float], a: float, b: float, epsabs: float, ep
         panels[i], new = (right, left) if right[3] > left[3] else (left, right)
         panels.append(new)
         result, abserr = sum(p[2] for p in panels), sum(p[3] for p in panels)
-        if abserr <= max(epsabs, epsrel * abs(result)):
+        if abserr <= max(epsabs, _EPSREL * abs(result)):
             return result
 
 
@@ -198,7 +198,7 @@ def arc_length(curve: Curve, t0: float, t1: float) -> float:
     if not t0 < t1:
         raise ValueError("need t0 < t1")
     top = max([curve.speed(t) for t in np.linspace(t0, t1, 257)])  # also enforces regularity
-    return integrate(lambda t: norm(curve.velocity(t)), t0, t1, 1e-10 * (t1 - t0) * top, 1e-12)
+    return integrate(lambda t: norm(curve.velocity(t)), t0, t1, 1e-10 * (t1 - t0) * top)
 
 
 def arclength_table(curve: Curve, n: int = 128) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +208,7 @@ def arclength_table(curve: Curve, n: int = 128) -> tuple[np.ndarray, np.ndarray]
     s = np.zeros(n + 1)
     for i in range(n):
         s[i + 1] = s[i] + integrate(lambda t: norm(curve.velocity(t)),
-                                    float(ts[i]), float(ts[i + 1]), 1e-12, 1e-12)
+                                    float(ts[i]), float(ts[i + 1]), 1e-12)
     if np.any(np.diff(s) <= 0.0):
         raise IrregularCurve("arc length is not strictly increasing")
     return ts, s

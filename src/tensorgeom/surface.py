@@ -571,7 +571,7 @@ def curve_length_on_surface(surface: Surface, path: ExprMap, t0: float, t1: floa
         g, _ = _metric_and_gamma(surface, *uv)
         return math.sqrt(w @ g @ w)
 
-    return integrate(integrand, t0, t1, 1e-12, 1e-12)
+    return integrate(integrand, t0, t1, 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,11 @@ HOSTILE = {
     "length integral beyond 200 panels": ("analyze", _scene(
         CURVE_OF_T, components=["t", "abs(sin(20*t))+t^2"], domain=[[0.05, 3.0]],
         requests=[{"op": "arc_length", "params": {}}])),
+    # nine jumps of the speed: bisection without extrapolation needs more than 200 panels
+    "nine speed jumps beyond 200 panels": ("analyze", _scene(
+        CURVE_OF_T, components=["t", "abs(t+0.76)+abs(t+0.69)+abs(t+0.48)+abs(t+0.4)+abs(t+0.14)"
+                                     "+abs(t-0.59)+abs(t-0.83)+abs(t-0.84)+abs(t-1.43)"],
+        domain=[[-1.0, 2.0]], requests=[{"op": "arc_length", "params": {}}])),
     "geodesic speed underflows to 0": ("analyze", _request(
         SPHERE, "geodesic", _geodesic(du=1e-200, dv=0.0))),
     "JSON nested 100000 deep": ("tensor", '{"op": "polar", "matrix": '
@@ -146,6 +151,7 @@ def test_exit_code_classes(tmp_path, capsys):
     capsys.readouterr()
     assert _run(tmp_path, "analyze", HOSTILE["length integral beyond 200 panels"][1]) == 3
     assert "[0.05, 3]" in capsys.readouterr().err
+    assert _run(tmp_path, "analyze", HOSTILE["nine speed jumps beyond 200 panels"][1]) == 3
     assert _run(tmp_path, "analyze", HOSTILE["geodesic speed underflows to 0"][1]) == 3
 
 
