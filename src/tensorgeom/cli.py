@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, coords, curve, surface, tensor2, tensor4
-from .expr import DomainError, ExprMap, parse
+from .expr import CHUNK, DomainError, ExprMap, parse
 
 SCHEMA_VERSION = 1
 
@@ -316,29 +316,55 @@ def _grid(lo: float, hi: float, n: int, interior: bool = False) -> np.ndarray:
     return np.linspace(lo, hi, n + 2)[1:-1] if interior else np.linspace(lo, hi, n)
 
 
-def _table(columns: list[str], points, row: Callable, skipped: list) -> dict:
-    """One row per point, but a point where the numerics fail is recorded instead."""
+def _table(columns: list[str], points: list, row: Callable, skipped: list) -> dict:
+    """One row per point, but a point where the numerics fail is recorded instead.
+
+    ``row`` takes a point's coordinates, or arrays of them over a chunk of
+    points, whose columns it then returns.  A point the chunk marks (a
+    non-finite number in its row) is run again alone, so its row or its
+    failure is exactly what the single point gives."""
     rows = []
-    for point in points:
-        try:
-            rows.append(row(*point))
-        except ArithmeticError as exc:
-            skipped.append({"point": list(point), "error": str(exc)})
+    for lo in range(0, len(points), CHUNK):
+        chunk = points[lo:lo + CHUNK]
+        for point, values in zip(chunk, _chunk_rows(row, chunk)):
+            if values is None:
+                try:
+                    values = row(*point)
+                except ArithmeticError as exc:
+                    skipped.append({"point": list(point), "error": str(exc)})
+                    continue
+            rows.append(values)
     return {"table": {"columns": columns, "rows": rows}}
+
+
+def _chunk_rows(row: Callable, chunk: list) -> list:
+    """The rows of a chunk of points from one call of ``row``; None for a marked point."""
+    try:
+        with np.errstate(all="ignore"):
+            columns = row(*np.array(chunk).T)
+    except (ArithmeticError, np.linalg.LinAlgError):  # the chunk as a whole: all marked
+        return [None] * len(chunk)
+    columns = [np.broadcast_to(c, len(chunk)) for c in columns]
+    # a mark is a NaN; in a column of point classes it is the only float
+    unmarked = np.logical_and.reduce([c == c if c.dtype == object else np.isfinite(c)
+                                      for c in columns]).tolist()
+    return [list(r) if ok else None
+            for r, ok in zip(zip(*(c.tolist() for c in columns)), unmarked)]
 
 
 def _run_curve_request(cv: curve.Curve, op: str, p: dict, skipped: list):
     if op in ("frenet", "evolute"):
-        ts = zip(_grid(*cv.domain, p["samples"]))
+        ts = list(zip(_grid(*cv.domain, p["samples"])))
+        # a chunk's vectors are rows of (n, 3) arrays, so .T unpacks their columns
         if op == "frenet":
             def frenet_row(t):
                 d = curve.frenet(cv, t)
-                return [t, *d.point, d.curvature, d.torsion]
+                return [t, *d.point.T, d.curvature, d.torsion]
             return _table(["t", "x1", "x2", "x3", "c", "theta"], ts, frenet_row, skipped)
         if not cv.is_planar:  # a property of the whole curve, not of a point
             raise curve.NotPlanarCurve("the evolute is defined for plane curves only")
         return _table(["t", "q1", "q2", "q3"], ts,
-                      lambda t: [t, *curve.evolute(cv, t)], skipped)
+                      lambda t: [t, *curve.evolute(cv, t).T], skipped)
     if op == "arc_length":
         return {"length": curve.arc_length(cv, p["t0"], p["t1"])}
     if op == "osculating":

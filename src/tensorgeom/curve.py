@@ -1,6 +1,12 @@
 """Parametric curves in 3-space: arc length, moving frames, curvature and
 torsion, osculating circle/sphere, evolutes, canonical-form coefficients and
 reconstruction of a curve from prescribed curvature/torsion profiles.
+
+``frenet`` and ``evolute`` (and a curve's points, velocities and speeds) also
+take an array of parameter values: each result then holds one entry per
+value, and a value where the single-point call raises is marked with NaN.
+numpy warns about such values unless the batch runs under
+``np.errstate(all="ignore")``.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import ExprMap, Jet, NumericalFailure
+from .expr import ExprMap, Jet, NumericalFailure, _check, _pointwise, _pow, _stack
 from .tensor2 import cross, inverse, mixed, norm, normalize, sqrt_spd
 
 __all__ = [
@@ -70,7 +76,7 @@ class Curve:
         self.map = cmap
         self.domain = (float(domain[0]), float(domain[1]))
         ts = np.linspace(*self.domain, _SCALE_SAMPLES)
-        pts = np.array([self._point_unchecked(t) for t in ts])
+        pts = np.array(_pointwise(self._point_unchecked, ts))
         self.scale = float(np.max(np.linalg.norm(pts, axis=1)))
         self._planar = bool(np.max(np.abs(pts[:, 2])) <= _REG_TOL * max(self.scale, 1.0))
 
@@ -79,7 +85,7 @@ class Curve:
         vals = self.map(t)
         if len(vals) == 2:
             vals = [vals[0], vals[1], 0.0]
-        return np.array(vals, dtype=float)
+        return _stack(vals)
 
     def jets(self, t: float, order: int = 3) -> list[Jet]:
         out = self.map.eval_jet((t,), order)
@@ -90,7 +96,7 @@ class Curve:
     def derivatives(self, t: float, order: int = 3) -> list[np.ndarray]:
         """[p, p', p'', ...] up to the requested order."""
         jets = self.jets(t, order)
-        return [np.array([j.partial(k) for j in jets]) for k in range(order + 1)]
+        return [_stack([j.partial(k) for j in jets]) for k in range(order + 1)]
 
     def point(self, t: float) -> np.ndarray:
         return self._point_unchecked(t)
@@ -100,9 +106,8 @@ class Curve:
 
     def speed(self, t: float) -> float:
         v = norm(self.velocity(t))
-        if v <= _REG_TOL * max(self.scale, 1.0):
-            raise IrregularCurve(f"|p'({t:g})| = {v:g} below regularity tolerance", t=t)
-        return v
+        return _check(v <= _REG_TOL * max(self.scale, 1.0), lambda: IrregularCurve(
+            f"|p'({t:g})| = {v:g} below regularity tolerance", t=t), v)
 
     @property
     def is_planar(self) -> bool:
@@ -141,15 +146,21 @@ _EPMACH, _UFLOW = 2.220446049250313e-16, 2.2250738585072014e-308  # d1mach(4), d
 _EPSREL, _MAX_PANELS = 1e-12, 200
 
 
+_KRONROD_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)  # the Gauss pairs first
+
+
 def _kronrod21(f, a: float, b: float) -> tuple[float, float, float]:
-    """dqk21 on [a, b] in its own summation order: (result, abserr, resasc)."""
+    """dqk21 on [a, b] in its own summation order: (result, abserr, resasc).
+    The 21 values of f come from one batch."""
     centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
-    fc = f(centr)
+    nodes = [centr] + [x for j in _KRONROD_ORDER
+                       for x in (centr - hlgth * _XGK[j], centr + hlgth * _XGK[j])]
+    fc, *pairs = map(float, _pointwise(f, nodes))
     resg, resk = 0.0, _WGK[10] * fc
     resabs = abs(resk)
     fv = [None] * 10
-    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss pairs first
-        f1, f2 = fv[j] = f(centr - hlgth * _XGK[j]), f(centr + hlgth * _XGK[j])
+    for k, j in enumerate(_KRONROD_ORDER):
+        f1, f2 = fv[j] = pairs[2 * k], pairs[2 * k + 1]
         if j % 2:
             resg += _WG[j // 2] * (f1 + f2)
         resk += _WGK[j] * (f1 + f2)
@@ -170,7 +181,10 @@ def _kronrod21(f, a: float, b: float) -> tuple[float, float, float]:
 def integrate(f: Callable[[float], float], a: float, b: float, epsabs: float):
     """Integral of f over [a, b] to max(epsabs, 1e-12 * |value|): one panel if
     it passes QUADPACK's dqagse test, else the panel of largest error is bisected
-    (no extrapolation) until the summed error estimate meets the bound."""
+    (no extrapolation) until the summed error estimate meets the bound.
+
+    f takes a float, or an array of them (the nodes of a panel) and returns
+    their values; a non-finite value is recomputed by f on that node alone."""
     result, abserr, resasc = _kronrod21(f, a, b)
     if (abserr <= max(epsabs, _EPSREL * abs(result)) and abserr != resasc) or abserr == 0.0:
         return result
@@ -197,7 +211,8 @@ def arc_length(curve: Curve, t0: float, t1: float) -> float:
     """Length of the arc between t0 < t1 by adaptive quadrature of |p'|."""
     if not t0 < t1:
         raise ValueError("need t0 < t1")
-    top = max([curve.speed(t) for t in np.linspace(t0, t1, 257)])  # also enforces regularity
+    # the speed check also enforces regularity
+    top = max(_pointwise(curve.speed, np.linspace(t0, t1, 257)))
     return integrate(lambda t: norm(curve.velocity(t)), t0, t1, 1e-10 * (t1 - t0) * top)
 
 
@@ -219,18 +234,21 @@ def arclength_table(curve: Curve, n: int = 128) -> tuple[np.ndarray, np.ndarray]
 # ---------------------------------------------------------------------------
 
 def _frenet_core(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, scale: float, t: float):
-    v = norm(p1)
-    if v <= _REG_TOL * max(scale, 1.0):
-        raise IrregularCurve(f"|p'({t:g})| below regularity tolerance", t=t)
-    w = cross(p1, p2)
-    nw = norm(w)
-    if nw <= _REG_TOL * v * v:
-        raise UndefinedNormal("p' and p'' are parallel; the principal normal "
-                              "is undefined (straight-line point)")
-    tangent = p1 / v
-    curvature = nw / v ** 3
-    torsion = -float(np.dot(w, p3)) / nw ** 2
-    normal = normalize(p2 - np.dot(p2, tangent) * tangent)
+    with np.errstate(over="ignore"):  # an overflow is reported below, naming t
+        v = norm(p1)
+        w = cross(p1, p2)
+        nw = norm(w)
+        v3, nw2 = (_pow(np.float64(x), k) for x, k in ((v, 3), (nw, 2)))
+    v = _check(v <= _REG_TOL * max(scale, 1.0),
+               lambda: IrregularCurve(f"|p'({t:g})| below regularity tolerance", t=t), v)
+    nw = _check(nw <= _REG_TOL * v * v, lambda: UndefinedNormal(
+        "p' and p'' are parallel; the principal normal is undefined (straight-line point)"), nw)
+    v3, nw2 = _check(np.logical_not(np.isfinite(v3) & np.isfinite(nw2)), lambda: IrregularCurve(
+        f"|p'|^3 or |p' x p''|^2 overflows at t = {t:g}", t=t), v3, nw2)
+    tangent = p1 / np.asarray(v)[..., None]
+    curvature = nw / v3
+    torsion = -np.vecdot(w, p3) / nw2
+    normal = normalize(p2 - np.asarray(np.vecdot(p2, tangent))[..., None] * tangent)
     binormal = cross(tangent, normal)
     return tangent, normal, binormal, curvature, torsion
 
@@ -285,7 +303,7 @@ def evolute(curve: Curve, t: float) -> np.ndarray:
     if not curve.is_planar:
         raise NotPlanarCurve("the evolute is defined for plane curves only")
     data = frenet(curve, t)
-    return data.point + data.radius * data.normal
+    return data.point + np.asarray(data.radius)[..., None] * data.normal
 
 
 def canonical_coefficients(curve: Curve, t0: float) -> tuple[float, float, float]:

@@ -5,6 +5,13 @@ floats or as truncated Taylor jets carrying all mixed partial derivatives up
 to total order 3 in any number of variables.  Every curve, surface and
 coordinate map in this package is defined through this module.
 
+Each value may be a float (one point) or a float array of length N (a batch
+of N points, evaluated in one walk of the AST).  On a float a domain error
+raises ``DomainError``; on an array it marks the failing points with NaN,
+and every point that raises on its own is marked, so a caller re-runs the
+marked points one by one to get the error.  Results at unmarked points are
+bit-identical to those of the single-point evaluation.
+
 Grammar::
 
     expr   := term (("+"|"-") term)*
@@ -26,12 +33,16 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
+import numpy as np
+
 MAX_ORDER = 3
 # Deepest nesting ``parse`` accepts; it keeps the recursive parser and
 # evaluator far from the interpreter's recursion limit.
 MAX_NESTING = 100
 # |cos(x)| below this is a pole of tan: cos(pi/2) rounds to 6.1e-17, not 0.
 _POLE_TOL = 1e-12
+# Points evaluated together by the grid operations; it bounds the memory of a batch.
+CHUNK = 512
 
 __all__ = [
     "NumericalFailure",
@@ -84,6 +95,127 @@ class DomainError(NumericalFailure):
         if offset is not None:
             text += f" (offset {offset})"
         super().__init__(text)
+
+
+# ---------------------------------------------------------------------------
+# Numbers: a float for one point, or an array for a batch of points
+# ---------------------------------------------------------------------------
+
+def _is_batch(x) -> bool:
+    return isinstance(x, np.ndarray) and x.ndim > 0
+
+
+def _num(x):
+    """A value as a float, or as it is when it is an array of points."""
+    return x if type(x) is np.ndarray and x.ndim else float(x)
+
+
+# numpy functions that round exactly as their math counterparts; every other
+# function is called per point on a batch, because numpy's rounds differently
+_SAME_ROUNDING = {math.sin: np.sin, math.cos: np.cos, math.sqrt: np.sqrt, abs: np.abs}
+
+
+def _map(f, a, *more):
+    """``f(a, *more)`` on floats.  Where an argument is an array of points, f
+    is applied per point; a point where f fails, or where an argument is NaN
+    (already marked), becomes NaN."""
+    if not more and type(a) is not np.ndarray:
+        return f(a)
+    args = (a, *more)
+    if not any(map(_is_batch, args)):
+        # a 0-d array as the scalar it holds: numpy's ** rounds differently on arrays
+        return f(*(a[()] if isinstance(a, np.ndarray) else a for a in args))
+    cols = [a.tolist() if _is_batch(a) else itertools.repeat(a) for a in args]
+    fast = _SAME_ROUNDING.get(f)
+    try:
+        out = fast(*args) if fast else np.array(list(map(f, *cols)), dtype=float)
+    except (ArithmeticError, ValueError):
+        out = np.array([_or_nan(f, xs) for xs in zip(*cols)], dtype=float)
+    marked = [np.isnan(a) for a in args if _is_batch(a)]
+    return np.where(np.logical_or.reduce(marked), math.nan, out)
+
+
+def _or_nan(f, xs):
+    try:
+        return f(*xs)
+    except (ArithmeticError, ValueError):
+        return math.nan
+
+
+def _pow(x, p):
+    """Python's ``x ** p``, per point on an array (numpy's power rounds differently)."""
+    return x ** p if type(x) is not np.ndarray else _map(pow, x, p)
+
+
+def _where(cond, a, b):
+    """np.where for a per-point ``cond`` and values with trailing axes."""
+    cond = np.asarray(cond)
+    return np.where(cond.reshape(cond.shape + (1,) * (max(np.ndim(a), np.ndim(b)) - cond.ndim)),
+                    a, b)
+
+
+def _check(bad, error, *values):
+    """One domain or regularity check.  At one point (``bad`` a plain bool)
+    raise ``error()`` when it holds; on a batch return ``values`` with the
+    points where it holds set to NaN.  Returns the values (one, or a tuple)."""
+    if not isinstance(bad, np.ndarray) or bad.ndim == 0:
+        if bad:
+            raise error()
+    else:
+        values = tuple(_where(bad, math.nan, v) for v in values)
+    return values[0] if len(values) == 1 else values
+
+
+def _select(cond, then, otherwise):
+    """``then()`` or ``otherwise()`` (a value or a tuple of them) at one point;
+    on a batch both, chosen per point."""
+    if np.ndim(cond) == 0:
+        return then() if cond else otherwise()
+    a, b = then(), otherwise()
+    if isinstance(a, tuple):
+        return tuple(_where(cond, x, y) for x, y in zip(a, b))
+    return _where(cond, a, b)
+
+
+def _pointwise(f, *columns) -> list:
+    """``f`` at each point, the points given by their coordinate columns,
+    evaluated on chunks of CHUNK points at once.  A point its chunk marks (a
+    non-finite result) is evaluated again alone, so it raises where ``f`` at
+    that point raises; the first such point raises first."""
+    out = []
+    for lo in range(0, len(columns[0]), CHUNK):
+        chunk = [np.asarray(c[lo:lo + CHUNK], dtype=float) for c in columns]
+        try:
+            with np.errstate(all="ignore"):
+                values = np.asarray(f(*chunk), dtype=float)
+        except ArithmeticError:  # the chunk as a whole: all marked
+            values = np.full(len(chunk[0]), math.nan)
+        if values.ndim == 0:  # the same at every point of the chunk
+            values = np.full(len(chunk[0]), values)
+        for k, v in enumerate(values):
+            out.append(v if np.isfinite(v).all() else f(*(c[lo + k] for c in columns)))
+    return out
+
+
+def _spread(values: list, point) -> list:
+    """Results at a batch of points, each float (the same at every point) as
+    an array over the batch; at a single point, the results as they are."""
+    shape = np.broadcast_shapes(*map(np.shape, point))
+    return [v if type(v) is np.ndarray or not shape else np.full(shape, v) for v in values]
+
+
+def _stack(values) -> np.ndarray:
+    """Components (floats, or arrays over a batch) as one array with the
+    components on its last axis."""
+    for v in values:
+        if type(v) is np.ndarray:
+            break
+    else:
+        return np.array(values, dtype=float)
+    out = np.empty(np.broadcast_shapes(*map(np.shape, values)) + (len(values),))
+    for k, v in enumerate(values):
+        out[..., k] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +272,9 @@ class Jet:
 
     Coefficients are stored Taylor-style, i.e. divided by factorials, so
     multiplication is a plain truncated convolution.  ``partial`` restores
-    the derivative scaling.
+    the derivative scaling.  Each coefficient is a float, or a float array
+    holding it at each point of a batch (a coefficient that is the same at
+    every point may stay a float).
     """
 
     __slots__ = ("nvars", "order", "coef")
@@ -154,7 +288,7 @@ class Jet:
     @classmethod
     def constant(cls, value: float, nvars: int, order: int) -> "Jet":
         coef = [0.0] * (_COUNT.get(nvars) or _layout(nvars))[order]
-        coef[0] = float(value)
+        coef[0] = value if type(value) is float else _num(value)
         return cls(nvars, order, coef)
 
     @classmethod
@@ -214,7 +348,7 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             out = self.coef.copy()
-            out[0] += float(other)
+            out[0] = out[0] + (other if type(other) is float else _num(other))
             return Jet(self.nvars, self.order, out)
         return Jet(self.nvars, self.order, [a + b for a, b in zip(self.coef, o.coef)])
 
@@ -224,7 +358,7 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             out = self.coef.copy()
-            out[0] -= float(other)
+            out[0] = out[0] - (other if type(other) is float else _num(other))
             return Jet(self.nvars, self.order, out)
         return Jet(self.nvars, self.order, [a - b for a, b in zip(self.coef, o.coef)])
 
@@ -237,7 +371,7 @@ class Jet:
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
-            k = float(other)
+            k = other if type(other) is float else _num(other)
             return Jet(self.nvars, self.order, [a * k for a in self.coef])
         a, b = self.coef, o.coef
         out = []
@@ -253,41 +387,45 @@ class Jet:
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            k = float(other)
-            if k == 0.0:
-                raise DomainError("division by zero")
+            k = _check(other == 0.0, lambda: DomainError("division by zero"), _num(other))
             return self * (1.0 / k)
         return self * o._reciprocal()
 
     def __rtruediv__(self, other):
-        return self._reciprocal() * float(other)
+        return self._reciprocal() * _num(other)
 
     def _reciprocal(self) -> "Jet":
-        a = self.value
-        if a == 0.0:
-            raise DomainError("division by zero")
+        a = _check(self.value == 0.0, lambda: DomainError("division by zero"), self.value)
         ia = 1.0 / a
-        return self.compose(ia, -ia * ia, 2.0 * ia ** 3, -6.0 * ia ** 4)
+        return self.compose(ia, -ia * ia, 2.0 * _pow(ia, 3), -6.0 * _pow(ia, 4))
 
     def __pow__(self, other):
         if isinstance(other, Jet):
-            if any(c != 0.0 for c in other.coef[1:]):
+            varying = False
+            for c in other.coef[1:]:
+                varying = varying | (c != 0.0)
+            if np.all(varying):
                 # general exponent: x^y = exp(y ln x)
                 return (other * self._ln()).exp()
+            if np.any(varying) or isinstance(other.value, np.ndarray):
+                # not one rule for the whole batch: its points are re-run one by one
+                raise DomainError("an exponent that is constant at some points only")
             other = other.value
         p = float(other)
         if p == round(p) and abs(p) <= 64:
             return self._int_pow(int(round(p)))
-        a = self.value
-        if a <= 0.0:
-            raise DomainError("non-integer power of a non-positive base")
-        return self.compose(a ** p, p * a ** (p - 1), p * (p - 1) * a ** (p - 2),
-                            p * (p - 1) * (p - 2) * a ** (p - 3))
+        a = _check(self.value <= 0.0,
+                   lambda: DomainError("non-integer power of a non-positive base"), self.value)
+        return self.compose(_pow(a, p), p * _pow(a, p - 1), p * (p - 1) * _pow(a, p - 2),
+                            p * (p - 1) * (p - 2) * _pow(a, p - 3))
 
     def _int_pow(self, n: int) -> "Jet":
         if n < 0:
             return self._reciprocal()._int_pow(-n)
-        out = Jet.constant(1.0, self.nvars, self.order)
+        one = 1.0
+        if isinstance(self.value, np.ndarray):
+            one = 1.0 + 0.0 * self.value  # x^0 keeps the marks of x
+        out = Jet.constant(one, self.nvars, self.order)
         base = self
         while n:
             if n & 1:
@@ -309,78 +447,82 @@ class Jet:
     # -- builtins -------------------------------------------------------
     def sin(self):
         a = self.value
-        s, c = math.sin(a), math.cos(a)
+        s, c = _map(math.sin, a), _map(math.cos, a)
         return self.compose(s, c, -s, -c)
 
     def cos(self):
         a = self.value
-        s, c = math.sin(a), math.cos(a)
+        s, c = _map(math.sin, a), _map(math.cos, a)
         return self.compose(c, -s, -c, s)
 
     def tan(self):
-        t = _tan(self.value)
+        t = _map(_tan, self.value)
         sec2 = 1.0 + t * t
         return self.compose(t, sec2, 2.0 * t * sec2, 2.0 * sec2 * (1.0 + 3.0 * t * t))
 
-    def asin(self):
+    def _inside_unit(self, name: str):
         a = self.value
-        if not -1.0 < a < 1.0:
-            raise DomainError("asin outside (-1, 1)")
+        return _check(np.logical_not((-1.0 < a) & (a < 1.0)),
+                      lambda: DomainError(f"{name} outside (-1, 1)"), a)
+
+    def asin(self):
+        a = self._inside_unit("asin")
         r = 1.0 - a * a
-        return self.compose(math.asin(a), r ** -0.5, a * r ** -1.5,
-                            (1.0 + 2.0 * a * a) * r ** -2.5)
+        return self.compose(_map(math.asin, a), _pow(r, -0.5), a * _pow(r, -1.5),
+                            (1.0 + 2.0 * a * a) * _pow(r, -2.5))
 
     def acos(self):
-        a = self.value
-        if not -1.0 < a < 1.0:
-            raise DomainError("acos outside (-1, 1)")
+        a = self._inside_unit("acos")
         r = 1.0 - a * a
-        return self.compose(math.acos(a), -(r ** -0.5), -a * r ** -1.5,
-                            -(1.0 + 2.0 * a * a) * r ** -2.5)
+        return self.compose(_map(math.acos, a), -_pow(r, -0.5), -a * _pow(r, -1.5),
+                            -(1.0 + 2.0 * a * a) * _pow(r, -2.5))
 
     def atan(self):
         a = self.value
         d = 1.0 + a * a
-        return self.compose(math.atan(a), 1.0 / d, -2.0 * a / d ** 2,
-                            (6.0 * a * a - 2.0) / d ** 3)
+        return self.compose(_map(math.atan, a), 1.0 / d, -2.0 * a / _pow(d, 2),
+                            (6.0 * a * a - 2.0) / _pow(d, 3))
 
     def sinh(self):
         a = self.value
-        s, c = math.sinh(a), math.cosh(a)
+        s, c = _map(math.sinh, a), _map(math.cosh, a)
         return self.compose(s, c, s, c)
 
     def cosh(self):
         a = self.value
-        s, c = math.sinh(a), math.cosh(a)
+        s, c = _map(math.sinh, a), _map(math.cosh, a)
         return self.compose(c, s, c, s)
 
     def tanh(self):
-        t = math.tanh(self.value)
+        t = _map(math.tanh, self.value)
         d = 1.0 - t * t
         return self.compose(t, d, -2.0 * t * d, d * (6.0 * t * t - 2.0))
 
     def exp(self):
-        e = math.exp(self.value)
+        e = _map(math.exp, self.value)
         return self.compose(e, e, e, e)
 
+    def _positive(self, message: str):
+        return _check(self.value <= 0.0, lambda: DomainError(message), self.value)
+
     def _ln(self):
-        a = self.value
-        if a <= 0.0:
-            raise DomainError("log of a non-positive value")
+        a = self._positive("log of a non-positive value")
         ia = 1.0 / a
-        return self.compose(math.log(a), ia, -ia * ia, 2.0 * ia ** 3)
+        return self.compose(_map(math.log, a), ia, -ia * ia, 2.0 * _pow(ia, 3))
 
     ln = _ln
 
     def sqrt(self):
-        a = self.value
-        if a <= 0.0:
-            raise DomainError("sqrt of a non-positive value")
-        return self.compose(math.sqrt(a), 0.5 * a ** -0.5, -0.25 * a ** -1.5,
-                            0.375 * a ** -2.5)
+        a = self._positive("sqrt of a non-positive value")
+        return self.compose(_map(math.sqrt, a), 0.5 * _pow(a, -0.5), -0.25 * _pow(a, -1.5),
+                            0.375 * _pow(a, -2.5))
 
     def abs(self):
         a = self.value
+        if isinstance(a, np.ndarray):  # marked at 0, where abs is not differentiable
+            return Jet(self.nvars, self.order, [_check(np.logical_not(a != 0.0), None,
+                                                       np.where(a < 0.0, -c, c))
+                                                for c in self.coef])
         if a > 0.0:
             return Jet(self.nvars, self.order, self.coef.copy())
         if a < 0.0:
@@ -397,25 +539,28 @@ def _tan(a: float) -> float:
     return math.tan(a)
 
 
+def _atan2(y: float, x: float) -> float:
+    if x == 0.0 and y == 0.0:
+        raise DomainError("atan2(0, 0)")
+    return math.atan2(y, x)
+
+
 def jet_atan2(y, x):
     """Two-argument arctangent for jets and/or floats."""
     yj, xj = isinstance(y, Jet), isinstance(x, Jet)
     if not yj and not xj:
-        if x == 0.0 and y == 0.0:
-            raise DomainError("atan2(0, 0)")
-        return math.atan2(y, x)
+        return _map(_atan2, y, x)
     ref = y if yj else x
     if not yj:
         y = Jet.constant(y, ref.nvars, ref.order)
     if not xj:
         x = Jet.constant(x, ref.nvars, ref.order)
+    base = _map(_atan2, y.value, x.value)  # on a batch, NaN marks (0, 0)
     y0, x0 = y.value, x.value
-    if x0 == 0.0 and y0 == 0.0:
-        raise DomainError("atan2(0, 0)")
     # rotate so the varying part sits at angle 0, then add the base angle
     p = x * x0 + y * y0
     q = y * x0 - x * y0
-    return (q / p).atan() + math.atan2(y0, x0)
+    return (q / p).atan() + base
 
 
 def compose_bivariate(outer: Jet, g1: Jet, g2: Jet) -> Jet:
@@ -434,7 +579,11 @@ def compose_bivariate(outer: Jet, g1: Jet, g2: Jet) -> Jet:
     out = Jet.constant(0.0, g1.nvars, g1.order)
     for k, (i, j) in enumerate(_POWERS[2][: len(outer.coef)]):
         c = outer.coef[k]
-        if c != 0.0:
+        if np.ndim(c):  # a zero coefficient adds nothing at its points
+            term = out + p1[i] * p2[j] * c
+            out = Jet(out.nvars, out.order, [np.where(c != 0.0, a, b)
+                                             for a, b in zip(term.coef, out.coef)])
+        elif c != 0.0:
             out = out + p1[i] * p2[j] * c
     return out
 
@@ -445,26 +594,41 @@ _BUILTIN_ARITY = {name: 1 for name in _UNARY_FUNCS}
 _BUILTIN_ARITY["atan2"] = 2
 _NAMED_CONSTANTS = {"pi": math.pi, "e": math.e}
 
+
+def _ln(a: float) -> float:
+    if a <= 0.0:
+        raise DomainError("log of a non-positive value")
+    return math.log(a)
+
+
+def _sqrt(a: float) -> float:
+    if a < 0.0:
+        raise DomainError("sqrt of a negative value")
+    return math.sqrt(a)
+
+
+def _unit_arg(f):
+    def checked(a: float) -> float:
+        if not -1.0 <= a <= 1.0:
+            raise DomainError(f"{f.__name__} outside [-1, 1]")
+        return f(a)
+    return checked
+
+
+# one-argument builtins on a float (``atan2`` goes through ``jet_atan2``)
 _FLOAT_FUNCS = {
-    "sin": math.sin, "cos": math.cos, "tan": _tan, "asin": math.asin,
-    "acos": math.acos, "atan": math.atan, "sinh": math.sinh, "cosh": math.cosh,
-    "tanh": math.tanh, "exp": math.exp, "abs": abs,
+    "sin": math.sin, "cos": math.cos, "tan": _tan, "asin": _unit_arg(math.asin),
+    "acos": _unit_arg(math.acos), "atan": math.atan, "sinh": math.sinh, "cosh": math.cosh,
+    "tanh": math.tanh, "exp": math.exp, "abs": abs, "ln": _ln, "sqrt": _sqrt,
 }
 
 
-def _float_call(name: str, a: float) -> float:
-    """A one-argument builtin on a float (``atan2`` goes through ``jet_atan2``)."""
-    if name == "ln":
-        if a <= 0.0:
-            raise DomainError("log of a non-positive value")
-        return math.log(a)
-    if name == "sqrt":
-        if a < 0.0:
-            raise DomainError("sqrt of a negative value")
-        return math.sqrt(a)
-    if name in ("asin", "acos") and not -1.0 <= a <= 1.0:
-        raise DomainError(f"{name} outside [-1, 1]")
-    return _FLOAT_FUNCS[name](a)
+def _real_pow(a: float, b: float) -> float:
+    if b != round(b) and a < 0.0:
+        raise DomainError("non-integer power of a negative base")
+    if a == 0.0 and b < 0.0:
+        raise DomainError("zero raised to a negative power")
+    return a ** b
 
 
 # ---------------------------------------------------------------------------
@@ -723,20 +887,14 @@ def _eval(node: Node, env: list):
                     if not isinstance(a, Jet):
                         return b.__rtruediv__(a)
                     return a / b
-                if b == 0.0:
-                    raise DomainError("division by zero")
-                return a / b
+                return a / _check(b == 0.0, lambda: DomainError("division by zero"), b)
             if isinstance(a, Jet):
                 return a ** b
             if isinstance(b, Jet):
                 if a <= 0.0:
                     raise DomainError("jet exponent needs a positive base")
                 return (b * math.log(a)).exp()
-            if b != round(b) and a < 0.0:
-                raise DomainError("non-integer power of a negative base")
-            if a == 0.0 and b < 0.0:
-                raise DomainError("zero raised to a negative power")
-            return a ** b
+            return _map(_real_pow, a, b)
         if isinstance(node, Call):
             args = [_eval(a, env) for a in node.args]
             if node.func == "atan2":
@@ -744,7 +902,7 @@ def _eval(node: Node, env: list):
             a = args[0]
             if isinstance(a, Jet):
                 return getattr(a, node.func)()
-            return _float_call(node.func, a)
+            return _map(_FLOAT_FUNCS[node.func], a)
     except (ArithmeticError, ValueError) as err:
         # the one wrap point: math's overflow and domain errors become
         # DomainError, and each names the innermost node that failed
@@ -757,10 +915,19 @@ def _eval(node: Node, env: list):
 
 
 def _finite(value, node: Node):
-    """A component result, rejected when any of its numbers is not finite."""
-    if not all(map(math.isfinite, value.coef if isinstance(value, Jet) else (value,))):
+    """A component result, rejected when any of its numbers is not finite (on
+    a batch: marked at the points where one is not)."""
+    nums = value.coef if isinstance(value, Jet) else [value]
+    if type(nums[0]) is not np.ndarray:  # a value the same at every point: so is each number
+        if not all(map(math.isfinite, nums)):
+            raise DomainError("non-finite value", unparse(node), node.span[0])
+        return value
+    if not all(math.isfinite(c) for c in nums if type(c) is not np.ndarray):
         raise DomainError("non-finite value", unparse(node), node.span[0])
-    return value
+    bad = np.logical_not(np.logical_and.reduce([np.isfinite(c) for c in nums
+                                                if type(c) is np.ndarray]))
+    nums = [_check(bad, None, c) for c in nums]
+    return Jet(value.nvars, value.order, nums) if isinstance(value, Jet) else nums[0]
 
 
 @dataclass(frozen=True)
@@ -785,17 +952,21 @@ class ExprMap:
         return len(self.components)
 
     def __call__(self, *point: float) -> list[float]:
+        """Component values at a point; with an array per coordinate, at a
+        batch of points."""
         if len(point) == 1 and isinstance(point[0], (tuple, list)):
             point = tuple(point[0])
         if len(point) != self.arity:
             raise ValueError(f"expected {self.arity} coordinates, got {len(point)}")
-        values = [float(p) for p in point]
-        return [_finite(_eval(c, values), c) for c in self.components]
+        values = list(map(_num, point))
+        out = [_finite(_eval(c, values), c) for c in self.components]
+        return _spread(out, values) if np.ndarray in map(type, values) else out
 
     def eval_jet(self, point: Sequence[float], order: int = MAX_ORDER):
         """Evaluate all components as jets of the given order in all the
-        variables.  With ``order=0`` plain floats are returned."""
-        point = tuple(float(p) for p in point)
+        variables.  With ``order=0`` plain floats are returned.  With an
+        array per coordinate the jets hold a batch of points."""
+        point = tuple(map(_num, point))
         if len(point) != self.arity:
             raise ValueError(f"expected {self.arity} coordinates, got {len(point)}")
         if order == 0:
@@ -806,7 +977,7 @@ class ExprMap:
         for comp in self.components:
             val = _finite(_eval(comp, env), comp)
             if not isinstance(val, Jet):
-                val = Jet.constant(val, nv, order)
+                val = Jet.constant(_spread([val], point)[0], nv, order)
             out.append(val)
         return out
 

@@ -2,6 +2,12 @@
 point classification, revolution/ruled constructors with developability
 tests, curvature and asymptotic direction fields, moving-frame residuals,
 intrinsic Gaussian curvature and geodesic integration.
+
+``jet_at``, ``classify_point``, ``egregium_curvature`` and ``surface_area``
+also evaluate a batch of points: given arrays of u and v, each result holds
+one entry per point (vectors and matrices on the trailing axes), and a point
+where the single-point call raises is marked with NaN.  numpy warns about
+such points unless the batch runs under ``np.errstate(all="ignore")``.
 """
 
 from __future__ import annotations
@@ -13,8 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .curve import integrate
-from .expr import ExprMap, Jet, NumericalFailure, compose_bivariate, parse
-from .tensor2 import cross, norm, normalize
+from .expr import (ExprMap, Jet, NumericalFailure, _check, _map, _pointwise, _pow, _select,
+                   _stack, compose_bivariate, parse)
+from .tensor2 import cross, norm
 
 __all__ = [
     "IrregularPoint", "NonPositiveRadius", "DegenerateDirector", "PlanarPoint",
@@ -217,32 +224,45 @@ class SurfaceJet:
         return float(w @ self.second_form @ w) / float(w @ self.first_form @ w)
 
 
+# The grid geometry below takes one point or a batch: vectors are arrays
+# (..., 3), matrices (..., 2, 2).  Its dot products are np.vecdot, and its
+# powers and math functions are _pow and _map: each rounds, per point, as
+# the 1-D ``@``, Python's ``**`` and ``math`` do.
+
+_dot = np.vecdot
+
+
+def _mat2(a, b, c, d) -> np.ndarray:
+    """[[a, b], [c, d]] at each point."""
+    m = _stack([a, b, c, d])
+    return m.reshape(m.shape[:-1] + (2, 2))
+
+
+def _entries(m: np.ndarray) -> list:
+    """The four entries of (..., 2, 2) matrices in row order: numbers at one
+    point (not 0-d arrays, whose ** rounds differently), arrays on a batch."""
+    flat = m.reshape(m.shape[:-2] + (4,))
+    return list(flat if flat.ndim == 1 else np.moveaxis(flat, -1, 0))
+
+
 def _first_second(jets: list[Jet]):
-    p = np.array([j.partial(0, 0) for j in jets])
-    fu = np.array([j.partial(1, 0) for j in jets])
-    fv = np.array([j.partial(0, 1) for j in jets])
-    fuu = np.array([j.partial(2, 0) for j in jets])
-    fuv = np.array([j.partial(1, 1) for j in jets])
-    fvv = np.array([j.partial(0, 2) for j in jets])
-    return p, fu, fv, fuu, fuv, fvv
-
-
-def _normal_of(fu, fv, u, v):
-    n_raw = cross(fu, fv)
-    n_len = norm(n_raw)
-    if n_len <= _REG_TOL * max(norm(fu) * norm(fv), np.finfo(float).tiny):
-        raise IrregularPoint(f"degenerate tangent plane at (u, v) = ({u:g}, {v:g})")
-    return n_raw / n_len
+    """p, f_u, f_v, f_uu, f_uv, f_vv."""
+    parts = ([j.partial(0, 0) for j in jets], [j.partial(1, 0) for j in jets],
+             [j.partial(0, 1) for j in jets], [j.partial(2, 0) for j in jets],
+             [j.partial(1, 1) for j in jets], [j.partial(0, 2) for j in jets])
+    if any(type(j.value) is np.ndarray for j in jets):
+        return tuple(map(_stack, parts))
+    return tuple(np.array(parts))  # one point: a jet whose value is a float holds only floats
 
 
 def _sqrt_2x2_spd(M: np.ndarray) -> np.ndarray:
-    d = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    s = math.sqrt(d)
-    t = math.sqrt(M[0, 0] + M[1, 1] + 2.0 * s)
-    return (M + s * np.eye(2)) / t
+    m11, m12, m21, m22 = _entries(M)
+    s = _map(math.sqrt, m11 * m22 - m12 * m21)
+    t = _map(math.sqrt, m11 + m22 + 2.0 * s)
+    return (M + np.asarray(s)[..., None, None] * np.eye(2)) / np.asarray(t)[..., None, None]
 
 
-def _christoffel_2d(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+def _christoffel_2d(g00, g01, g11, dg: dict) -> np.ndarray:
     """Surface connection from the metric and its parameter derivatives;
     dg[a, b, c] = derivative of g_ab by coordinate c."""
     rhs = {
@@ -250,80 +270,88 @@ def _christoffel_2d(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
         (0, 1): (0.5 * dg[0, 0, 1], 0.5 * dg[1, 1, 0]),
         (1, 1): (dg[0, 1, 1] - 0.5 * dg[1, 1, 0], 0.5 * dg[1, 1, 1]),
     }
-    det = g[0, 0] * g[1, 1] - g[0, 1] ** 2
-    gamma = np.empty((2, 2, 2))
-    for (i, j), (r1, r2) in rhs.items():
-        g1 = (r1 * g[1, 1] - r2 * g[0, 1]) / det
-        g2 = (g[0, 0] * r2 - g[0, 1] * r1) / det
-        gamma[0, i, j] = gamma[0, j, i] = g1
-        gamma[1, i, j] = gamma[1, j, i] = g2
-    return gamma
+    det = g00 * g11 - _pow(g01, 2)
+    first, second = {}, {}
+    for ij, (r1, r2) in rhs.items():
+        first[ij] = (r1 * g11 - r2 * g01) / det
+        second[ij] = (g00 * r2 - g01 * r1) / det
+    gamma = _stack([k[ij] for k in (first, second) for ij in ((0, 0), (0, 1), (0, 1), (1, 1))])
+    return gamma.reshape(gamma.shape[:-1] + (2, 2, 2))
 
 
 def _metric_and_connection(fu, fv, fuu, fuv, fvv):
     """First fundamental form and the surface connection from the first and
     second parameter derivatives of the map."""
-    g = np.array([[fu @ fu, fu @ fv], [fu @ fv, fv @ fv]])
+    g11, g12, g22 = _dot(fu, fu), _dot(fu, fv), _dot(fv, fv)
     # metric derivatives feed the three 2x2 systems for the connection
-    dg = np.empty((2, 2, 2))
     seconds = {(0, 0): fuu, (0, 1): fuv, (1, 0): fuv, (1, 1): fvv}
     firsts = {0: fu, 1: fv}
-    for a_ in range(2):
-        for b_ in range(2):
-            for c_ in range(2):
-                dg[a_, b_, c_] = seconds[(a_, c_)] @ firsts[b_] + firsts[a_] @ seconds[(b_, c_)]
-    return g, _christoffel_2d(g, dg)
+    dg = {(a_, b_, c_): _dot(seconds[(a_, c_)], firsts[b_]) + _dot(firsts[a_], seconds[(b_, c_)])
+          for a_ in range(2) for b_ in range(2) for c_ in range(2)}
+    return _mat2(g11, g12, g12, g22), _christoffel_2d(g11, g12, g22, dg)
 
 
 def jet_at(surface: Surface, u: float, v: float) -> SurfaceJet:
     jets = surface.mapper.eval_jets(u, v, 2)
     p, fu, fv, fuu, fuv, fvv = _first_second(jets)
-    N = _normal_of(fu, fv, u, v)
+    n_raw = cross(fu, fv)
+    n_len = norm(n_raw)
+    # marking f_u and f_v keeps a degenerate metric out of a batch's solve
+    fu, fv = _check(n_len <= _REG_TOL * np.maximum(norm(fu) * norm(fv), np.finfo(float).tiny),
+                    lambda: IrregularPoint(f"degenerate tangent plane at (u, v) = ({u:g}, {v:g})"),
+                    fu, fv)
+    N = n_raw / np.asarray(n_len)[..., None]
     g, gamma = _metric_and_connection(fu, fv, fuu, fuv, fvv)
-    B = np.array([[N @ fuu, N @ fuv], [N @ fuv, N @ fvv]])
+    b12 = _dot(N, fuv)
+    B = _mat2(_dot(N, fuu), b12, b12, _dot(N, fvv))
     X = np.linalg.solve(g, B)
-    detg = g[0, 0] * g[1, 1] - g[0, 1] ** 2
-    K = (B[0, 0] * B[1, 1] - B[0, 1] ** 2) / detg
-    H = 0.5 * (X[0, 0] + X[1, 1])
+    g11, g12, _, g22 = _entries(g)
+    b11, b12, _, b22 = _entries(B)
+    x11, _, _, x22 = _entries(X)
+    K = (b11 * b22 - _pow(b12, 2)) / (g11 * g22 - _pow(g12, 2))
+    H = 0.5 * (x11 + x22)
 
     gs = _sqrt_2x2_spd(g)
     gis = np.linalg.inv(gs)
-    S = gs @ X @ gis
-    a, b, c = S[0, 0], 0.5 * (S[0, 1] + S[1, 0]), S[1, 1]
+    s11, s12, s21, s22 = _entries(gs @ X @ gis)
+    a, b, c = s11, 0.5 * (s12 + s21), s22
     mean = 0.5 * (a + c)
-    disc = math.hypot(0.5 * (a - c), b)
+    disc = _map(math.hypot, 0.5 * (a - c), b)
     k1, k2 = mean + disc, mean - disc
     umbilical = abs(k1 - k2) < 1e-8 * (abs(k1) + abs(k2) + 1e-30)
-    if umbilical:
-        y1, y2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    else:
-        y1 = np.array([b, k1 - a])
-        alt = np.array([k1 - c, b])
-        if norm(alt) > norm(y1):
-            y1 = alt
-        y1 = y1 / norm(y1)
-        y2 = np.array([-y1[1], y1[0]])
-    d1 = gis @ y1
-    d2 = gis @ y2
-    d1 = d1 / math.sqrt(d1 @ g @ d1)
-    d2 = d2 / math.sqrt(d2 @ g @ d2)
+
+    def rotated():
+        y1, alt = _stack([b, k1 - a]), _stack([k1 - c, b])
+        y1 = _select(norm(alt) > norm(y1), lambda: alt, lambda: y1)
+        y1 = y1 / np.asarray(norm(y1))[..., None]
+        return y1, _stack([-y1[..., 1], y1[..., 0]])
+
+    y1, y2 = _select(umbilical, lambda: (np.array([1.0, 0.0]), np.array([0.0, 1.0])), rotated)
+    d1 = np.matvec(gis, y1)
+    d2 = np.matvec(gis, y2)
+    d1 = d1 / np.asarray(_map(math.sqrt, _dot(np.vecmat(d1, g), d1)))[..., None]
+    d2 = d2 / np.asarray(_map(math.sqrt, _dot(np.vecmat(d2, g), d2)))[..., None]
 
     return SurfaceJet(u, v, p, fu, fv, N, g, B, X, k1, k2, d1, d2, K, H,
                       gamma, umbilical)
 
 
 def classify_point(jet: SurfaceJet) -> str:
-    b_norm = float(np.linalg.norm(jet.second_form))
-    if b_norm <= _REG_TOL * max(1.0, float(np.linalg.norm(jet.first_form))):
+    """The point's class; on a batch an array of classes, NaN where it fails."""
+    B = jet.second_form
+    b_norm = norm(B.reshape(B.shape[:-2] + (4,)))
+    planar = b_norm <= _REG_TOL * np.maximum(1.0, norm(jet.first_form.reshape(B.shape[:-2] + (4,))))
+    if np.ndim(planar) == 0 and planar:
         return "planar"
-    det_b = (jet.second_form[0, 0] * jet.second_form[1, 1]
-             - jet.second_form[0, 1] ** 2)
-    tol = _REG_TOL * max(b_norm ** 2, np.finfo(float).tiny)
-    if det_b > tol:
-        return "elliptic"
-    if det_b < -tol:
-        return "hyperbolic"
-    return "parabolic"
+    b11, b12, _, b22 = _entries(B)
+    det_b = b11 * b22 - _pow(b12, 2)
+    tol = _REG_TOL * np.maximum(_pow(b_norm, 2), np.finfo(float).tiny)
+    kind = np.select([planar, det_b > tol, det_b < -tol], ["planar", "elliptic", "hyperbolic"],
+                     "parabolic").astype(object)
+    if kind.ndim == 0:
+        return str(kind)
+    kind[np.isnan(tol)] = math.nan  # where b_norm ** 2 overflows a single point raises
+    return kind
 
 
 @dataclass(frozen=True)
@@ -473,12 +501,12 @@ def egregium_curvature(surface: Surface, u: float, v: float) -> float:
     g11 = _jet_dot3(fu, fu)
     g12 = _jet_dot3(fu, fv)
     g22 = _jet_dot3(fv, fv)
-    if norm(np.array([x.value for x in (g11, g12, g22)])) == 0.0:
-        raise IrregularPoint("degenerate metric")
     g11t, g12t, g22t = (x.truncated(1) for x in (g11, g12, g22))
     det = g11t * g22t - g12t * g12t
-    if abs(det.value) <= _REG_TOL * max(g11.value * g22.value, np.finfo(float).tiny):
-        raise IrregularPoint("degenerate metric")
+    degenerate = ((norm(_stack([x.value for x in (g11, g12, g22)])) == 0.0)
+                  | (abs(det.value) <= _REG_TOL * np.maximum(g11.value * g22.value,
+                                                             np.finfo(float).tiny)))
+    _check(degenerate, lambda: IrregularPoint("degenerate metric"))
 
     def solve(r1: Jet, r2: Jet):
         return ((r1 * g22t - r2 * g12t) / det, (g11t * r2 - g12t * r1) / det)
@@ -488,14 +516,18 @@ def egregium_curvature(surface: Surface, u: float, v: float) -> float:
     G1_12, G2_12 = solve(g11.deriv(1) * half, g22.deriv(0) * half)
     G1_22, G2_22 = solve(g12.deriv(1) - g22.deriv(0) * half, g22.deriv(1) * half)
 
-    if abs(g11.value) >= abs(g12.value):
+    def by_g11():
         num = (G1_11.value * G2_12.value + G2_11.value * G2_22.value
                + G2_11.partial(0, 1) - G1_12.value * G2_11.value
                - G2_12.value * G2_12.value - G2_12.partial(1, 0))
         return num / g11.value
-    num = (G1_12.partial(1, 0) + G2_12.value * G1_12.value
-           - G1_11.partial(0, 1) - G2_11.value * G1_22.value)
-    return num / g12.value
+
+    def by_g12():
+        num = (G1_12.partial(1, 0) + G2_12.value * G1_12.value
+               - G1_11.partial(0, 1) - G2_11.value * G1_22.value)
+        return num / g12.value
+
+    return _check(degenerate, None, _select(abs(g11.value) >= abs(g12.value), by_g11, by_g12))
 
 
 def gauss_weingarten_residual(surface: Surface, u: float, v: float):
@@ -535,9 +567,18 @@ def gauss_weingarten_residual(surface: Surface, u: float, v: float):
 # areas, lengths
 # ---------------------------------------------------------------------------
 
+def _metric_det(surface: Surface, u, v):
+    """det g = |f_u|^2 |f_v|^2 - (f_u . f_v)^2 at a point or a batch."""
+    jets = surface.mapper.eval_jets(u, v, 1)
+    fu = _stack([j.partial(1, 0) for j in jets])
+    fv = _stack([j.partial(0, 1) for j in jets])
+    det = _dot(fu, fu) * _dot(fv, fv) - _pow(_dot(fu, fv), 2)
+    return _check(det <= 0.0, lambda: IrregularPoint(f"degenerate metric at ({u:g}, {v:g})"), det)
+
+
 def surface_area(surface: Surface, u_range=None, v_range=None, order: int = 32) -> float:
     """Area of a parameter sub-rectangle by Gauss-Legendre quadrature of the
-    metric area density."""
+    metric area density, evaluated in chunks of nodes and summed node by node."""
     (u0, u1), (v0, v1) = surface.domain
     if u_range is not None:
         u0, u1 = u_range
@@ -546,16 +587,11 @@ def surface_area(surface: Surface, u_range=None, v_range=None, order: int = 32) 
     xs, wx = np.polynomial.legendre.leggauss(order)
     us = 0.5 * (u1 - u0) * xs + 0.5 * (u0 + u1)
     vs = 0.5 * (v1 - v0) * xs + 0.5 * (v0 + v1)
+    dets = _pointwise(lambda u, v: _metric_det(surface, u, v),
+                      np.repeat(us, order), np.tile(vs, order))
     total = 0.0
-    for ui, wu in zip(us, wx):
-        for vi, wv in zip(vs, wx):
-            jets = surface.mapper.eval_jets(ui, vi, 1)
-            fu = np.array([j.partial(1, 0) for j in jets])
-            fv = np.array([j.partial(0, 1) for j in jets])
-            det = (fu @ fu) * (fv @ fv) - (fu @ fv) ** 2
-            if det <= 0.0:
-                raise IrregularPoint(f"degenerate metric at ({ui:g}, {vi:g})")
-            total += math.sqrt(det) * wu * wv
+    for det, (wu, wv) in zip(dets, ((wu, wv) for wu in wx for wv in wx)):
+        total += math.sqrt(det) * wu * wv
     return total * 0.25 * (u1 - u0) * (v1 - v0)
 
 
@@ -567,9 +603,9 @@ def curve_length_on_surface(surface: Surface, path: ExprMap, t0: float, t1: floa
     def integrand(t):
         jets = path.eval_jet((t,), order=1)
         uv = (jets[0].value, jets[1].value)
-        w = np.array([jets[0].partial(1), jets[1].partial(1)])
+        w = _stack([jets[0].partial(1), jets[1].partial(1)])
         g, _ = _metric_and_gamma(surface, *uv)
-        return math.sqrt(w @ g @ w)
+        return _map(math.sqrt, _dot(np.vecmat(w, g), w))
 
     return integrate(integrand, t0, t1, 1e-12)
 

@@ -4,7 +4,8 @@ Everything works on plain ``numpy`` arrays: vectors are shape ``(3,)``,
 tensors shape ``(3, 3)``.  The module covers the full algebra (dyads,
 invariants, inverse/adjugate, the axial isomorphism, cross products),
 spectral and polar decompositions, every rotation parameterization, and
-mirror reflections.
+mirror reflections.  ``norm``, ``normalize`` and ``cross`` also take arrays
+of vectors, shape ``(..., 3)``, and work along the last axis.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import NumericalFailure
+from .expr import NumericalFailure, _stack
 
 __all__ = [
     "SingularTensor", "NotSkew", "NotSymmetric", "NotSPD",
@@ -76,14 +77,17 @@ class NotUnit(NumericalFailure, ValueError):
 # ---------------------------------------------------------------------------
 
 def norm(v) -> float:
-    return float(np.linalg.norm(v))
+    """Euclidean length; rounds as ``np.linalg.norm`` of each vector does."""
+    v = np.asarray(v, dtype=float)
+    n = np.sqrt(np.vecdot(v, v))
+    return float(n) if n.ndim == 0 else n
 
 
 def normalize(v) -> np.ndarray:
     n = norm(v)
-    if n == 0.0:
+    if np.ndim(n) == 0 and n == 0.0:
         raise ValueError("cannot normalize the null vector")
-    return np.asarray(v, dtype=float) / n
+    return np.asarray(v, dtype=float) / np.asarray(n)[..., None]
 
 
 def dyad(u, v) -> np.ndarray:
@@ -162,12 +166,23 @@ def adjugate(L) -> np.ndarray:
     return out
 
 
+def _relative_det(L: np.ndarray) -> tuple[float, float]:
+    """det L and the scale-free det L / |L|^3, taken as det L / |L| / |L| / |L|
+    so that no power overflows; a determinant out of the float range raises.
+    (Where |L| itself overflows, a finite det L is below 1e-150 |L|^3.)"""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        d = det(L)
+    if not math.isfinite(d):
+        raise NumericalFailure(f"the determinant overflows ({d:g})")
+    n = tensor_norm(L)
+    return d, d / n / n / n if n else 0.0
+
+
 def inverse(L) -> np.ndarray:
     L = np.asarray(L, dtype=float)
-    d = det(L)
-    scale = max(tensor_norm(L) ** 3, np.finfo(float).tiny)
-    if abs(d) <= _SINGULAR_TOL * scale:
-        raise SingularTensor(f"determinant {d:g} below tolerance")
+    d, rel = _relative_det(L)
+    if abs(rel) <= _SINGULAR_TOL:
+        raise SingularTensor(f"det / |L|^3 = {rel:.3g} below tolerance {_SINGULAR_TOL:g}")
     return adjugate(L).T / d
 
 
@@ -202,12 +217,15 @@ def axial_vector(W, rel_tol: float = 1e-10) -> np.ndarray:
     return np.array([W[2, 1], W[0, 2], W[1, 0]])
 
 
+def _components(v) -> np.ndarray:
+    """Vectors (..., 3) with the components first: a vector's numbers, or arrays."""
+    v = np.asarray(v, dtype=float)
+    return v if v.ndim == 1 else np.moveaxis(v, -1, 0)
+
+
 def cross(a, b) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    (a1, a2, a3), (b1, b2, b3) = _components(a), _components(b)
+    return _stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
 
 
 def mixed(a, b, c) -> float:
@@ -301,9 +319,9 @@ class PolarDecomp:
 
 def polar(F) -> PolarDecomp:
     F = np.asarray(F, dtype=float)
-    d = det(F)
-    if d <= 1e-12 * max(tensor_norm(F) ** 3, np.finfo(float).tiny):
-        raise NonPositiveDeterminant(f"det F = {d:g} is not positive")
+    _, rel = _relative_det(F)
+    if rel <= 1e-12:
+        raise NonPositiveDeterminant(f"det F / |F|^3 = {rel:.3g} is not above 1e-12")
     U = sqrt_spd(F.T @ F)
     R = F @ inverse(U)
     # one orthogonality polish step kills the rounding drift of U^-1

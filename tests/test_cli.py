@@ -185,3 +185,81 @@ def test_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# grid tables in chunks: the bytes of a table assembled point by point
+# ---------------------------------------------------------------------------
+
+def _surface_scene(components, domain, requests, constants=None):
+    return {"kind": "surface", "components": components, "variables": ["u", "v"],
+            "constants": constants or {}, "domain": domain, "requests": requests}
+
+
+# the last two cross a domain edge on a grid line: the cone's apex u = 0, and
+# ln and sqrt of 0 at u = -0.5 and v = 0 (interior grid lines for 15 samples)
+GRID_SCENES = {
+    "curvatures": _surface_scene(
+        ["a*cos(v)/cosh(u)", "a*sin(v)/cosh(u)", "a*(u - tanh(u))"],
+        [[0.2, 1.7], [-1.0, 1.0]], [{"op": "curvatures", "params": {"samples": 40}}],
+        {"a": 1.3}),
+    "egregium_area": _surface_scene(
+        ["(R + r*cos(u))*cos(v)", "(R + r*cos(u))*sin(v)", "r*sin(u)"],
+        [[0.1, 6.4], [0.2, 6.5]], [{"op": "egregium", "params": {"samples": 24}},
+                                   {"op": "gauss_curvature", "params": {"samples": 9}},
+                                   {"op": "area", "params": {"order": 24}}],
+        {"R": 2.5, "r": 0.8}),
+    "frenet_arc_length": dict(HELIX_SCENE, requests=[
+        {"op": "frenet", "params": {"samples": 1500}}, {"op": "arc_length", "params": {}}]),
+    "evolute": {"kind": "curve", "components": ["2*cos(t)", "0.7*sin(t)"], "variables": ["t"],
+                "domain": [[0.4, 6.7]],
+                "requests": [{"op": "evolute", "params": {"samples": 700}}]},
+    "cone_apex": _surface_scene(["u*cos(v)", "u*sin(v)", "1.5*u"], [[-1.0, 1.0], [-2.0, 1.0]],
+                                [{"op": "curvatures", "params": {"samples": 33}}]),
+    "ln_sqrt_of_0": _surface_scene(["u", "v", "ln(u + 0.5)*v + sqrt(v)"],
+                                   [[-1.5, 0.5], [-1.0, 1.0]],
+                                   [{"op": "curvatures", "params": {"samples": 15}},
+                                    {"op": "egregium", "params": {"samples": 15}}]),
+}
+
+
+def _point_by_point_table(columns, points, row, skipped):
+    """The reference: every row from the single-point (float) path."""
+    rows = []
+    for point in points:
+        try:
+            rows.append(row(*point))
+        except ArithmeticError as exc:
+            skipped.append({"point": list(point), "error": str(exc)})
+    return {"table": {"columns": columns, "rows": rows}}
+
+
+def _outputs(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_SCENES))
+def test_chunked_tables_equal_point_by_point(name, tmp_path, monkeypatch, capsys):
+    scene = _write(tmp_path, f"{name}.json", GRID_SCENES[name])
+    assert run(["--out", tmp_path / "chunks", "--format", "both", "analyze", scene]) == 0
+    monkeypatch.setattr(cli, "_table", _point_by_point_table)
+    assert run(["--out", tmp_path / "points", "--format", "both", "analyze", scene]) == 0
+    chunks, points = _outputs(tmp_path / "chunks"), _outputs(tmp_path / "points")
+    assert len(chunks) > 1 and chunks == points
+    skipped = json.loads(chunks[f"{name}_report.json"])["diagnostics"]["skipped"]
+    assert bool(skipped) == (name in ("cone_apex", "ln_sqrt_of_0"))
+
+
+def test_a_grid_evaluates_its_expressions_once_per_chunk(tmp_path, monkeypatch, capsys):
+    calls = []
+    eval_jet = cli.ExprMap.eval_jet
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return eval_jet(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.ExprMap, "eval_jet", counted)
+    scene = _write(tmp_path, "ps.json", dict(GRID_SCENES["curvatures"], requests=[
+        {"op": "curvatures", "params": {"samples": 64}}]))
+    assert run(["--out", tmp_path, "analyze", scene]) == 0
+    assert len(calls) == math.ceil(64 * 64 / cli.CHUNK)

@@ -128,6 +128,13 @@ HOSTILE = {
         SPHERE, "geodesic", _geodesic(du=1e-200, dv=0.0))),
     "JSON nested 100000 deep": ("tensor", '{"op": "polar", "matrix": '
                                 + "[" * 100000 + "]" * 100000 + "}"),
+    # |F|^3 overflows: a bare OverflowError before det / |F|^3 was taken without a power
+    "polar of diag(1e120, 1, 1)": ("tensor", json.dumps(
+        {"op": "polar", "matrix": [[1e120, 0, 0], [0, 1, 0], [0, 0, 1]]})),
+    "polar of diag(1e300, 1, 1)": ("tensor", json.dumps(
+        {"op": "polar", "matrix": [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]]})),
+    "polar with an overflowing determinant": ("tensor", json.dumps(
+        {"op": "polar", "matrix": [[1e200, 0, 0], [0, 1e200, 0], [0, 0, 1]]})),
 }
 
 
@@ -153,6 +160,12 @@ def test_exit_code_classes(tmp_path, capsys):
     assert "[0.05, 3]" in capsys.readouterr().err
     assert _run(tmp_path, "analyze", HOSTILE["nine speed jumps beyond 200 panels"][1]) == 3
     assert _run(tmp_path, "analyze", HOSTILE["geodesic speed underflows to 0"][1]) == 3
+    capsys.readouterr()
+    for name, message in (("polar of diag(1e120, 1, 1)", "det F / |F|^3 = 1e-240"),
+                          ("polar of diag(1e300, 1, 1)", "det F / |F|^3 = 0 "),
+                          ("polar with an overflowing determinant", "determinant overflows")):
+        assert _run(tmp_path, "tensor", HOSTILE[name][1]) == 3
+        assert message in capsys.readouterr().err
 
 
 def test_output_below_a_regular_file_is_exit_2(tmp_path, capsys):

@@ -2,6 +2,7 @@
 canonical coefficients and reconstruction from curvature/torsion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,14 @@ def test_length_matches_closed_form(sources, domain, exact):
     assert abs(cv.arc_length(c, *domain) - exact) <= requested
 
 
+def test_panel_nodes_in_one_batch_equal_node_by_node(helix):
+    speed = lambda t: norm(helix.velocity(t))
+    # NaN from every batch: integrate evaluates each node alone
+    one_by_one = lambda t: speed(t) if np.ndim(t) == 0 else np.full(np.shape(t), np.nan)
+    for a, b in ((0.0, 12.0), (0.3, 0.7), (-2.0, 5.0)):
+        assert cv.integrate(speed, a, b, 1e-12) == cv.integrate(one_by_one, a, b, 1e-12)
+
+
 def test_length_that_does_not_converge_names_the_interval():
     c = make_curve(["t", "abs(sin(20*t)) + t^2"], (0.05, 3.0))
     with pytest.raises(cv.QuadratureFailure, match=r"\[0\.05, 3\] did not converge"):
@@ -88,6 +97,18 @@ def test_irregular_curve_rejected():
 # ---------------------------------------------------------------------------
 # Frenet frame, curvature, torsion
 # ---------------------------------------------------------------------------
+
+def test_overflowing_speed_is_an_irregular_point_named_by_t():
+    # |p'|^3 = 1e315 overflows at every t, |p' x p''|^2 too at t = 0
+    c = cv.Curve(parse(["1e105*t", "1e100*t^2", "0"], ["t"]), (-1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy RuntimeWarning
+        for t in (-1.0, 0.0, 1.0):
+            with pytest.raises(cv.IrregularCurve, match=rf"overflows at t = {t:g}$"):
+                cv.frenet(c, t)
+        frames = cv.frenet(c, np.array([-1.0, 0.0, 1.0]))  # a batch marks all three
+    assert np.isnan(frames.curvature).all()
+
 
 def test_circle_curvature_and_torsion(circle3):
     # oracle by hand for p = (a cos t, a sin t, 0):

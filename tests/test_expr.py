@@ -302,3 +302,75 @@ def test_unparse_parse_roundtrip(source):
     text = [unparse(c) for c in m.components]
     m2 = parse(text, list(_VARS), _CONSTS)
     assert m2.components == m.components
+
+
+# ---------------------------------------------------------------------------
+# batches of points: the same numbers as one point at a time
+# ---------------------------------------------------------------------------
+
+_UNARY = ("sin", "cos", "tan", "asin", "acos", "atan", "sinh", "cosh", "tanh", "exp",
+          "ln", "sqrt", "abs")
+# domain edges (0 for ln, sqrt and abs; +-1 for asin and acos; pi/2 for tan) and
+# ordinary values
+_EDGES = (0.0, -0.0, 1.0, -1.0, math.pi / 2, -math.pi / 2, 0.5, -0.3, 2.0, 1e-3, 7.25)
+
+
+def _batch_source(names):
+    leaves = st.one_of(st.sampled_from(names),
+                       st.sampled_from(("0", "1", "2", "0.5", "3", "1.5", "pi")))
+
+    def extend(children):
+        call = st.tuples(st.sampled_from(_UNARY), children).map(lambda t: f"{t[0]}({t[1]})")
+        atan2 = st.tuples(children, children).map(lambda t: f"atan2({t[0]}, {t[1]})")
+        binop = st.tuples(children, st.sampled_from("+-*/^"), children) \
+            .map(lambda t: f"({t[0]}){t[1]}({t[2]})")
+        neg = children.map(lambda s: f"-({s})")
+        return st.one_of(call, atan2, binop, neg)
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@st.composite
+def _batch_cases(draw):
+    names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    sources = draw(st.lists(_batch_source(names), min_size=1, max_size=2))
+    coordinate = st.one_of(st.sampled_from(_EDGES),
+                           st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))
+    points = draw(st.lists(st.tuples(*[coordinate] * len(names)), min_size=1, max_size=9))
+    return names, sources, points, draw(st.integers(0, 3))
+
+
+def _numbers(values):
+    """Per component, its numbers (value, or every jet coefficient) as a list."""
+    return [list(v.coef) if isinstance(v, Jet) else [v] for v in values]
+
+
+def _bits(x) -> int:
+    return np.float64(x).view(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_batch_cases())
+def test_batch_matches_pointwise_evaluation(case):
+    names, sources, points, order = case
+    m = parse(sources, list(names))
+    columns = tuple(np.array(c) for c in zip(*points))
+    try:
+        with np.errstate(all="ignore"):
+            batch = _numbers(m.eval_jet(columns, order))
+    except DomainError:  # a failure of the whole batch marks every point
+        batch = None
+    for k, point in enumerate(points):
+        try:
+            single = _numbers(m.eval_jet(point, order))
+        except DomainError:
+            single = None
+        if batch is None:
+            continue
+        at_k = [[np.broadcast_to(c, len(points))[k] for c in comp] for comp in batch]
+        marked = any(math.isnan(c) for comp in at_k for c in comp)
+        if single is None:
+            assert marked, (sources, point, order)
+        elif not marked:
+            assert [[_bits(c) for c in comp] for comp in at_k] == \
+                [[_bits(c) for c in comp] for comp in single], (sources, point, order)

@@ -451,3 +451,52 @@ def test_helicoid_minimal(helicoid):
             jd = sf.jet_at(helicoid, u, v)
             assert abs(jd.mean) < 1e-10
             assert sf.classify_point(jd) == "hyperbolic"
+
+
+# ---------------------------------------------------------------------------
+# batches of points: the same numbers as one point at a time
+# ---------------------------------------------------------------------------
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("name", ["sphere", "catenoid", "helicoid", "torus", "reparameterized"])
+def test_batch_geometry_matches_pointwise(name, request):
+    surf = (sf.reparameterized(request.getfixturevalue("sphere"), ["u/2", "v+u*v/4"],
+                               ((-1.0, 1.0), (-2.0, 2.0))) if name == "reparameterized"
+            else request.getfixturevalue(name))
+    (u0, u1), (v0, v1) = surf.domain
+    us, vs = (np.repeat(np.linspace(u0 + 0.05, u1 - 0.05, 7), 7),
+              np.tile(np.linspace(v0 + 0.05, v1 - 0.05, 7), 7))
+    with np.errstate(all="ignore"):
+        batch = sf.jet_at(surf, us, vs)
+        kinds = sf.classify_point(batch)
+        intrinsic = sf.egregium_curvature(surf, us, vs)
+    for k, (u, v) in enumerate(zip(us, vs)):
+        one = sf.jet_at(surf, u, v)
+        for field in ("point", "normal", "first_form", "second_form", "weingarten", "k1", "k2",
+                      "d1", "d2", "gaussian", "mean", "christoffel"):
+            assert _bits(getattr(batch, field)[k]) == _bits(getattr(one, field)), field
+        assert batch.umbilical[k] == one.umbilical
+        assert kinds[k] == sf.classify_point(one)
+        assert _bits(intrinsic[k]) == _bits(sf.egregium_curvature(surf, u, v))
+
+
+class _PointsOnly:
+    """A mapper that refuses batches, so the area is summed node by node."""
+
+    def __init__(self, mapper):
+        self.mapper = mapper
+
+    def eval_jets(self, u, v, order):
+        if np.ndim(u):
+            raise ArithmeticError("one point at a time")
+        return self.mapper.eval_jets(u, v, order)
+
+
+def test_area_in_chunks_equals_node_by_node(torus, catenoid):
+    for surf in (torus, catenoid):
+        one_by_one = sf.Surface(_PointsOnly(surf.mapper), surf.domain)
+        for order in (5, 32, 40):  # 40^2 nodes span several chunks
+            assert sf.surface_area(surf, order=order) == sf.surface_area(one_by_one, order=order)
