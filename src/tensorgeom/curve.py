@@ -85,7 +85,7 @@ class Curve:
         vals = self.map(t)
         if len(vals) == 2:
             vals = [vals[0], vals[1], 0.0]
-        return _stack(vals)
+        return _stack(vals, np.shape(t))
 
     def jets(self, t: float, order: int = 3) -> list[Jet]:
         out = self.map.eval_jet((t,), order)
@@ -96,7 +96,7 @@ class Curve:
     def derivatives(self, t: float, order: int = 3) -> list[np.ndarray]:
         """[p, p', p'', ...] up to the requested order."""
         jets = self.jets(t, order)
-        return [_stack([j.partial(k) for j in jets]) for k in range(order + 1)]
+        return [_stack([j.partial(k) for j in jets], np.shape(t)) for k in range(order + 1)]
 
     def point(self, t: float) -> np.ndarray:
         return self._point_unchecked(t)
@@ -238,11 +238,13 @@ def _frenet_core(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, scale: float, t
         v = norm(p1)
         w = cross(p1, p2)
         nw = norm(w)
-        v3, nw2 = (_pow(np.float64(x), k) for x, k in ((v, 3), (nw, 2)))
     v = _check(v <= _REG_TOL * max(scale, 1.0),
                lambda: IrregularCurve(f"|p'({t:g})| below regularity tolerance", t=t), v)
     nw = _check(nw <= _REG_TOL * v * v, lambda: UndefinedNormal(
         "p' and p'' are parallel; the principal normal is undefined (straight-line point)"), nw)
+    # from the marked v and nw, so that every result of a marked point is NaN
+    with np.errstate(over="ignore"):
+        v3, nw2 = (_pow(np.float64(x), k) for x, k in ((v, 3), (nw, 2)))
     v3, nw2 = _check(np.logical_not(np.isfinite(v3) & np.isfinite(nw2)), lambda: IrregularCurve(
         f"|p'|^3 or |p' x p''|^2 overflows at t = {t:g}", t=t), v3, nw2)
     tangent = p1 / np.asarray(v)[..., None]

@@ -204,15 +204,17 @@ def _spread(values: list, point) -> list:
     return [v if type(v) is np.ndarray or not shape else np.full(shape, v) for v in values]
 
 
-def _stack(values) -> np.ndarray:
+def _stack(values, batch: tuple = ()) -> np.ndarray:
     """Components (floats, or arrays over a batch) as one array with the
-    components on its last axis."""
+    components on its last axis, over at least the ``batch`` shape (the
+    derivatives of a component that does not vary are floats)."""
     for v in values:
         if type(v) is np.ndarray:
             break
     else:
-        return np.array(values, dtype=float)
-    out = np.empty(np.broadcast_shapes(*map(np.shape, values)) + (len(values),))
+        if not batch:
+            return np.array(values, dtype=float)
+    out = np.empty(np.broadcast_shapes(batch, *map(np.shape, values)) + (len(values),))
     for k, v in enumerate(values):
         out[..., k] = v
     return out

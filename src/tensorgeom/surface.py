@@ -250,8 +250,9 @@ def _first_second(jets: list[Jet]):
     parts = ([j.partial(0, 0) for j in jets], [j.partial(1, 0) for j in jets],
              [j.partial(0, 1) for j in jets], [j.partial(2, 0) for j in jets],
              [j.partial(1, 1) for j in jets], [j.partial(0, 2) for j in jets])
-    if any(type(j.value) is np.ndarray for j in jets):
-        return tuple(map(_stack, parts))
+    batch = np.broadcast_shapes(*(np.shape(j.value) for j in jets))
+    if batch:
+        return tuple(_stack(x, batch) for x in parts)
     return tuple(np.array(parts))  # one point: a jet whose value is a float holds only floats
 
 
@@ -570,8 +571,9 @@ def gauss_weingarten_residual(surface: Surface, u: float, v: float):
 def _metric_det(surface: Surface, u, v):
     """det g = |f_u|^2 |f_v|^2 - (f_u . f_v)^2 at a point or a batch."""
     jets = surface.mapper.eval_jets(u, v, 1)
-    fu = _stack([j.partial(1, 0) for j in jets])
-    fv = _stack([j.partial(0, 1) for j in jets])
+    batch = np.broadcast_shapes(np.shape(u), np.shape(v))
+    fu = _stack([j.partial(1, 0) for j in jets], batch)
+    fv = _stack([j.partial(0, 1) for j in jets], batch)
     det = _dot(fu, fu) * _dot(fv, fv) - _pow(_dot(fu, fv), 2)
     return _check(det <= 0.0, lambda: IrregularPoint(f"degenerate metric at ({u:g}, {v:g})"), det)
 
@@ -603,7 +605,7 @@ def curve_length_on_surface(surface: Surface, path: ExprMap, t0: float, t1: floa
     def integrand(t):
         jets = path.eval_jet((t,), order=1)
         uv = (jets[0].value, jets[1].value)
-        w = _stack([jets[0].partial(1), jets[1].partial(1)])
+        w = _stack([jets[0].partial(1), jets[1].partial(1)], np.shape(t))
         g, _ = _metric_and_gamma(surface, *uv)
         return _map(math.sqrt, _dot(np.vecmat(w, g), w))
 
