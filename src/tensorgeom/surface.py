@@ -21,7 +21,7 @@ import numpy as np
 from .curve import integrate
 from .expr import (ExprMap, Jet, NumericalFailure, _check, _map, _pointwise, _pow, _select,
                    _stack, compose_bivariate, parse)
-from .tensor2 import cross, norm
+from .tensor2 import _components, cross, norm
 
 __all__ = [
     "IrregularPoint", "NonPositiveRadius", "DegenerateDirector", "PlanarPoint",
@@ -241,8 +241,7 @@ def _mat2(a, b, c, d) -> np.ndarray:
 def _entries(m: np.ndarray) -> list:
     """The four entries of (..., 2, 2) matrices in row order: numbers at one
     point (not 0-d arrays, whose ** rounds differently), arrays on a batch."""
-    flat = m.reshape(m.shape[:-2] + (4,))
-    return list(flat if flat.ndim == 1 else np.moveaxis(flat, -1, 0))
+    return list(_components(m.reshape(m.shape[:-2] + (4,))))
 
 
 def _first_second(jets: list[Jet]):

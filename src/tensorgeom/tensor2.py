@@ -218,7 +218,8 @@ def axial_vector(W, rel_tol: float = 1e-10) -> np.ndarray:
 
 
 def _components(v) -> np.ndarray:
-    """Vectors (..., 3) with the components first: a vector's numbers, or arrays."""
+    """Vectors (..., k) with the components first: iterating gives a vector's
+    numbers, or arrays over a batch."""
     v = np.asarray(v, dtype=float)
     return v if v.ndim == 1 else np.moveaxis(v, -1, 0)
 
