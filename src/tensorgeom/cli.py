@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, coords, curve, surface, tensor2, tensor4
-from .expr import CHUNK, DomainError, ExprMap, parse
+from .expr import DomainError, ExprMap, _chunked, parse
 
 SCHEMA_VERSION = 1
 
@@ -324,32 +324,15 @@ def _table(columns: list[str], points: list, row: Callable, skipped: list) -> di
     non-finite number in its row) is run again alone, so its row or its
     failure is exactly what the single point gives."""
     rows = []
-    for lo in range(0, len(points), CHUNK):
-        chunk = points[lo:lo + CHUNK]
-        for point, values in zip(chunk, _chunk_rows(row, chunk)):
-            if values is None:
-                try:
-                    values = row(*point)
-                except ArithmeticError as exc:
-                    skipped.append({"point": list(point), "error": str(exc)})
-                    continue
-            rows.append(values)
+    for point, values in zip(points, _chunked(row, *zip(*points))):
+        if values is None:
+            try:
+                values = row(*point)
+            except ArithmeticError as exc:
+                skipped.append({"point": list(point), "error": str(exc)})
+                continue
+        rows.append(values)
     return {"table": {"columns": columns, "rows": rows}}
-
-
-def _chunk_rows(row: Callable, chunk: list) -> list:
-    """The rows of a chunk of points from one call of ``row``; None for a marked point."""
-    try:
-        with np.errstate(all="ignore"):
-            columns = row(*np.array(chunk).T)
-    except (ArithmeticError, np.linalg.LinAlgError):  # the chunk as a whole: all marked
-        return [None] * len(chunk)
-    columns = [np.broadcast_to(c, len(chunk)) for c in columns]
-    # a mark is a NaN; in a column of point classes it is the only float
-    unmarked = np.logical_and.reduce([c == c if c.dtype == object else np.isfinite(c)
-                                      for c in columns]).tolist()
-    return [list(r) if ok else None
-            for r, ok in zip(zip(*(c.tolist() for c in columns)), unmarked)]
 
 
 def _run_curve_request(cv: curve.Curve, op: str, p: dict, skipped: list):

@@ -177,24 +177,37 @@ def _select(cond, then, otherwise):
     return _where(cond, a, b)
 
 
-def _pointwise(f, *columns) -> list:
-    """``f`` at each point, the points given by their coordinate columns,
-    evaluated on chunks of CHUNK points at once.  A point its chunk marks (a
-    non-finite result) is evaluated again alone, so it raises where ``f`` at
-    that point raises; the first such point raises first."""
-    out = []
+def _chunked(f, *columns):
+    """Per point, the list of ``f``'s results there, or None where its chunk
+    marks the point.  The points are given by their coordinate columns; ``f``
+    takes the coordinates of a chunk of CHUNK points at once and returns a list
+    of result columns, each an array over the chunk (vectors on a trailing
+    axis) or one value for all of it.  A point is marked by a non-finite number
+    among its results (in a column of objects, a NaN), and every point of a
+    chunk on which ``f`` raises an arithmetic or linear-algebra error."""
     for lo in range(0, len(columns[0]), CHUNK):
         chunk = [np.asarray(c[lo:lo + CHUNK], dtype=float) for c in columns]
+        size = len(chunk[0])
         try:
             with np.errstate(all="ignore"):
-                values = np.asarray(f(*chunk), dtype=float)
-        except ArithmeticError:  # the chunk as a whole: all marked
-            values = np.full(len(chunk[0]), math.nan)
-        if values.ndim == 0:  # the same at every point of the chunk
-            values = np.full(len(chunk[0]), values)
-        for k, v in enumerate(values):
-            out.append(v if np.isfinite(v).all() else f(*(c[lo + k] for c in columns)))
-    return out
+                results = [np.broadcast_to(r, (size,) + np.shape(r)[1:]) for r in f(*chunk)]
+        except (ArithmeticError, np.linalg.LinAlgError):
+            yield from [None] * size
+            continue
+        unmarked = np.logical_and.reduce(
+            [r == r if r.dtype == object else np.isfinite(r).reshape(size, -1).all(axis=1)
+             for r in results]).tolist()
+        for values, ok in zip(zip(*(r.tolist() for r in results)), unmarked):
+            yield list(values) if ok else None
+
+
+def _pointwise(f, *columns) -> list:
+    """``f`` at each point, the points given by their coordinate columns,
+    evaluated on chunks of points at once.  A point its chunk marks is
+    evaluated again alone, so it raises where ``f`` at that point raises; the
+    first such point raises first."""
+    return [f(*(c[k] for c in columns)) if values is None else values[0]
+            for k, values in enumerate(_chunked(lambda *chunk: [f(*chunk)], *columns))]
 
 
 def _spread(values: list, point) -> list:

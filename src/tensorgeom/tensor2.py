@@ -77,13 +77,17 @@ class NotUnit(NumericalFailure, ValueError):
 # ---------------------------------------------------------------------------
 
 def norm(v) -> float:
-    """Euclidean length; rounds as ``np.linalg.norm`` of each vector does."""
+    """Euclidean length of a vector, a float; on an array of vectors (..., 3)
+    an array of their lengths, each rounded as ``np.linalg.norm`` of that
+    vector.  The Frobenius norm of a tensor is ``tensor_norm``."""
     v = np.asarray(v, dtype=float)
     n = np.sqrt(np.vecdot(v, v))
     return float(n) if n.ndim == 0 else n
 
 
 def normalize(v) -> np.ndarray:
+    """v over its length; raises ValueError for the null vector.  On an array
+    of vectors each is divided by its own length, and a null one gives NaN."""
     n = norm(v)
     if np.ndim(n) == 0 and n == 0.0:
         raise ValueError("cannot normalize the null vector")

@@ -12,6 +12,7 @@ import pytest
 
 import tensorgeom
 from tensorgeom import cli
+from tensorgeom.expr import CHUNK
 
 
 def run(argv):
@@ -266,4 +267,4 @@ def test_a_grid_evaluates_its_expressions_once_per_chunk(tmp_path, monkeypatch, 
     scene = _write(tmp_path, "ps.json", dict(GRID_SCENES["curvatures"], requests=[
         {"op": "curvatures", "params": {"samples": 64}}]))
     assert run(["--out", tmp_path, "analyze", scene]) == 0
-    assert len(calls) == math.ceil(64 * 64 / cli.CHUNK)
+    assert len(calls) == math.ceil(64 * 64 / CHUNK)
