@@ -249,8 +249,8 @@ def _first_second(jets: list[Jet]):
     parts = ([j.partial(0, 0) for j in jets], [j.partial(1, 0) for j in jets],
              [j.partial(0, 1) for j in jets], [j.partial(2, 0) for j in jets],
              [j.partial(1, 1) for j in jets], [j.partial(0, 2) for j in jets])
-    batch = np.broadcast_shapes(*(np.shape(j.value) for j in jets))
-    if batch:
+    if any(type(j.value) is np.ndarray for j in jets):
+        batch = np.broadcast_shapes(*(np.shape(j.value) for j in jets))
         return tuple(_stack(x, batch) for x in parts)
     return tuple(np.array(parts))  # one point: a jet whose value is a float holds only floats
 

@@ -162,11 +162,10 @@ def adjugate(L) -> np.ndarray:
     """Cofactor matrix: satisfies (L u) x (L v) = adjugate(L) (u x v)."""
     L = np.asarray(L, dtype=float)
     out = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            minor = np.delete(np.delete(L, i, axis=0), j, axis=1)
-            out[i, j] = ((-1.0) ** (i + j)) * (minor[0, 0] * minor[1, 1]
-                                               - minor[0, 1] * minor[1, 0])
+    others = ((1, 2), (0, 2), (0, 1))  # the rows (columns) of the minor of row (column) i
+    for i, (r0, r1) in enumerate(others):
+        for j, (c0, c1) in enumerate(others):
+            out[i, j] = ((-1.0) ** (i + j)) * (L[r0, c0] * L[r1, c1] - L[r0, c1] * L[r1, c0])
     return out
 
 
