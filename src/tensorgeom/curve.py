@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import ExprMap, Jet, NumericalFailure, _check, _pointwise, _pow, _stack
+from .expr import ExprMap, Jet, NumericalFailure, _check, _chunked, _pointwise, _pow, _stack
 from .tensor2 import cross, inverse, mixed, norm, normalize, sqrt_spd
 
 __all__ = [
@@ -320,7 +320,12 @@ def canonical_coefficients(curve: Curve, t0: float) -> tuple[float, float, float
 # reconstruction from curvature and torsion
 # ---------------------------------------------------------------------------
 
-def _as_callable(f) -> Callable[[float], float]:
+def _as_callable(f) -> Callable:
+    """A profile as a function of arc length, called with an array of arc
+    lengths (``bonnet_reconstruct`` also calls it with single ones): an
+    ExprMap evaluates the whole array, the ``(nodes, values)`` form returns
+    ``np.interp`` of it, and a callable is used as it is; a constant that a
+    callable returns stands for every arc length."""
     if isinstance(f, ExprMap):
         if f.arity != 1 or f.dimension != 1:
             raise ValueError("profile maps must be scalar functions of one variable")
@@ -330,7 +335,7 @@ def _as_callable(f) -> Callable[[float], float]:
     nodes, values = f
     nodes = np.asarray(nodes, float)
     values = np.asarray(values, float)
-    return lambda s: float(np.interp(s, nodes, values))
+    return lambda s: np.interp(s, nodes, values)
 
 
 @dataclass(frozen=True)
@@ -343,6 +348,9 @@ class CurvatureProfile:
 
     @classmethod
     def build(cls, curvature, torsion, s_range) -> "CurvatureProfile":
+        """Each profile is an ExprMap of one variable, a ``(nodes, values)``
+        table (interpolated linearly) or a callable; a callable takes an array
+        of arc lengths and returns one value per arc length, or a constant."""
         return cls(_as_callable(curvature), _as_callable(torsion),
                    (float(s_range[0]), float(s_range[1])))
 
@@ -370,6 +378,18 @@ def _cartan_rhs(c: float, theta: float, E: np.ndarray) -> np.ndarray:
 def _reorthonormalize(E: np.ndarray) -> np.ndarray:
     # nearest orthogonal matrix (polar projection)
     return E @ inverse(sqrt_spd(E.T @ E))
+
+
+def _profile_rows(funcs, *nodes):
+    """Per step, ``[f(x) for x in the step's nodes for f in funcs]``: the nodes
+    are columns over the steps, evaluated CHUNK steps at a time (``_chunked``).
+    A step its chunk marks is evaluated again alone, in that order, so it
+    raises where the first failing call raises."""
+    def values(*xs):
+        return [f(x) for x in xs for f in funcs]
+
+    for i, row in enumerate(_chunked(values, *nodes)):
+        yield values(*(float(x[i]) for x in nodes)) if row is None else row
 
 
 def bonnet_reconstruct(profile: CurvatureProfile, p0, frame0, step: float) -> BonnetResult:
@@ -400,23 +420,20 @@ def bonnet_reconstruct(profile: CurvatureProfile, p0, frame0, step: float) -> Bo
     frames = np.empty((n + 1, 3, 3))
     ss[0], points[0], frames[0] = s0, p, E
     h = (s1 - s0) / n
-    for i in range(n):
+    starts = s0 + np.arange(n) * h  # s0 + i*h, rounded as the loop below rounds it
+    rows = _profile_rows((c_of, th_of), starts, starts + 0.5 * h, starts + h)
+    for i, (c1, t1, c2, t2, c3, t3) in zip(range(n), rows):
         s = s0 + i * h
-        c1, t1 = c_of(s), th_of(s)
-        c2, t2 = c_of(s + 0.5 * h), th_of(s + 0.5 * h)
-        c3, t3 = c_of(s + h), th_of(s + h)
-
         k1 = _cartan_rhs(c1, t1, E)
-        q1 = E[0]
-        k2 = _cartan_rhs(c2, t2, E + 0.5 * h * k1)
-        q2 = (E + 0.5 * h * k1)[0]
-        k3 = _cartan_rhs(c2, t2, E + 0.5 * h * k2)
-        q3 = (E + 0.5 * h * k2)[0]
-        k4 = _cartan_rhs(c3, t3, E + h * k3)
-        q4 = (E + h * k3)[0]
+        E2 = E + 0.5 * h * k1
+        k2 = _cartan_rhs(c2, t2, E2)
+        E3 = E + 0.5 * h * k2
+        k3 = _cartan_rhs(c2, t2, E3)
+        E4 = E + h * k3
+        k4 = _cartan_rhs(c3, t3, E4)
 
+        p = p + (h / 6.0) * (E[0] + 2.0 * E2[0] + 2.0 * E3[0] + E4[0])
         E = _reorthonormalize(E + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        p = p + (h / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
         ss[i + 1], points[i + 1], frames[i + 1] = s + h, p, E
     return BonnetResult(ss, points, frames[:, 0], frames[:, 1], frames[:, 2])
 

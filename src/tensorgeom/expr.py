@@ -12,6 +12,9 @@ and every point that raises on its own is marked, so a caller re-runs the
 marked points one by one to get the error.  Results at unmarked points are
 bit-identical to those of the single-point evaluation.
 
+``parse`` makes identical subtrees of a map's components one node, and an
+evaluation reuses a node's value, so each is evaluated once per call.
+
 Grammar::
 
     expr   := term (("+"|"-") term)*
@@ -437,27 +440,45 @@ class Jet:
     def _int_pow(self, n: int) -> "Jet":
         if n < 0:
             return self._reciprocal()._int_pow(-n)
-        one = 1.0
-        if isinstance(self.value, np.ndarray):
-            one = 1.0 + 0.0 * self.value  # x^0 keeps the marks of x
-        out = Jet.constant(one, self.nvars, self.order)
-        base = self
+        if n == 0:
+            one = 1.0
+            if isinstance(self.value, np.ndarray):
+                one = 1.0 + 0.0 * self.value  # x^0 keeps the marks of x
+            return Jet.constant(one, self.nvars, self.order)
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base._scaled(1.0) if out is None else out * base
             n >>= 1
+            if n:
+                base = base * base
         return out
+
+    def _scaled(self, c) -> "Jet":
+        """c * self, with the coefficients 0.0 + c * x that the jet product
+        Jet.constant(c) * self has wherever they are finite."""
+        return Jet(self.nvars, self.order, [0.0 + c * x for x in self.coef])
 
     # -- composition with a smooth scalar function ---------------------
     def compose(self, f0: float, f1: float, f2: float, f3: float) -> "Jet":
-        """f(self) where f has value/derivatives f0..f3 at self.value."""
-        h = Jet(self.nvars, self.order, self.coef.copy())
+        """f(self) where f has value/derivatives f0..f3 at self.value.
+
+        Horner's scheme in h = self - self.value, from the jet's order down:
+        ((c_p h + c_(p-1)) h + ...) h + c_0, so an order-2 jet takes one jet
+        product; its first step, c_p h, is ``_scaled``.  The terms past the
+        order add 0.0 * c to c_p: nothing where c is finite, and NaN (a mark
+        on a batch) where it is not, as the full cubic scheme has."""
+        p = self.order
+        h = Jet(self.nvars, p, self.coef.copy())
         h.coef[0] = 0.0
-        out = Jet.constant(f3 / 6.0, self.nvars, self.order)
-        for c in (f2 / 2.0, f1, f0):
-            out = out * h + c
-        return out
+        c = (f0, f1, f2 / 2.0, f3 / 6.0)
+        top = c[p]
+        for k in range(p + 1, MAX_ORDER + 1):
+            top = top + 0.0 * c[k]
+        out = h._scaled(top if type(top) is float else _num(top))
+        for k in range(p - 1, 0, -1):
+            out = (out + c[k]) * h
+        return out + c[0]
 
     # -- builtins -------------------------------------------------------
     def sin(self):
@@ -873,24 +894,32 @@ def unparse(node: Node) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _eval(node: Node, env: list):
+def _eval(node: Node, env: list, memo: dict):
     """Evaluate an AST on a mix of floats and jets.
 
     On floats alone every branch is plain float arithmetic, so this is also
-    the float evaluator.
+    the float evaluator.  ``memo`` holds, by node identity, the value of each
+    operation node already evaluated in this call: ``parse`` makes equal
+    subtrees of a map one node, so each is evaluated once.
     """
+    if isinstance(node, Var):
+        return env[node.index]
+    if isinstance(node, (Num, ConstRef)):
+        return node.value
+    value = memo.get(id(node))
+    if value is None:
+        value = memo[id(node)] = _operation(node, env, memo)
+    return value
+
+
+def _operation(node: Node, env: list, memo: dict):
+    """The value of an operation node, its operands from ``_eval``."""
     try:
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, ConstRef):
-            return node.value
-        if isinstance(node, Var):
-            return env[node.index]
         if isinstance(node, Neg):
-            return -_eval(node.operand, env)
+            return -_eval(node.operand, env, memo)
         if isinstance(node, BinOp):
-            a = _eval(node.left, env)
-            b = _eval(node.right, env)
+            a = _eval(node.left, env, memo)
+            b = _eval(node.right, env, memo)
             if node.op == "+":
                 return a + b
             if node.op == "-":
@@ -911,7 +940,7 @@ def _eval(node: Node, env: list):
                 return (b * math.log(a)).exp()
             return _map(_real_pow, a, b)
         if isinstance(node, Call):
-            args = [_eval(a, env) for a in node.args]
+            args = [_eval(a, env, memo) for a in node.args]
             if node.func == "atan2":
                 return jet_atan2(args[0], args[1])
             a = args[0]
@@ -974,7 +1003,8 @@ class ExprMap:
         if len(point) != self.arity:
             raise ValueError(f"expected {self.arity} coordinates, got {len(point)}")
         values = list(map(_num, point))
-        out = [_finite(_eval(c, values), c) for c in self.components]
+        memo = {}
+        out = [_finite(_eval(c, values, memo), c) for c in self.components]
         return _spread(out, values) if np.ndarray in map(type, values) else out
 
     def eval_jet(self, point: Sequence[float], order: int = MAX_ORDER):
@@ -988,9 +1018,10 @@ class ExprMap:
             return self.__call__(*point)
         nv = self.arity
         env = [Jet.variable(p, k, nv, order) for k, p in enumerate(point)]
+        memo = {}
         out = []
         for comp in self.components:
-            val = _finite(_eval(comp, env), comp)
+            val = _finite(_eval(comp, env, memo), comp)
             if not isinstance(val, Jet):
                 val = Jet.constant(_spread([val], point)[0], nv, order)
             out.append(val)
@@ -998,6 +1029,20 @@ class ExprMap:
 
     def unparse(self) -> list[str]:
         return [unparse(c) for c in self.components]
+
+
+def _intern(node: Node, table: dict) -> Node:
+    """``node`` with each subtree replaced by the first structurally equal one
+    in ``table`` (hash-consing), which is also the first one evaluated: equal
+    subtrees become one node, and an error there names the same text and
+    offset as before."""
+    if isinstance(node, Neg):
+        node = Neg(node.span, _intern(node.operand, table))
+    elif isinstance(node, BinOp):
+        node = BinOp(node.span, node.op, _intern(node.left, table), _intern(node.right, table))
+    elif isinstance(node, Call):
+        node = Call(node.span, node.func, tuple(_intern(a, table) for a in node.args))
+    return table.setdefault(node, node)
 
 
 def parse(source, variables: Sequence[str], constants: dict | None = None) -> ExprMap:
@@ -1008,5 +1053,7 @@ def parse(source, variables: Sequence[str], constants: dict | None = None) -> Ex
     clash = set(variables) & set(constants)
     if clash:
         raise ValueError(f"names declared both variable and constant: {sorted(clash)}")
-    components = tuple(_Parser(s, variables, constants).parse() for s in sources)
+    table: dict = {}
+    components = tuple(_intern(_Parser(s, variables, constants).parse(), table)
+                       for s in sources)
     return ExprMap(variables, tuple(sorted(constants.items())), components, sources)

@@ -244,15 +244,21 @@ def _entries(m: np.ndarray) -> list:
     return list(_components(m.reshape(m.shape[:-2] + (4,))))
 
 
-def _first_second(jets: list[Jet]):
-    """p, f_u, f_v, f_uu, f_uv, f_vv."""
-    parts = ([j.partial(0, 0) for j in jets], [j.partial(1, 0) for j in jets],
-             [j.partial(0, 1) for j in jets], [j.partial(2, 0) for j in jets],
-             [j.partial(1, 1) for j in jets], [j.partial(0, 2) for j in jets])
+# a jet coefficient times this is the derivative (exact): in graded order the
+# first six coefficients are those of 1, u, v, uu, uv, vv, and uu and vv are halved
+_TO_DERIVATIVE = (1.0, 1.0, 1.0, 2.0, 1.0, 2.0)
+
+
+def _derivatives(jets: list[Jet]) -> np.ndarray:
+    """p, f_u, f_v, f_uu, f_uv, f_vv as the rows of one (..., 6, 3) array."""
     if any(type(j.value) is np.ndarray for j in jets):
-        batch = np.broadcast_shapes(*(np.shape(j.value) for j in jets))
-        return tuple(_stack(x, batch) for x in parts)
-    return tuple(np.array(parts))  # one point: a jet whose value is a float holds only floats
+        out = np.empty(np.broadcast_shapes(*(np.shape(j.value) for j in jets)) + (6, 3))
+        for c, j in enumerate(jets):
+            for k, s in enumerate(_TO_DERIVATIVE):
+                out[..., k, c] = j.coef[k] * s
+        return out
+    # one point: a jet whose value is a float holds only floats
+    return np.array([[j.coef[k] * s for j in jets] for k, s in enumerate(_TO_DERIVATIVE)])
 
 
 def _sqrt_2x2_spd(M: np.ndarray) -> np.ndarray:
@@ -262,15 +268,14 @@ def _sqrt_2x2_spd(M: np.ndarray) -> np.ndarray:
     return (M + np.asarray(s)[..., None, None] * np.eye(2)) / np.asarray(t)[..., None, None]
 
 
-def _christoffel_2d(g00, g01, g11, dg: dict) -> np.ndarray:
-    """Surface connection from the metric and its parameter derivatives;
-    dg[a, b, c] = derivative of g_ab by coordinate c."""
+def _christoffel_2d(g00, g01, g11, det, dg: dict) -> np.ndarray:
+    """Surface connection from the metric, its determinant and its parameter
+    derivatives; dg[a, b, c] = derivative of g_ab by coordinate c."""
     rhs = {
         (0, 0): (0.5 * dg[0, 0, 0], dg[0, 1, 0] - 0.5 * dg[0, 0, 1]),
         (0, 1): (0.5 * dg[0, 0, 1], 0.5 * dg[1, 1, 0]),
         (1, 1): (dg[0, 1, 1] - 0.5 * dg[1, 1, 0], 0.5 * dg[1, 1, 1]),
     }
-    det = g00 * g11 - _pow(g01, 2)
     first, second = {}, {}
     for ij, (r1, r2) in rhs.items():
         first[ij] = (r1 * g11 - r2 * g01) / det
@@ -279,29 +284,41 @@ def _christoffel_2d(g00, g01, g11, dg: dict) -> np.ndarray:
     return gamma.reshape(gamma.shape[:-1] + (2, 2, 2))
 
 
-def _metric_and_connection(fu, fv, fuu, fuv, fvv):
-    """First fundamental form and the surface connection from the first and
-    second parameter derivatives of the map."""
-    g11, g12, g22 = _dot(fu, fu), _dot(fu, fv), _dot(fv, fv)
-    # metric derivatives feed the three 2x2 systems for the connection
-    seconds = {(0, 0): fuu, (0, 1): fuv, (1, 0): fuv, (1, 1): fvv}
-    firsts = {0: fu, 1: fv}
-    dg = {(a_, b_, c_): _dot(seconds[(a_, c_)], firsts[b_]) + _dot(firsts[a_], seconds[(b_, c_)])
-          for a_ in range(2) for b_ in range(2) for c_ in range(2)}
-    return _mat2(g11, g12, g12, g22), _christoffel_2d(g11, g12, g22, dg)
+# the nine distinct dot products of the metric and its derivatives, as row
+# pairs of ``_derivatives``: fu.fu, fu.fv, fv.fv, then f_uu, f_uv and f_vv
+# each against fu and fv
+_LEFT, _RIGHT = [1, 1, 2, 3, 3, 4, 4, 5, 5], [1, 2, 2, 1, 2, 1, 2, 1, 2]
+
+
+def _metric_and_connection(D: np.ndarray, u, v):
+    """First fundamental form and the surface connection at (u, v) from the
+    parameter derivatives of the map (``_derivatives``).  A det g at or below
+    _REG_TOL g11 g22, where rounding may leave no digit of it, raises
+    IrregularPoint naming the point (on a batch it marks the point)."""
+    dots = _dot(D[..., _LEFT, :], D[..., _RIGHT, :])
+    # at one point Python floats, which round as numpy's scalars do
+    g11, g12, g22, uu_u, uu_v, uv_u, uv_v, vv_u, vv_v = (
+        dots.tolist() if dots.ndim == 1 else _components(dots))
+    det = g11 * g22 - _pow(g12, 2)
+    g11, g12, g22, det = _check(
+        np.logical_not(det > _REG_TOL * g11 * g22),
+        lambda: IrregularPoint(f"degenerate metric at (u, v) = ({u:g}, {v:g})"), g11, g12, g22, det)
+    # dg[a, b, c] = derivative of g_ab by coordinate c = f_ac . f_b + f_a . f_bc
+    dg = {(0, 0, 0): uu_u + uu_u, (0, 0, 1): uv_u + uv_u, (0, 1, 0): uu_v + uv_u,
+          (0, 1, 1): uv_v + vv_u, (1, 1, 0): uv_v + uv_v, (1, 1, 1): vv_v + vv_v}
+    return _mat2(g11, g12, g12, g22), _christoffel_2d(g11, g12, g22, det, dg)
 
 
 def jet_at(surface: Surface, u: float, v: float) -> SurfaceJet:
-    jets = surface.mapper.eval_jets(u, v, 2)
-    p, fu, fv, fuu, fuv, fvv = _first_second(jets)
+    D = _derivatives(surface.mapper.eval_jets(u, v, 2))
+    p, fu, fv, fuu, fuv, fvv = np.moveaxis(D, -2, 0)
     n_raw = cross(fu, fv)
     n_len = norm(n_raw)
-    # marking f_u and f_v keeps a degenerate metric out of a batch's solve
-    fu, fv = _check(n_len <= _REG_TOL * np.maximum(norm(fu) * norm(fv), np.finfo(float).tiny),
-                    lambda: IrregularPoint(f"degenerate tangent plane at (u, v) = ({u:g}, {v:g})"),
-                    fu, fv)
+    # on a batch such a point's det g marks it, below
+    _check(n_len <= _REG_TOL * np.maximum(norm(fu) * norm(fv), np.finfo(float).tiny),
+           lambda: IrregularPoint(f"degenerate tangent plane at (u, v) = ({u:g}, {v:g})"))
     N = n_raw / np.asarray(n_len)[..., None]
-    g, gamma = _metric_and_connection(fu, fv, fuu, fuv, fvv)
+    g, gamma = _metric_and_connection(D, u, v)
     b12 = _dot(N, fuv)
     B = _mat2(_dot(N, fuu), b12, b12, _dot(N, fvv))
     X = np.linalg.solve(g, B)
@@ -417,8 +434,7 @@ class GeodesicTrajectory:
 
 
 def _metric_and_gamma(surface: Surface, u: float, v: float):
-    jets = surface.mapper.eval_jets(u, v, 2)
-    return _metric_and_connection(*_first_second(jets)[1:])
+    return _metric_and_connection(_derivatives(surface.mapper.eval_jets(u, v, 2)), u, v)
 
 
 def geodesic_integrate(surface: Surface, state0: GeodesicState, s_max: float,
@@ -545,7 +561,7 @@ def gauss_weingarten_residual(surface: Surface, u: float, v: float):
     N_u = np.array([j.partial(1, 0) for j in N_jets])
     N_v = np.array([j.partial(0, 1) for j in N_jets])
 
-    p, fu, fv, fuu, fuv, fvv = _first_second(jets)
+    p, fu, fv, fuu, fuv, fvv = _derivatives(jets)
     seconds = {(0, 0): fuu, (0, 1): fuv, (1, 0): fuv, (1, 1): fvv}
     basis = {0: fu, 1: fv}
     gamma, B, X, N = data.christoffel, data.second_form, data.weingarten, data.normal
@@ -603,9 +619,11 @@ def curve_length_on_surface(surface: Surface, path: ExprMap, t0: float, t1: floa
 
     def integrand(t):
         jets = path.eval_jet((t,), order=1)
-        uv = (jets[0].value, jets[1].value)
         w = _stack([jets[0].partial(1), jets[1].partial(1)], np.shape(t))
-        g, _ = _metric_and_gamma(surface, *uv)
+        D = _derivatives(surface.mapper.eval_jets(jets[0].value, jets[1].value, 2))
+        fu, fv = D[..., 1, :], D[..., 2, :]
+        g12 = _dot(fu, fv)
+        g = _mat2(_dot(fu, fu), g12, g12, _dot(fv, fv))  # the metric alone: no connection
         return _map(math.sqrt, _dot(np.vecmat(w, g), w))
 
     return integrate(integrand, t0, t1, 1e-12)

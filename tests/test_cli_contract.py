@@ -4,7 +4,9 @@ Exit 2 is a validation error, exit 3 a numerical failure; no input may
 escape ``cli.main`` as a Python exception.
 """
 
+import contextlib
 import copy
+import io
 import json
 import math
 import tempfile
@@ -135,6 +137,11 @@ HOSTILE = {
         {"op": "polar", "matrix": [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]]})),
     "polar with an overflowing determinant": ("tensor", json.dumps(
         {"op": "polar", "matrix": [[1e200, 0, 0], [0, 1e200, 0], [0, 0, 1]]})),
+    # u + v rounds just below 1: the tangent plane passes its test, det g rounds to 0
+    "jet where det g rounds to 0": ("analyze", _scene(
+        SPHERE, components=["atan2(exp(1), cosh(pi)-v)", "cosh(1)^cos(u/u)", "asin(u+v)"],
+        domain=[[-1.0, 1.0], [-1.5, 0.5]],
+        requests=[{"op": "jet", "params": {"u": 0.6666666666666666, "v": 0.33333333333333326}}])),
 }
 
 
@@ -161,6 +168,8 @@ def test_exit_code_classes(tmp_path, capsys):
     assert _run(tmp_path, "analyze", HOSTILE["nine speed jumps beyond 200 panels"][1]) == 3
     assert _run(tmp_path, "analyze", HOSTILE["geodesic speed underflows to 0"][1]) == 3
     capsys.readouterr()
+    assert _run(tmp_path, "analyze", HOSTILE["jet where det g rounds to 0"][1]) == 3
+    assert "degenerate metric at (u, v) = (0.666667, 0.333333)" in capsys.readouterr().err
     for name, message in (("polar of diag(1e120, 1, 1)", "det F / |F|^3 = 1e-240"),
                           ("polar of diag(1e300, 1, 1)", "det F / |F|^3 = 0 "),
                           ("polar with an overflowing determinant", "determinant overflows")):
@@ -227,3 +236,51 @@ def test_mutated_inputs_exit_0_2_or_3(case):
     command, text = case
     with tempfile.TemporaryDirectory() as tmp:
         assert _run(Path(tmp), command, text, ["--grid", "3"]) in (0, 2, 3)
+
+
+# random scenes over the builtins, at points near the edges of their domains
+_EDGES = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, math.pi / 2, 1e-300, -1e-12, 0.6666666666666666,
+          0.33333333333333326, 0.9999999999999999)
+_FUNCS = ("sin", "cos", "tan", "asin", "acos", "atan", "sinh", "cosh", "tanh", "exp", "ln",
+          "sqrt", "abs")
+
+
+def _expression(names):
+    leaves = st.sampled_from((*names, "0", "1", "2", "0.5", "pi", "e", "1e-300"))
+
+    def extend(children):
+        call = st.tuples(st.sampled_from(_FUNCS), children).map(lambda t: f"{t[0]}({t[1]})")
+        atan2 = st.tuples(children, children).map(lambda t: f"atan2({t[0]}, {t[1]})")
+        binop = st.tuples(children, st.sampled_from("+-*/^"), children) \
+            .map(lambda t: f"({t[0]}){t[1]}({t[2]})")
+        return st.one_of(call, atan2, binop, children.map(lambda x: f"-({x})"))
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+@st.composite
+def _random_scene(draw):
+    edge = st.one_of(st.sampled_from(_EDGES), st.floats(-1.0, 1.0, allow_nan=False))
+    if draw(st.booleans()):
+        profile = dict(PROFILE, curvature=draw(_expression(["s"])),
+                       torsion=draw(_expression(["s"])), s_range=[draw(edge), 1.0], step=0.25)
+        return "reconstruct", json.dumps(profile)
+    u, v, du, dv = (draw(edge) for _ in range(4))
+    requests = [{"op": "jet", "params": {"u": u, "v": v}},
+                {"op": "curvatures", "params": {"samples": 2}},
+                {"op": "geodesic", "params": {"u": u, "v": v, "du": du, "dv": dv,
+                                              "s_max": 0.02, "step": 0.01, "samples": 2}}]
+    components = [draw(_expression(["u", "v"])) for _ in range(3)]
+    return "analyze", _scene(SPHERE, components=components, domain=[[-1.0, 1.0], [-1.0, 1.0]],
+                             requests=[draw(st.sampled_from(requests))])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_random_scene())
+def test_random_scenes_exit_0_2_or_3(case):
+    command, text = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        code = _run(Path(tmp), command, text)
+    assert code in (0, 2, 3) and "Traceback" not in err.getvalue(), (text, err.getvalue())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tensorgeom import curve as cv
-from tensorgeom.expr import parse
+from tensorgeom.expr import DomainError, parse
 from tensorgeom.tensor2 import norm, normalize
 
 rng = np.random.default_rng(7)
@@ -338,3 +338,54 @@ def test_reconstruct_rejects_bad_frame():
     flipped = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(cv.NonOrthonormalSeed):
         cv.bonnet_reconstruct(profile, [0.0, 0.0, 0.0], flipped, 1e-3)
+
+
+def _step_loop_error(profile, step):
+    """The error of the single-point calls of an RK4 step loop, in its order:
+    curvature, then torsion, at each step's start, midpoint and end."""
+    s0, s1 = profile.s_range
+    n = int(round((s1 - s0) / step))
+    h = (s1 - s0) / n
+    with pytest.raises(DomainError) as err:
+        for i in range(n):
+            s = s0 + i * h
+            for x in (s, s + 0.5 * h, s + h):
+                profile.curvature(x)
+                profile.torsion(x)
+    return err.value
+
+
+def test_profile_failing_at_interior_nodes_raises_as_the_step_loop():
+    # in step 10 the torsion fails at the midpoint s = 0.0105, before the
+    # curvature fails at its end s = 0.011: both inside one chunk
+    c_map = parse("1 + sqrt(abs(s - 0.011) - 0.00002)", ["s"])
+    t_map = parse("0.3 + sqrt(abs(s - 0.0105) - 0.00002)", ["s"])
+    profile = cv.CurvatureProfile.build(c_map, t_map, (0.0, 1.0))
+    with pytest.raises(DomainError) as err:
+        cv.bonnet_reconstruct(profile, [0.0, 0.0, 0.0], np.eye(3), 1e-3)
+    want = _step_loop_error(profile, 1e-3)
+    assert "0.0105" in want.expression
+    assert (str(err.value), err.value.offset) == (str(want), want.offset)
+    # without the torsion's node, the curvature's
+    profile = cv.CurvatureProfile.build(c_map, parse("0.3", ["s"]), (0.0, 1.0))
+    with pytest.raises(DomainError) as err:
+        cv.bonnet_reconstruct(profile, [0.0, 0.0, 0.0], np.eye(3), 1e-3)
+    assert str(err.value) == str(_step_loop_error(profile, 1e-3))
+
+
+def test_reconstruct_from_tables_and_constant_callables():
+    nodes = [0.0, 4.0, 10.0]
+    constant = cv.CurvatureProfile.build(lambda s: 0.4, lambda s: -0.2, (0.0, 3.0))
+    table = cv.CurvatureProfile.build((nodes, [0.4] * 3), (nodes, [-0.2] * 3), (0.0, 3.0))
+    a, b = (cv.bonnet_reconstruct(p, [2.0, 0.0, 0.0], np.eye(3), 1e-3) for p in (constant, table))
+    assert np.array_equal(a.points, b.points) and np.array_equal(a.binormals, b.binormals)
+    # a varying table: unit speed, orthonormal frames, its curvature at s = 2
+    varying = cv.CurvatureProfile.build((nodes, [0.3, 0.7, 0.5]), (nodes, [0.1, -0.1, 0.2]),
+                                        (0.0, 3.0))
+    res = cv.bonnet_reconstruct(varying, [0.0, 0.0, 0.0], np.eye(3), 1e-3)
+    speeds = np.linalg.norm(np.diff(res.points, axis=0), axis=1) / np.diff(res.s)
+    assert np.max(np.abs(speeds - 1.0)) < 1e-6
+    E = res.frame(len(res.s) - 1)
+    assert np.max(np.abs(E @ E.T - np.eye(3))) < 1e-9
+    _, cc, _ = cv.discrete_frenet(res.s, res.points)
+    assert cc[2000 - 2] == pytest.approx(0.5, abs=1e-4)

@@ -374,3 +374,118 @@ def test_batch_matches_pointwise_evaluation(case):
         elif not marked:
             assert [[_bits(c) for c in comp] for comp in at_k] == \
                 [[_bits(c) for c in comp] for comp in single], (sources, point, order)
+
+
+# ---------------------------------------------------------------------------
+# composition from the jet's order, and shared subtrees evaluated once
+# ---------------------------------------------------------------------------
+
+def _cubic_horner(jet, f0, f1, f2, f3):
+    """f(jet) by the full cubic Horner scheme: three jet products at every order."""
+    h = Jet(jet.nvars, jet.order, jet.coef.copy())
+    h.coef[0] = 0.0
+    out = Jet.constant(f3 / 6.0, jet.nvars, jet.order)
+    for c in (f2 / 2.0, f1, f0):
+        out = out * h + c
+    return out
+
+
+# magnitudes whose products cannot overflow: where the truncated terms of the
+# cubic scheme overflow it is non-finite, and the order-aware one is not
+_SMALL = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-300)),
+                   st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def _compose_cases(draw):
+    nvars, order = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    size = draw(st.integers(1, 4))
+
+    def number():
+        if draw(st.booleans()):  # one value for the batch
+            return draw(_SMALL)
+        # an array over the batch, NaN at its marked points
+        return np.array(draw(st.lists(st.one_of(_SMALL, st.just(math.nan)),
+                                      min_size=size, max_size=size)))
+
+    coef = [number() for _ in range(_layout(nvars)[order])]
+    return Jet(nvars, order, coef), [number() for _ in range(4)], size
+
+
+def _same(a, b, size) -> bool:
+    """Bit for bit where either is finite; non-finite (a mark) at the same points."""
+    a, b = np.broadcast_to(a, size), np.broadcast_to(b, size)
+    finite = np.isfinite(a)
+    return bool(np.array_equal(finite, np.isfinite(b))
+                and np.array_equal(a[finite].view(np.int64), b[finite].view(np.int64)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_compose_cases())
+def test_order_aware_compose_matches_cubic_horner(case):
+    jet, fs, size = case
+    with np.errstate(all="ignore"):
+        got, want = jet.compose(*fs).coef, _cubic_horner(jet, *fs).coef
+    assert all(_same(a, b, size) for a, b in zip(got, want)), (jet.coef, fs)
+
+
+def _square_and_multiply(x, n):
+    """x^n from Jet.constant(1.0), a full product for each factor."""
+    out, base = Jet.constant(1.0, x.nvars, x.order), x
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
+def test_integer_power_starting_from_the_base_keeps_the_bits():
+    x = Jet.variable(-0.7, 0, 2, 3) * 1.3 + Jet.variable(0.2, 1, 2, 3)
+    x.coef[4] = -0.0  # 0.0 + -0.0 is 0.0, as in the product with Jet.constant(1.0)
+    for n in range(1, 12):
+        want = _square_and_multiply(x, n)
+        assert [_bits(c) for c in (x ** float(n)).coef] == [_bits(c) for c in want.coef]
+    marked = Jet.variable(np.array([1.5, math.nan]), 0, 1, 2)
+    assert np.isnan((marked ** 0.0).value[1]) and (marked ** 0.0).value[0] == 1.0
+
+
+def test_shared_subtree_is_composed_once_per_call(monkeypatch):
+    calls = []
+    compose = Jet.compose
+    monkeypatch.setattr(Jet, "compose", lambda self, *f: calls.append(f) or compose(self, *f))
+    m = parse(["v*cos(u)", "cos(u) + 1", "sin(cos(u))"], ["u", "v"])
+    assert m.components[0].right is m.components[1].left
+    for _ in range(2):
+        calls.clear()
+        jets = m.eval_jet((0.3, 0.4), 2)
+        assert len(calls) == 2  # cos(u) and sin(.)
+    assert jets[1].partial(1, 0) == -math.sin(0.3)
+
+
+@pytest.mark.parametrize("sources, point", [
+    (["u + ln(v)", "2*ln(v)"], (1.0, -1.0)),
+    (["u", "1 + ln( v )", "ln(v) * u"], (1.0, -1.0)),
+    (["sqrt(u - v) + v", "u*sqrt(u-v)", "u"], (0.0, 1.0)),
+])
+def test_error_in_a_shared_subtree_names_its_first_occurrence(sources, point):
+    """The same expression and offset as evaluating each component on its own."""
+    def error(call):
+        with pytest.raises(DomainError) as err:
+            call()
+        return err.value.expression, err.value.offset
+
+    shared = parse(sources, ["u", "v"])
+    first = next(s for s in sources if not _evaluates(s, point))
+    alone = parse(first, ["u", "v"])
+    for order in (0, 2):
+        assert error(lambda: shared.eval_jet(point, order)) == \
+            error(lambda: alone.eval_jet(point, order))
+
+
+def _evaluates(source, point) -> bool:
+    try:
+        parse(source, ["u", "v"])(*point)
+        return True
+    except DomainError:
+        return False

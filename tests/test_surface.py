@@ -500,3 +500,42 @@ def test_area_in_chunks_equals_node_by_node(torus, catenoid):
         one_by_one = sf.Surface(_PointsOnly(surf.mapper), surf.domain)
         for order in (5, 32, 40):  # 40^2 nodes span several chunks
             assert sf.surface_area(surf, order=order) == sf.surface_area(one_by_one, order=order)
+
+
+def test_stacked_vecdot_rounds_as_one_pair_at_a_time():
+    """The rounding ``_metric_and_connection`` relies on: np.vecdot over stacked
+    3-vectors, with its arguments either way round, gives the bits of np.vecdot
+    of each pair alone."""
+    scale = 10.0 ** rng.integers(-8, 9, (2, 16000, 9, 1))
+    a, b = rng.standard_normal((2, 16000, 9, 3)) * scale
+    stacked = np.vecdot(a, b)
+    assert _bits(stacked) == _bits(np.vecdot(b, a))
+    assert _bits(stacked) == _bits([[np.vecdot(x, y) for x, y in zip(rx, ry)]
+                                    for rx, ry in zip(a, b)])
+
+
+@pytest.mark.parametrize("sources", [["(2 + cos(u))*cos(v)", "(2 + cos(u))*sin(v)", "sin(u)"],
+                                     ["u + v^2", "v - u*v", "sin(u)*cos(v) + u*v"]])
+def test_one_point_metric_and_connection_equals_its_batch_row(sources):
+    surf = sf.surface_from_expr(sources, ((-1.0, 1.0), (-1.0, 1.0)))
+    us, vs = rng.uniform(-1.0, 1.0, (2, 40))
+    g, gamma = sf._metric_and_connection(sf._derivatives(surf.mapper.eval_jets(us, vs, 2)),
+                                         us, vs)
+    for k, (u, v) in enumerate(zip(us, vs)):
+        g1, gamma1 = sf._metric_and_connection(
+            sf._derivatives(surf.mapper.eval_jets(u, v, 2)), u, v)
+        assert _bits(g[k]) == _bits(g1) and _bits(gamma[k]) == _bits(gamma1)
+
+
+def test_metric_determinant_lost_to_rounding_is_an_irregular_point():
+    # u + v rounds just below 1: f_u and f_v pass the tangent-plane test, and
+    # det g rounds to 0, where the solve for the shape operator would fail
+    surf = sf.surface_from_expr(["atan2(exp(1), cosh(pi)-v)", "cosh(1)^cos(u/u)", "asin(u+v)"],
+                                ((-1.0, 1.0), (-1.5, 0.5)))
+    u, v = 0.6666666666666666, 0.33333333333333326
+    with pytest.raises(sf.IrregularPoint, match=r"degenerate metric at \(u, v\) = \(0.666667"):
+        sf.jet_at(surf, u, v)
+    with np.errstate(all="ignore"):
+        batch = sf.jet_at(surf, np.array([u, 0.2]), np.array([v, 0.1]))
+    assert np.isnan(batch.gaussian[0])
+    assert _bits(batch.gaussian[1]) == _bits(sf.jet_at(surf, 0.2, 0.1).gaussian)
