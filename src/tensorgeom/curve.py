@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import ExprMap, Jet, NumericalFailure, _check, _chunked, _pointwise, _pow, _stack
+from .expr import (ExprMap, Jet, NumericalFailure, _check, _chunked, _pointwise, _pow, _stack,
+                   parse)
 from .tensor2 import cross, inverse, mixed, norm, normalize, sqrt_spd
 
 __all__ = [
@@ -57,13 +58,14 @@ class QuadratureFailure(NumericalFailure, RuntimeError):
 
 _REG_TOL = 1e-10
 _SCALE_SAMPLES = 128  # parameter samples that set a curve's length scale
+_PLANE = parse(["x", "y", "0"], ["x", "y"])  # a planar curve lies in the plane x3 = 0
 
 
 class Curve:
     """Expression-defined curve with a parameter interval.
 
-    The map must have one variable and two or three components; planar
-    curves are embedded in the plane x3 = 0.
+    The map must have one variable and two or three components; a planar
+    map is lifted to the plane x3 = 0, so ``map`` has three components.
     """
 
     def __init__(self, cmap: ExprMap, domain: tuple[float, float]):
@@ -73,25 +75,16 @@ class Curve:
             raise ValueError("a curve map needs 2 or 3 components")
         if not domain[0] < domain[1]:
             raise ValueError("empty parameter interval")
-        self.map = cmap
+        self.map = cmap if cmap.dimension == 3 else _PLANE.compose(cmap)
         self.domain = (float(domain[0]), float(domain[1]))
         ts = np.linspace(*self.domain, _SCALE_SAMPLES)
-        pts = np.array(_pointwise(self._point_unchecked, ts))
+        pts = np.array(_pointwise(self.point, ts))
         self.scale = float(np.max(np.linalg.norm(pts, axis=1)))
         self._planar = bool(np.max(np.abs(pts[:, 2])) <= _REG_TOL * max(self.scale, 1.0))
 
     # -- evaluation helpers ---------------------------------------------
-    def _point_unchecked(self, t: float) -> np.ndarray:
-        vals = self.map(t)
-        if len(vals) == 2:
-            vals = [vals[0], vals[1], 0.0]
-        return _stack(vals, np.shape(t))
-
     def jets(self, t: float, order: int = 3) -> list[Jet]:
-        out = self.map.eval_jet((t,), order)
-        if len(out) == 2:
-            out = list(out) + [Jet.constant(0.0, 1, order)]
-        return out
+        return self.map.eval_jet((t,), order)
 
     def derivatives(self, t: float, order: int = 3) -> list[np.ndarray]:
         """[p, p', p'', ...] up to the requested order."""
@@ -99,7 +92,7 @@ class Curve:
         return [_stack([j.partial(k) for j in jets], np.shape(t)) for k in range(order + 1)]
 
     def point(self, t: float) -> np.ndarray:
-        return self._point_unchecked(t)
+        return _stack(self.map(t), np.shape(t))
 
     def velocity(self, t: float) -> np.ndarray:
         return self.derivatives(t, 1)[1]

@@ -14,6 +14,9 @@ bit-identical to those of the single-point evaluation.
 
 ``parse`` makes identical subtrees of a map's components one node, and an
 evaluation reuses a node's value, so each is evaluated once per call.
+``ExprMap.compose`` substitutes one map's components for another's variables
+and interns the result: the revolution, ruled and reparameterized surfaces
+and the lift of a planar curve to 3-space are built with it.
 
 Grammar::
 
@@ -58,7 +61,6 @@ __all__ = [
     "parse",
     "unparse",
     "jet_atan2",
-    "compose_bivariate",
 ]
 
 
@@ -599,31 +601,6 @@ def jet_atan2(y, x):
     return (q / p).atan() + base
 
 
-def compose_bivariate(outer: Jet, g1: Jet, g2: Jet) -> Jet:
-    """Taylor composition outer(g1, g2) for a two-variable outer jet.
-
-    ``outer`` must be expanded at ``(g1.value, g2.value)``; the result lives
-    in the variables of ``g1``/``g2``.
-    """
-    if outer.nvars != 2:
-        raise ValueError("outer jet must have two variables")
-    h1 = g1 - g1.value
-    h2 = g2 - g2.value
-    one = Jet.constant(1.0, g1.nvars, g1.order)
-    p1 = [one, h1, h1 * h1, h1 * h1 * h1]
-    p2 = [one, h2, h2 * h2, h2 * h2 * h2]
-    out = Jet.constant(0.0, g1.nvars, g1.order)
-    for k, (i, j) in enumerate(_POWERS[2][: len(outer.coef)]):
-        c = outer.coef[k]
-        if np.ndim(c):  # a zero coefficient adds nothing at its points
-            term = out + p1[i] * p2[j] * c
-            out = Jet(out.nvars, out.order, [np.where(c != 0.0, a, b)
-                                             for a, b in zip(term.coef, out.coef)])
-        elif c != 0.0:
-            out = out + p1[i] * p2[j] * c
-    return out
-
-
 _UNARY_FUNCS = ("sin", "cos", "tan", "asin", "acos", "atan", "sinh", "cosh",
                 "tanh", "exp", "ln", "sqrt", "abs")
 _BUILTIN_ARITY = {name: 1 for name in _UNARY_FUNCS}
@@ -985,7 +962,6 @@ class ExprMap:
     variables: tuple
     constants: tuple
     components: tuple
-    sources: tuple
 
     @property
     def arity(self) -> int:
@@ -1027,8 +1003,41 @@ class ExprMap:
             out.append(val)
         return out
 
-    def unparse(self) -> list[str]:
-        return [unparse(c) for c in self.components]
+    def compose(self, inner: "ExprMap") -> "ExprMap":
+        """This map after ``inner``: each variable replaced by the matching
+        component of ``inner``, interned again so that a component used twice
+        is evaluated once per call; the constants of both maps are merged."""
+        if inner.dimension != self.arity:
+            raise ValueError(f"{inner.dimension} components for {self.arity} variables")
+
+        def substitute(node: Node) -> Node:
+            return inner.components[node.index] if isinstance(node, Var) else \
+                _rebuilt(node, substitute)
+
+        table: dict = {}
+        return ExprMap(inner.variables, _merged(inner.constants, self.constants),
+                       tuple(_intern(substitute(c), table) for c in self.components))
+
+
+def _merged(*constants: tuple) -> tuple:
+    """The (name, value) pairs of several maps' constants as one sorted tuple;
+    a name bound to two different values raises ValueError."""
+    out: dict = {}
+    for name, value in itertools.chain(*constants):
+        if out.setdefault(name, value) != value:
+            raise ValueError(f"constant {name!r} bound to both {out[name]!r} and {value!r}")
+    return tuple(sorted(out.items()))
+
+
+def _rebuilt(node: Node, f) -> Node:
+    """``node`` with ``f`` applied to each of its operands."""
+    if isinstance(node, Neg):
+        return Neg(node.span, f(node.operand))
+    if isinstance(node, BinOp):
+        return BinOp(node.span, node.op, f(node.left), f(node.right))
+    if isinstance(node, Call):
+        return Call(node.span, node.func, tuple(map(f, node.args)))
+    return node
 
 
 def _intern(node: Node, table: dict) -> Node:
@@ -1036,12 +1045,7 @@ def _intern(node: Node, table: dict) -> Node:
     in ``table`` (hash-consing), which is also the first one evaluated: equal
     subtrees become one node, and an error there names the same text and
     offset as before."""
-    if isinstance(node, Neg):
-        node = Neg(node.span, _intern(node.operand, table))
-    elif isinstance(node, BinOp):
-        node = BinOp(node.span, node.op, _intern(node.left, table), _intern(node.right, table))
-    elif isinstance(node, Call):
-        node = Call(node.span, node.func, tuple(_intern(a, table) for a in node.args))
+    node = _rebuilt(node, lambda operand: _intern(operand, table))
     return table.setdefault(node, node)
 
 
@@ -1056,4 +1060,4 @@ def parse(source, variables: Sequence[str], constants: dict | None = None) -> Ex
     table: dict = {}
     components = tuple(_intern(_Parser(s, variables, constants).parse(), table)
                        for s in sources)
-    return ExprMap(variables, tuple(sorted(constants.items())), components, sources)
+    return ExprMap(variables, tuple(sorted(constants.items())), components)

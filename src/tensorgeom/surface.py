@@ -3,6 +3,10 @@ point classification, revolution/ruled constructors with developability
 tests, curvature and asymptotic direction fields, moving-frame residuals,
 intrinsic Gaussian curvature and geodesic integration.
 
+A surface is an ``ExprMap`` of (u, v) on a parameter rectangle.  Revolution,
+ruled and reparameterized surfaces get theirs from ``ExprMap.compose``, so
+one expression evaluator serves every surface.
+
 ``jet_at``, ``classify_point``, ``egregium_curvature`` and ``surface_area``
 also evaluate a batch of points: given arrays of u and v, each result holds
 one entry per point (vectors and matrices on the trailing axes), and a point
@@ -19,15 +23,15 @@ from typing import Sequence
 import numpy as np
 
 from .curve import integrate
-from .expr import (ExprMap, Jet, NumericalFailure, _check, _map, _pointwise, _pow, _select,
-                   _stack, compose_bivariate, parse)
+from .expr import (ExprMap, Jet, NumericalFailure, _check, _map, _merged, _pointwise, _pow,
+                   _select, _stack, parse)
 from .tensor2 import _components, cross, norm
 
 __all__ = [
     "IrregularPoint", "NonPositiveRadius", "DegenerateDirector", "PlanarPoint",
     "LeftDomain", "ZeroVelocity",
-    "Surface", "SurfaceJet", "GeodesicState", "GeodesicTrajectory",
-    "DirectionFields",
+    "Surface", "RevolutionSurface", "RuledSurface", "SurfaceJet", "GeodesicState",
+    "GeodesicTrajectory", "DirectionFields",
     "surface_from_expr", "revolution_surface", "ruled_surface",
     "reparameterized", "jet_at", "classify_point", "direction_fields",
     "geodesic_integrate", "egregium_curvature", "gauss_weingarten_residual",
@@ -65,7 +69,7 @@ class LeftDomain(NumericalFailure, RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# jet-evaluable surface mappers
+# surfaces as expression maps
 # ---------------------------------------------------------------------------
 
 def _univariate_derivs(em: ExprMap, t: float) -> list[tuple[float, float, float, float]]:
@@ -73,79 +77,45 @@ def _univariate_derivs(em: ExprMap, t: float) -> list[tuple[float, float, float,
     return [(j.partial(0), j.partial(1), j.partial(2), j.partial(3)) for j in jets]
 
 
-class _ExprMapper:
-    def __init__(self, em: ExprMap):
-        if em.arity != 2 or em.dimension != 3:
-            raise ValueError("surface maps need two variables and three components")
-        self.map = em
-
-    def eval_jets(self, u: float, v: float, order: int) -> list[Jet]:
-        return self.map.eval_jet((u, v), order)
-
-
-class _RevolutionMapper:
-    """Profile (radius(u), height(u)) swept around the x3 axis."""
-
-    def __init__(self, radius: ExprMap, height: ExprMap):
-        for em in (radius, height):
-            if em.arity != 1 or em.dimension != 1:
-                raise ValueError("profile functions must be scalar in one variable")
-        self.radius = radius
-        self.height = height
-
-    def eval_jets(self, u: float, v: float, order: int) -> list[Jet]:
-        U = Jet.variable(u, 0, 2, order)
-        V = Jet.variable(v, 1, 2, order)
-        phi = U.compose(*_univariate_derivs(self.radius, u)[0])
-        psi = U.compose(*_univariate_derivs(self.height, u)[0])
-        return [phi * V.cos(), phi * V.sin(), psi]
-
-
-class _RuledMapper:
-    """Directrix plus straight generators: f(u, v) = gamma(u) + v * director(u)."""
-
-    def __init__(self, directrix: ExprMap, director: ExprMap):
-        for em in (directrix, director):
-            if em.arity != 1 or em.dimension != 3:
-                raise ValueError("ruled-surface curves need three components of one variable")
-        self.directrix = directrix
-        self.director = director
-
-    def eval_jets(self, u: float, v: float, order: int) -> list[Jet]:
-        U = Jet.variable(u, 0, 2, order)
-        V = Jet.variable(v, 1, 2, order)
-        g = [U.compose(*d) for d in _univariate_derivs(self.directrix, u)]
-        lam = [U.compose(*d) for d in _univariate_derivs(self.director, u)]
-        return [g[i] + V * lam[i] for i in range(3)]
-
-
-class _ComposedMapper:
-    """Base surface pulled back through a parameter diffeomorphism."""
-
-    def __init__(self, base, diffeo: ExprMap):
-        if diffeo.arity != 2 or diffeo.dimension != 2:
-            raise ValueError("a reparameterization maps two variables to two")
-        self.base = base
-        self.diffeo = diffeo
-
-    def eval_jets(self, u: float, v: float, order: int) -> list[Jet]:
-        inner = self.diffeo.eval_jet((u, v), order)
-        outer = self.base.eval_jets(inner[0].value, inner[1].value, order)
-        return [compose_bivariate(f, inner[0], inner[1]) for f in outer]
-
-
 @dataclass(frozen=True)
 class Surface:
-    mapper: object
+    """A map (u, v) -> R^3 on a parameter rectangle ``((u0, u1), (v0, v1))``."""
+
+    map: ExprMap
     domain: tuple
 
     def point(self, u: float, v: float) -> np.ndarray:
-        jets = self.mapper.eval_jets(u, v, 1)
-        return np.array([j.value for j in jets])
+        return np.array([j.value for j in self.map.eval_jet((u, v), 1)])
 
     def contains(self, u: float, v: float) -> bool:
         (u0, u1), (v0, v1) = self.domain
         return u0 <= u <= u1 and v0 <= v <= v1
+
+
+@dataclass(frozen=True)
+class RevolutionSurface(Surface):
+    """Profile (radius(u), height(u)) swept around the x3 axis."""
+
+    radius: ExprMap
+    height: ExprMap
+
+
+@dataclass(frozen=True)
+class RuledSurface(Surface):
+    """Directrix plus straight generators: f(u, v) = directrix(u) + v * director(u)."""
+
+    directrix: ExprMap
+    director: ExprMap
+
+
+_REVOLUTION = parse(["r*cos(v)", "r*sin(v)", "h"], ["r", "h", "v"])
+_RULED = parse(["g0+v*l0", "g1+v*l1", "g2+v*l2"], ["g0", "g1", "g2", "l0", "l1", "l2", "v"])
+
+
+def _profiles(*curves: ExprMap) -> ExprMap:
+    """The curves' components, then v: the map of (u, v) a template above composes with."""
+    return ExprMap(("u", "v"), _merged(*(c.constants for c in curves)),
+                   sum((c.components for c in curves), ()) + parse("v", ("u", "v")).components)
 
 
 def _as_map(source, variables, constants) -> ExprMap:
@@ -156,32 +126,42 @@ def _as_map(source, variables, constants) -> ExprMap:
 
 def surface_from_expr(sources, domain, variables=("u", "v"), constants=None) -> Surface:
     em = _as_map(sources, variables, constants)
-    return Surface(_ExprMapper(em), tuple(tuple(map(float, b)) for b in domain))
+    if em.arity != 2 or em.dimension != 3:
+        raise ValueError("surface maps need two variables and three components")
+    return Surface(em, tuple(tuple(map(float, b)) for b in domain))
 
 
 def revolution_surface(radius, height, u_domain, constants=None,
-                       v_domain=(-math.pi, math.pi)) -> Surface:
+                       v_domain=(-math.pi, math.pi)) -> RevolutionSurface:
     radius = _as_map(radius, ("u",), constants)
     height = _as_map(height, ("u",), constants)
+    for em in (radius, height):
+        if em.arity != 1 or em.dimension != 1:
+            raise ValueError("profile functions must be scalar in one variable")
     for u in np.linspace(u_domain[0], u_domain[1], 64):
         if radius(u)[0] <= 0.0:
             raise NonPositiveRadius(f"profile radius {radius(u)[0]:g} at u={u:g}")
-    return Surface(_RevolutionMapper(radius, height),
-                   (tuple(map(float, u_domain)), tuple(map(float, v_domain))))
+    return RevolutionSurface(_REVOLUTION.compose(_profiles(radius, height)), (
+        tuple(map(float, u_domain)), tuple(map(float, v_domain))), radius, height)
 
 
 def ruled_surface(directrix, director, u_domain, v_domain=(-1.0, 1.0),
-                  constants=None) -> Surface:
+                  constants=None) -> RuledSurface:
     directrix = _as_map(directrix, ("u",), constants)
     director = _as_map(director, ("u",), constants)
-    return Surface(_RuledMapper(directrix, director),
-                   (tuple(map(float, u_domain)), tuple(map(float, v_domain))))
+    for em in (directrix, director):
+        if em.arity != 1 or em.dimension != 3:
+            raise ValueError("ruled-surface curves need three components of one variable")
+    return RuledSurface(_RULED.compose(_profiles(directrix, director)), (
+        tuple(map(float, u_domain)), tuple(map(float, v_domain))), directrix, director)
 
 
 def reparameterized(surface: Surface, diffeo, new_domain, constants=None) -> Surface:
+    """The surface f o phi for a parameter diffeomorphism phi: (u, v) -> (u', v')."""
     diffeo = _as_map(diffeo, ("u", "v"), constants)
-    return Surface(_ComposedMapper(surface.mapper, diffeo),
-                   tuple(tuple(map(float, b)) for b in new_domain))
+    if diffeo.arity != 2 or diffeo.dimension != 2:
+        raise ValueError("a reparameterization maps two variables to two")
+    return Surface(surface.map.compose(diffeo), tuple(tuple(map(float, b)) for b in new_domain))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +290,7 @@ def _metric_and_connection(D: np.ndarray, u, v):
 
 
 def jet_at(surface: Surface, u: float, v: float) -> SurfaceJet:
-    D = _derivatives(surface.mapper.eval_jets(u, v, 2))
+    D = _derivatives(surface.map.eval_jet((u, v), 2))
     p, fu, fv, fuu, fuv, fvv = np.moveaxis(D, -2, 0)
     n_raw = cross(fu, fv)
     n_len = norm(n_raw)
@@ -388,14 +368,13 @@ def direction_fields(jet: SurfaceJet) -> DirectionFields:
     g = jet.first_form
     dirs = []
     if kind in ("hyperbolic", "parabolic"):
+        disc = max(B[0, 1] ** 2 - B[0, 0] * B[1, 1], 0.0)
         if abs(B[0, 0]) >= abs(B[1, 1]):
             # roots of B11 t^2 + 2 B12 t + B22 = 0 with (du, dv) = (t, 1)
-            disc = max(B[0, 1] ** 2 - B[0, 0] * B[1, 1], 0.0)
             roots = {(-B[0, 1] + math.sqrt(disc)) / B[0, 0],
                      (-B[0, 1] - math.sqrt(disc)) / B[0, 0]}
             dirs = [np.array([t, 1.0]) for t in roots]
         else:
-            disc = max(B[0, 1] ** 2 - B[0, 0] * B[1, 1], 0.0)
             roots = {(-B[0, 1] + math.sqrt(disc)) / B[1, 1],
                      (-B[0, 1] - math.sqrt(disc)) / B[1, 1]}
             dirs = [np.array([1.0, t]) for t in roots]
@@ -434,7 +413,7 @@ class GeodesicTrajectory:
 
 
 def _metric_and_gamma(surface: Surface, u: float, v: float):
-    return _metric_and_connection(_derivatives(surface.mapper.eval_jets(u, v, 2)), u, v)
+    return _metric_and_connection(_derivatives(surface.map.eval_jet((u, v), 2)), u, v)
 
 
 def geodesic_integrate(surface: Surface, state0: GeodesicState, s_max: float,
@@ -511,7 +490,7 @@ def _jet_dot3(a: Sequence[Jet], b: Sequence[Jet]) -> Jet:
 def egregium_curvature(surface: Surface, u: float, v: float) -> float:
     """Gaussian curvature from the first fundamental form alone (metric and
     connection, no normal data)."""
-    jets = surface.mapper.eval_jets(u, v, 3)
+    jets = surface.map.eval_jet((u, v), 3)
     fu = [j.deriv(0) for j in jets]   # order-2 jets
     fv = [j.deriv(1) for j in jets]
     g11 = _jet_dot3(fu, fu)
@@ -549,7 +528,7 @@ def egregium_curvature(surface: Surface, u: float, v: float) -> float:
 def gauss_weingarten_residual(surface: Surface, u: float, v: float):
     """Scale-relative residuals of the two moving-frame equations: the
     expansion of f_,ij on (f_u, f_v, N) and of N_,j on (f_u, f_v)."""
-    jets = surface.mapper.eval_jets(u, v, 3)
+    jets = surface.map.eval_jet((u, v), 3)
     data = jet_at(surface, u, v)
     fu_j = [j.deriv(0) for j in jets]
     fv_j = [j.deriv(1) for j in jets]
@@ -585,7 +564,7 @@ def gauss_weingarten_residual(surface: Surface, u: float, v: float):
 
 def _metric_det(surface: Surface, u, v):
     """det g = |f_u|^2 |f_v|^2 - (f_u . f_v)^2 at a point or a batch."""
-    jets = surface.mapper.eval_jets(u, v, 1)
+    jets = surface.map.eval_jet((u, v), 1)
     batch = np.broadcast_shapes(np.shape(u), np.shape(v))
     fu = _stack([j.partial(1, 0) for j in jets], batch)
     fv = _stack([j.partial(0, 1) for j in jets], batch)
@@ -620,7 +599,7 @@ def curve_length_on_surface(surface: Surface, path: ExprMap, t0: float, t1: floa
     def integrand(t):
         jets = path.eval_jet((t,), order=1)
         w = _stack([jets[0].partial(1), jets[1].partial(1)], np.shape(t))
-        D = _derivatives(surface.mapper.eval_jets(jets[0].value, jets[1].value, 2))
+        D = _derivatives(surface.map.eval_jet((jets[0].value, jets[1].value), 2))
         fu, fv = D[..., 1, :], D[..., 2, :]
         g12 = _dot(fu, fv)
         g = _mat2(_dot(fu, fu), g12, g12, _dot(fv, fv))  # the metric alone: no connection
@@ -633,10 +612,9 @@ def curve_length_on_surface(surface: Surface, path: ExprMap, t0: float, t1: floa
 # revolution and ruled specifics
 # ---------------------------------------------------------------------------
 
-def _arclength_jet_of_profile(mapper: _RevolutionMapper, u: float):
-    """Taylor jet of u as a function of profile arc length, at this point."""
-    p0, p1, p2, p3 = _univariate_derivs(mapper.radius, u)[0]
-    q0, q1, q2, q3 = _univariate_derivs(mapper.height, u)[0]
+def _arclength_jet_of_profile(u: float, p1, p2, p3, q1, q2, q3):
+    """Taylor jet of u as a function of profile arc length, at this point,
+    from the first three derivatives of the radius (p) and height (q)."""
     qsum = p1 * p1 + q1 * q1
     dq = 2.0 * (p1 * p2 + q1 * q2)
     ddq = 2.0 * (p2 * p2 + p1 * p3 + q2 * q2 + q1 * q3)
@@ -654,13 +632,12 @@ def revolution_closed_form(surface: Surface, u: float, v: float) -> dict:
     its profile alone.  Profiles that are not parameterized by arc length are
     reparameterized on the fly (the forms then refer to the arc-length
     parameter; the curvature is intrinsic either way)."""
-    mapper = surface.mapper
-    if not isinstance(mapper, _RevolutionMapper):
+    if not isinstance(surface, RevolutionSurface):
         raise ValueError("closed form applies to revolution surfaces only")
-    p0, p1, p2, p3 = _univariate_derivs(mapper.radius, u)[0]
-    q0, q1, q2, q3 = _univariate_derivs(mapper.height, u)[0]
+    p0, p1, p2, p3 = _univariate_derivs(surface.radius, u)[0]
+    q0, q1, q2, q3 = _univariate_derivs(surface.height, u)[0]
     if abs(p1 * p1 + q1 * q1 - 1.0) > 1e-9:
-        U = _arclength_jet_of_profile(mapper, u)
+        U = _arclength_jet_of_profile(u, p1, p2, p3, q1, q2, q3)
         phi = U.compose(p0, p1, p2, p3)
         psi = U.compose(q0, q1, q2, q3)
         p0, p1, p2 = phi.partial(0), phi.partial(1), phi.partial(2)
@@ -683,11 +660,10 @@ def revolution_closed_form(surface: Surface, u: float, v: float) -> dict:
 def developability(surface: Surface, u: float) -> tuple[bool, float]:
     """Whether the generators' direction field makes the ruled surface
     developable at this u; returns the scale-free witness as well."""
-    mapper = surface.mapper
-    if not isinstance(mapper, _RuledMapper):
+    if not isinstance(surface, RuledSurface):
         raise ValueError("developability applies to ruled surfaces only")
-    g = _univariate_derivs(mapper.directrix, u)
-    l = _univariate_derivs(mapper.director, u)
+    g = _univariate_derivs(surface.directrix, u)
+    l = _univariate_derivs(surface.director, u)
     gamma_p = np.array([c[1] for c in g])
     lam = np.array([c[0] for c in l])
     lam_p = np.array([c[1] for c in l])

@@ -150,12 +150,22 @@ def det(L) -> float:
             - L[2, 2] * L[0, 1] * L[1, 0])
 
 
+def _finite(name: str, f, *args):
+    """f(*args) without numpy's overflow warnings; where a number of the
+    result is not finite (an overflow, or inf - inf) NumericalFailure names it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = f(*args)
+    if not np.all(np.isfinite(x)):
+        raise NumericalFailure(f"{name} overflows" + (f" ({x:g})" if np.ndim(x) == 0 else ""))
+    return x
+
+
 def principal_invariants(L) -> tuple[float, float, float]:
     """I1 = tr L, I2 = (tr^2 L - tr L^2)/2, I3 = det L."""
     L = np.asarray(L, dtype=float)
-    t = trace(L)
-    i2 = 0.5 * (t * t - trace(L @ L))
-    return t, i2, det(L)
+    t = _finite("the invariant I1", trace, L)
+    i2 = _finite("the invariant I2", lambda: 0.5 * (t * t - trace(L @ L)))
+    return t, i2, _finite("the invariant I3 (the determinant)", det, L)
 
 
 def adjugate(L) -> np.ndarray:
@@ -173,10 +183,7 @@ def _relative_det(L: np.ndarray) -> tuple[float, float]:
     """det L and the scale-free det L / |L|^3, taken as det L / |L| / |L| / |L|
     so that no power overflows; a determinant out of the float range raises.
     (Where |L| itself overflows, a finite det L is below 1e-150 |L|^3.)"""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        d = det(L)
-    if not math.isfinite(d):
-        raise NumericalFailure(f"the determinant overflows ({d:g})")
+    d = _finite("the determinant", det, L)
     n = tensor_norm(L)
     return d, d / n / n / n if n else 0.0
 
@@ -192,12 +199,12 @@ def inverse(L) -> np.ndarray:
 def determinant_suite(L):
     """Determinant, principal invariants, inverse (None when singular), adjugate."""
     L = np.asarray(L, dtype=float)
-    d = det(L)
+    d = _finite("the determinant", det, L)
     try:
         inv = inverse(L)
     except SingularTensor:
         inv = None
-    return d, principal_invariants(L), inv, adjugate(L)
+    return d, principal_invariants(L), inv, _finite("the adjugate", adjugate, L)
 
 
 # ---------------------------------------------------------------------------

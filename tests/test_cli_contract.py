@@ -10,6 +10,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,12 @@ HOSTILE = {
         {"op": "polar", "matrix": [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]]})),
     "polar with an overflowing determinant": ("tensor", json.dumps(
         {"op": "polar", "matrix": [[1e200, 0, 0], [0, 1e200, 0], [0, 0, 1]]})),
+    # tr^2 L - tr L^2 is inf - inf: a NaN in the report before I2 was checked
+    "invariants with an overflowing I2": ("tensor", json.dumps(
+        {"op": "invariants", "matrix": [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]]})),
+    # det L = 1e100, but its first product overflows
+    "invariants with an overflowing determinant": ("tensor", json.dumps(
+        {"op": "invariants", "matrix": [[1e200, 0, 0], [0, 1e200, 0], [0, 0, 1e-300]]})),
     # u + v rounds just below 1: the tangent plane passes its test, det g rounds to 0
     "jet where det g rounds to 0": ("analyze", _scene(
         SPHERE, components=["atan2(exp(1), cosh(pi)-v)", "cosh(1)^cos(u/u)", "asin(u+v)"],
@@ -175,6 +182,14 @@ def test_exit_code_classes(tmp_path, capsys):
                           ("polar with an overflowing determinant", "determinant overflows")):
         assert _run(tmp_path, "tensor", HOSTILE[name][1]) == 3
         assert message in capsys.readouterr().err
+    # the message names the invariant, and numpy warns of nothing
+    for name, message in (("invariants with an overflowing I2", "the invariant I2 overflows (nan)"),
+                          ("invariants with an overflowing determinant",
+                           "the determinant overflows (inf)")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run(tmp_path, "tensor", HOSTILE[name][1]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
 
 def test_output_below_a_regular_file_is_exit_2(tmp_path, capsys):

@@ -389,3 +389,13 @@ def test_reconstruct_from_tables_and_constant_callables():
     assert np.max(np.abs(E @ E.T - np.eye(3))) < 1e-9
     _, cc, _ = cv.discrete_frenet(res.s, res.points)
     assert cc[2000 - 2] == pytest.approx(0.5, abs=1e-4)
+
+
+def test_planar_map_is_lifted_to_the_plane_x3_0():
+    written = parse(["2*cos(t)", "sin(t)"], ["t"])
+    c = cv.Curve(written, (0.0, 6.0))
+    assert c.map.dimension == 3 and c.map.components[:2] == written.components
+    assert c.point(0.5).tolist() == [*written(0.5), 0.0]
+    assert [j.coef for j in c.jets(0.5)] == [j.coef for j in written.eval_jet((0.5,))] + \
+        [[0.0] * 4]
+    assert c.point(np.array([0.5, 1.0]))[:, 2].tolist() == [0.0, 0.0]

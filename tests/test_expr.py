@@ -489,3 +489,57 @@ def _evaluates(source, point) -> bool:
         return True
     except DomainError:
         return False
+
+
+# ---------------------------------------------------------------------------
+# composition by substitution
+# ---------------------------------------------------------------------------
+
+def _all_bits(values) -> list:
+    return [np.asarray(c, dtype=float).view(np.int64).tolist() for v in _numbers(values) for c in v]
+
+
+def test_compose_equals_parsing_the_substituted_text():
+    outer = parse(["x*y + a*sin(x)", "exp(y)/x", "x^2 - atan2(y, x)"], ["x", "y"], {"a": 2.0})
+    inner = parse(["u+v*b", "u*v"], ["u", "v"], {"b": 0.5, "a": 2.0})
+    composed = outer.compose(inner)
+    written = parse(["(u+v*b)*(u*v) + a*sin(u+v*b)", "exp(u*v)/(u+v*b)",
+                     "(u+v*b)^2 - atan2(u*v, u+v*b)"], ["u", "v"], {"a": 2.0, "b": 0.5})
+    assert composed.variables == ("u", "v")
+    assert composed.constants == written.constants == (("a", 2.0), ("b", 0.5))
+    assert composed.components == written.components
+    us, vs = np.linspace(0.2, 1.5, 5), np.linspace(-1.0, 0.9, 5)
+    for point in [(0.3, 0.7), (1.2, -0.4), (us, vs)]:
+        for order in range(4):
+            assert _all_bits(composed.eval_jet(point, order)) == \
+                _all_bits(written.eval_jet(point, order))
+        assert _all_bits(composed(*point)) == _all_bits(written(*point))
+
+
+def test_compose_evaluates_a_repeated_component_once(monkeypatch):
+    calls = []
+    compose = Jet.compose
+    monkeypatch.setattr(Jet, "compose", lambda self, *f: calls.append(f) or compose(self, *f))
+    m = parse(["r*cos(v)", "r*sin(v)", "h"], ["r", "h", "v"]).compose(
+        parse(["3+cos(u)", "sin(u)", "v"], ["u", "v"]))
+    assert m.components[0].left is m.components[1].left
+    m.eval_jet((0.3, 0.4), 2)
+    assert len(calls) == 4  # cos(u) once, cos(v), sin(v), sin(u)
+
+
+def test_compose_needs_one_component_per_variable():
+    with pytest.raises(ValueError, match="3 components for 2 variables"):
+        parse("x*y", ["x", "y"]).compose(parse(["u", "v", "u*v"], ["u", "v"]))
+
+
+def test_compose_rejects_a_constant_bound_twice():
+    with pytest.raises(ValueError, match="'a' bound to both 2.0 and 1.0"):
+        parse("a*x", ["x"], {"a": 1.0}).compose(parse("a+u", ["u"], {"a": 2.0}))
+
+
+def test_error_in_a_substituted_component_names_its_text():
+    m = parse(["x + y", "x*y"], ["x", "y"]).compose(parse(["v", "2*ln(u)"], ["u", "v"]))
+    for order in (0, 2):
+        with pytest.raises(DomainError) as err:
+            m.eval_jet((-1.0, 1.0), order)
+        assert (err.value.expression, err.value.offset) == ("ln(u)", 2)

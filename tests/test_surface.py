@@ -483,21 +483,49 @@ def test_batch_geometry_matches_pointwise(name, request):
         assert _bits(intrinsic[k]) == _bits(sf.egregium_curvature(surf, u, v))
 
 
+@pytest.mark.parametrize("name", ["revolution", "ruled", "reparameterized"])
+def test_constructed_surfaces_equal_their_written_expressions(name, sphere):
+    """A constructed surface is its written expression: ExprMap.compose
+    substitutes the profiles, so every number is that of the written map."""
+    domain = ((-1.0, 1.0), (-2.0, 2.0))
+    built, written = {
+        "revolution": (sf.revolution_surface("3+cos(u)", "sin(u)", (-1.0, 1.0),
+                                             v_domain=(-2.0, 2.0)),
+                       ["(3+cos(u))*cos(v)", "(3+cos(u))*sin(v)", "sin(u)"]),
+        "ruled": (sf.ruled_surface(["0*u", "0*u", "u"], ["cos(u)", "sin(u)", "0*u"],
+                                   (-1.0, 1.0), (-2.0, 2.0)),
+                  ["0*u+v*cos(u)", "0*u+v*sin(u)", "u+v*(0*u)"]),
+        "reparameterized": (sf.reparameterized(sphere, ["u/2", "v+u*v/4"], domain),
+                            ["cos(u/2)*cos(v+u*v/4)", "cos(u/2)*sin(v+u*v/4)", "sin(u/2)"]),
+    }[name]
+    written = sf.surface_from_expr(written, domain)
+    assert built.map.components == written.map.components
+    for u in np.linspace(-0.9, 0.9, 7):
+        for v in np.linspace(-1.9, 1.9, 7):
+            one, other = sf.jet_at(built, u, v), sf.jet_at(written, u, v)
+            for field in ("point", "f_u", "f_v", "normal", "first_form", "second_form",
+                          "weingarten", "k1", "k2", "d1", "d2", "gaussian", "mean",
+                          "christoffel", "umbilical"):
+                assert _bits(getattr(one, field)) == _bits(getattr(other, field)), field
+            assert _bits(sf.egregium_curvature(built, u, v)) == \
+                _bits(sf.egregium_curvature(written, u, v))
+
+
 class _PointsOnly:
-    """A mapper that refuses batches, so the area is summed node by node."""
+    """An ExprMap that refuses batches, so the area is summed node by node."""
 
-    def __init__(self, mapper):
-        self.mapper = mapper
+    def __init__(self, em):
+        self.em = em
 
-    def eval_jets(self, u, v, order):
-        if np.ndim(u):
+    def eval_jet(self, point, order):
+        if np.ndim(point[0]):
             raise ArithmeticError("one point at a time")
-        return self.mapper.eval_jets(u, v, order)
+        return self.em.eval_jet(point, order)
 
 
 def test_area_in_chunks_equals_node_by_node(torus, catenoid):
     for surf in (torus, catenoid):
-        one_by_one = sf.Surface(_PointsOnly(surf.mapper), surf.domain)
+        one_by_one = sf.Surface(_PointsOnly(surf.map), surf.domain)
         for order in (5, 32, 40):  # 40^2 nodes span several chunks
             assert sf.surface_area(surf, order=order) == sf.surface_area(one_by_one, order=order)
 
@@ -519,11 +547,11 @@ def test_stacked_vecdot_rounds_as_one_pair_at_a_time():
 def test_one_point_metric_and_connection_equals_its_batch_row(sources):
     surf = sf.surface_from_expr(sources, ((-1.0, 1.0), (-1.0, 1.0)))
     us, vs = rng.uniform(-1.0, 1.0, (2, 40))
-    g, gamma = sf._metric_and_connection(sf._derivatives(surf.mapper.eval_jets(us, vs, 2)),
+    g, gamma = sf._metric_and_connection(sf._derivatives(surf.map.eval_jet((us, vs), 2)),
                                          us, vs)
     for k, (u, v) in enumerate(zip(us, vs)):
         g1, gamma1 = sf._metric_and_connection(
-            sf._derivatives(surf.mapper.eval_jets(u, v, 2)), u, v)
+            sf._derivatives(surf.map.eval_jet((u, v), 2)), u, v)
         assert _bits(g[k]) == _bits(g1) and _bits(gamma[k]) == _bits(gamma1)
 
 
