@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import ExprMap, NumericalFailure, parse
+from .expr import ExprMap, NumericalFailure, derivatives, parse
+from .tensor2 import _finite
 
 __all__ = [
     "DegenerateJacobian", "CoordinateSingularity",
@@ -49,20 +50,20 @@ class CoordMap:
         self.domain = tuple(tuple(float(b) for b in box) for box in (domain or ()))
 
     def jacobian(self, z) -> np.ndarray:
-        return _partials(self.map.eval_jet(z, order=1))[0]
+        return _derivative_arrays(self.map, z, 1)[0]
 
 
-def _partials(jets: list):
-    """First partials D1[c, k] of each component jet by z^k and, for jets of
-    order 2 or more, second partials D2[c, k, l] by z^k and z^l."""
-    n = jets[0].nvars
+def _derivative_arrays(em: ExprMap, z, order: int):
+    """First partials D1[c, k] of each component by z^k and, at order 2,
+    second partials D2[c, k, l] by z^k and z^l (else None), from one
+    evaluation of the jets.  Both are C-contiguous: numpy's det, @ and einsum
+    round differently on other layouts."""
+    n = em.arity
     units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-    D1 = np.array([[j.partial(*u) for u in units] for j in jets])
-    if jets[0].order < 2:
-        return D1, None
-    D2 = np.array([[[j.partial(*(a + b for a, b in zip(u, w))) for w in units]
-                    for u in units] for j in jets])
-    return D1, D2
+    pairs = [tuple(map(sum, zip(u, w))) for u in units for w in units] if order > 1 else []
+    D = derivatives(em.eval_jet(z, order), units + pairs)
+    D1 = np.ascontiguousarray(D[:n].T)
+    return D1, np.ascontiguousarray(D[n:].T).reshape(-1, n, n) if pairs else None
 
 
 @dataclass(frozen=True)
@@ -86,13 +87,16 @@ class Metric:
 
 
 def _metric_from_jacobian(J: np.ndarray, z) -> Metric:
-    d = np.linalg.det(J)
-    scale = max(np.linalg.norm(J) ** len(J), np.finfo(float).tiny)
-    if abs(d) <= 1e-10 * scale:
-        raise DegenerateJacobian(f"Jacobian determinant {d:g} at z={tuple(z)}")
-    g = J.T @ J
-    Jinv = np.linalg.inv(J)
-    return Metric(cov=g, con=Jinv @ Jinv.T, tangent=J, dual=Jinv, jacobian=J)
+    d = _finite("the Jacobian determinant", np.linalg.det, J)
+    # |J| or |J|^n past the float range leaves d below 1e-10 |J|^n, and an
+    # overflowing inverse makes the inverse metric overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        if abs(d) <= 1e-10 * max(np.linalg.norm(J) ** len(J), np.finfo(float).tiny):
+            raise DegenerateJacobian(f"Jacobian determinant {d:g} at z={tuple(z)}")
+        Jinv = np.linalg.inv(J)
+    # J^T J is finite where |J| is
+    return Metric(cov=J.T @ J, con=_finite("the inverse metric", lambda: Jinv @ Jinv.T),
+                  tangent=J, dual=Jinv, jacobian=J)
 
 
 def metric_at(chart: CoordMap, z) -> Metric:
@@ -101,12 +105,12 @@ def metric_at(chart: CoordMap, z) -> Metric:
 
 def second_partials(chart: CoordMap, z) -> np.ndarray:
     """S[m, k, l] = second derivative of x_m by z^k and z^l."""
-    return _partials(chart.map.eval_jet(z, order=2))[1]
+    return _derivative_arrays(chart.map, z, 2)[1]
 
 
 def _metric_and_second_partials(chart: CoordMap, z):
     """Metric and S[m, k, l] from one order-2 evaluation of the chart."""
-    J, S = _partials(chart.map.eval_jet(z, order=2))
+    J, S = _derivative_arrays(chart.map, z, 2)
     return _metric_from_jacobian(J, z), S
 
 
@@ -123,7 +127,7 @@ def christoffel(chart: CoordMap, z, method: str = "second_derivative") -> np.nda
     and its first derivatives.  Both are exact up to rounding.
     """
     met, S = _metric_and_second_partials(chart, z)
-    return _connection(met, S, method)
+    return _finite("a Christoffel symbol", _connection, met, S, method)
 
 
 def _connection(met: Metric, S: np.ndarray, method: str) -> np.ndarray:
@@ -188,7 +192,7 @@ def _field_values_and_partials(field, z, n: int):
     if isinstance(field, ExprMap):
         if field.arity != n:
             raise ValueError("field arity does not match the chart")
-        return np.array(field(*z)), _partials(field.eval_jet(z, order=1))[0]
+        return np.array(field(*z)), _derivative_arrays(field, z, 1)[0]
     if callable(field):
         values = np.asarray(field(z), float)
         h = 1e-5
@@ -244,16 +248,16 @@ def laplacian_curvilinear(field, chart: CoordMap, z) -> float:
     if not isinstance(field, ExprMap) or field.dimension != 1:
         raise ValueError("needs a scalar ExprMap over the chart variables")
     met, S = _metric_and_second_partials(chart, z)
-    gamma = _connection(met, S, "second_derivative")
-    D1, D2 = _partials(field.eval_jet(z, order=2))
+    D1, D2 = _derivative_arrays(field, z, 2)
     d1, d2 = D1[0], D2[0]
-    # derivative of the inverse metric from the metric derivative
-    dg = _metric_derivative(met.jacobian, S)
-    dgi = -np.einsum("ha,abc,bk->hkc", met.con, dg, met.con)
-    term1 = float(np.einsum("hk,hk->", met.con, d2))
-    term2 = float(np.einsum("hkh,k->", dgi, d1))
-    term3 = float(np.einsum("hhj,jk,k->", gamma, met.con, d1))
-    return term1 + term2 + term3
+
+    def terms():
+        gamma = _connection(met, S, "second_derivative")
+        # derivative of the inverse metric from the metric derivative
+        dgi = -np.einsum("ha,abc,bk->hkc", met.con, _metric_derivative(met.jacobian, S), met.con)
+        return (np.einsum("hk,hk->", met.con, d2) + np.einsum("hkh,k->", dgi, d1)
+                + np.einsum("hhj,jk,k->", gamma, met.con, d1))
+    return float(_finite("the Laplacian", terms))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +268,7 @@ def _partials_up_to_2(field: ExprMap, point):
     """Per-component values, first partials d1[c, k] and diagonal second
     partials d2[c, k]."""
     point = tuple(float(c) for c in point)
-    d1, d2 = _partials(field.eval_jet(point, order=2))
+    d1, d2 = _derivative_arrays(field, point, 2)
     return np.array(field(*point)), d1, np.einsum("ckk->ck", d2)
 
 

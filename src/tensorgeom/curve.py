@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .expr import (ExprMap, Jet, NumericalFailure, _check, _chunked, _pointwise, _pow, _stack,
-                   parse)
+                   _abs_arguments, derivatives, parse)
 from .tensor2 import cross, inverse, mixed, norm, normalize, sqrt_spd
 
 __all__ = [
@@ -59,6 +59,7 @@ class QuadratureFailure(NumericalFailure, RuntimeError):
 _REG_TOL = 1e-10
 _SCALE_SAMPLES = 128  # parameter samples that set a curve's length scale
 _PLANE = parse(["x", "y", "0"], ["x", "y"])  # a planar curve lies in the plane x3 = 0
+_ORDERS = ((0,), (1,), (2,), (3,))
 
 
 class Curve:
@@ -88,8 +89,7 @@ class Curve:
 
     def derivatives(self, t: float, order: int = 3) -> list[np.ndarray]:
         """[p, p', p'', ...] up to the requested order."""
-        jets = self.jets(t, order)
-        return [_stack([j.partial(k) for j in jets], np.shape(t)) for k in range(order + 1)]
+        return list(np.moveaxis(derivatives(self.jets(t, order), _ORDERS[:order + 1]), -2, 0))
 
     def point(self, t: float) -> np.ndarray:
         return _stack(self.map(t), np.shape(t))
@@ -137,6 +137,7 @@ _WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.269266719
        0.29552422471475287)
 _EPMACH, _UFLOW = 2.220446049250313e-16, 2.2250738585072014e-308  # d1mach(4), d1mach(1)
 _EPSREL, _MAX_PANELS = 1e-12, 200
+_SCAN = 257  # parameter samples of a length's regularity and kink scan
 
 
 _KRONROD_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)  # the Gauss pairs first
@@ -171,25 +172,31 @@ def _kronrod21(f, a: float, b: float) -> tuple[float, float, float]:
     return resk * hlgth, abserr, resasc
 
 
-def integrate(f: Callable[[float], float], a: float, b: float, epsabs: float):
+def integrate(f: Callable[[float], float], a: float, b: float, epsabs: float,
+              breaks: tuple = ()):
     """Integral of f over [a, b] to max(epsabs, 1e-12 * |value|): one panel if
     it passes QUADPACK's dqagse test, else the panel of largest error is bisected
     (no extrapolation) until the summed error estimate meets the bound.
+    ``breaks``, sorted points inside (a, b) where f may have a kink or a jump,
+    are the first panel edges, as in QUADPACK's dqagp.
 
     f takes a float, or an array of them (the nodes of a panel) and returns
     their values; a non-finite value is recomputed by f on that node alone."""
-    result, abserr, resasc = _kronrod21(f, a, b)
+    edges = (a, *breaks, b)
+    panels = [(lo, hi, *_kronrod21(f, lo, hi)) for lo, hi in zip(edges, edges[1:])]
+    # one panel passes on dqagse's test; several, once their summed error is small
+    result, abserr, resasc = panels[0][2:] if len(panels) == 1 else \
+        (sum(p[2] for p in panels), sum(p[3] for p in panels), None)
     if (abserr <= max(epsabs, _EPSREL * abs(result)) and abserr != resasc) or abserr == 0.0:
         return result
-    panels = [(a, b, result, abserr)]  # kept and summed in dqagse's order
-    while True:
-        if len(panels) == _MAX_PANELS:
+    while True:  # panels are kept and summed in dqagse's order
+        if len(panels) >= _MAX_PANELS:
             raise QuadratureFailure(f"the integral over [{a:g}, {b:g}] did not converge in "
                                     f"{_MAX_PANELS} panels (error estimate {abserr:g})")
         i = max(range(len(panels)), key=lambda k: panels[k][3])
         lo, hi = panels[i][:2]
         mid = 0.5 * (lo + hi)
-        left, right = ((x, y, *_kronrod21(f, x, y)[:2]) for x, y in ((lo, mid), (mid, hi)))
+        left, right = ((x, y, *_kronrod21(f, x, y)) for x, y in ((lo, mid), (mid, hi)))
         panels[i], new = (right, left) if right[3] > left[3] else (left, right)
         panels.append(new)
         result, abserr = sum(p[2] for p in panels), sum(p[3] for p in panels)
@@ -204,9 +211,30 @@ def arc_length(curve: Curve, t0: float, t1: float) -> float:
     """Length of the arc between t0 < t1 by adaptive quadrature of |p'|."""
     if not t0 < t1:
         raise ValueError("need t0 < t1")
+    ts = np.linspace(t0, t1, _SCAN)
     # the speed check also enforces regularity
-    top = max(_pointwise(curve.speed, np.linspace(t0, t1, 257)))
-    return integrate(lambda t: norm(curve.velocity(t)), t0, t1, 1e-10 * (t1 - t0) * top)
+    top = max(_pointwise(curve.speed, ts))
+    kinks = _abs_arguments(curve.map)
+    return integrate(lambda t: norm(curve.velocity(t)), t0, t1, 1e-10 * (t1 - t0) * top,
+                     _sign_changes(kinks, ts) if kinks.dimension else ())
+
+
+def _sign_changes(values: Callable, ts: np.ndarray) -> tuple:
+    """The sorted points where a component of ``values`` (a function of t, on a
+    float or an array) changes sign between adjacent samples ``ts``, each
+    bisected down to two adjacent doubles and given by the upper one."""
+    out = set()
+    with np.errstate(all="ignore"):  # a NaN sign never counts as a change
+        signs = np.sign(np.array(values(ts)))
+        for c, i in zip(*np.nonzero(signs[:, :-1] * signs[:, 1:] < 0.0)):
+            lo, hi = float(ts[i]), float(ts[i + 1])
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                if np.sign(values(mid)[c]) == signs[c, i]:
+                    lo = mid
+                else:
+                    hi = mid
+            out.add(hi)
+    return tuple(sorted(out))
 
 
 def arclength_table(curve: Curve, n: int = 128) -> tuple[np.ndarray, np.ndarray]:

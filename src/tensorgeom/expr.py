@@ -61,6 +61,7 @@ __all__ = [
     "parse",
     "unparse",
     "jet_atan2",
+    "derivatives",
 ]
 
 
@@ -245,11 +246,14 @@ def _stack(values, batch: tuple = ()) -> np.ndarray:
 # Flat coefficient layout per arity, filled by ``_layout`` on first use:
 # exponent multi-indices in graded order (total degree, then the exponents
 # in descending lexicographic order), the coefficient count per order, the
-# position of each multi-index, and per (arity, order) the (i, j) pairs of
-# every product slot.  Plain dicts keep ``Jet.__mul__`` at one C-level lookup.
+# position of each multi-index, per multi-index the (position, prod k!) pair
+# that turns its coefficient into the derivative, and per (arity, order) the
+# (i, j) pairs of every product slot.  Plain dicts keep ``Jet.__mul__`` at one
+# C-level lookup.
 _POWERS: dict = {}
 _COUNT: dict = {}
 _INDEX: dict = {}
+_PARTIAL: dict = {}
 _MUL: dict = {}
 _FACT = (1.0, 1.0, 2.0, 6.0)
 
@@ -280,6 +284,7 @@ def _layout(nvars: int) -> tuple:
         _MUL[(nvars, order)] = tuple(per_slot)
     _POWERS[nvars] = powers
     _INDEX[nvars] = index
+    _PARTIAL[nvars] = {p: (k, math.prod(_FACT[e] for e in p)) for p, k in index.items()}
     _COUNT[nvars] = counts
     return counts
 
@@ -329,13 +334,10 @@ class Jet:
         """Mixed partial derivative, e.g. ``partial(1, 2)`` = d^3/du dv^2."""
         if len(orders) != self.nvars:
             raise ValueError("partial() needs one order per variable")
-        total = sum(orders)
-        if total > self.order:
+        if sum(orders) > self.order:
             raise ValueError("derivative order exceeds jet order")
-        scale = 1.0
-        for k in orders:
-            scale *= _FACT[k]
-        return self.coef[_INDEX[self.nvars][tuple(orders)]] * scale
+        k, scale = _PARTIAL[self.nvars][orders]
+        return self.coef[k] * scale
 
     def deriv(self, which: int = 0) -> "Jet":
         """Jet of the derivative with respect to one variable (order drops by 1)."""
@@ -569,6 +571,25 @@ class Jet:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Jet(nvars={self.nvars}, order={self.order}, coef={self.coef})"
+
+
+def derivatives(jets: Sequence[Jet], powers: Sequence[tuple]) -> np.ndarray:
+    """The partial derivatives of several jets of one arity, as an array of
+    shape (..., len(powers), len(jets)): row r holds the derivative of every
+    jet with the exponents powers[r] (one per variable; total at most the
+    jets' order), as ``Jet.partial`` gives it.  On a batch the leading axes
+    are those of the points."""
+    cells = [_PARTIAL[jets[0].nvars][p] for p in powers]
+    if not any(type(j.value) is np.ndarray for j in jets):
+        # one point: a jet whose value is a float holds only floats
+        return np.array([j.coef[k] * s for k, s in cells for j in jets]).reshape(
+            len(cells), len(jets))
+    out = np.empty(np.broadcast_shapes(*(np.shape(j.value) for j in jets))
+                   + (len(cells), len(jets)))
+    for c, j in enumerate(jets):
+        for r, (k, s) in enumerate(cells):
+            out[..., r, c] = j.coef[k] * s
+    return out
 
 
 def _tan(a: float) -> float:
@@ -1038,6 +1059,20 @@ def _rebuilt(node: Node, f) -> Node:
     if isinstance(node, Call):
         return Call(node.span, node.func, tuple(map(f, node.args)))
     return node
+
+
+def _abs_arguments(em: ExprMap) -> ExprMap:
+    """The map, of em's variables, to the argument of each distinct ``abs`` in
+    em's components: em may have a kink only where one of them changes sign."""
+    found, seen, stack = [], set(), list(em.components)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, Call) and node.func == "abs":
+                found.append(node.args[0])
+            _rebuilt(node, stack.append)  # pushes the operands; the copy is dropped
+    return ExprMap(em.variables, em.constants, tuple(found))
 
 
 def _intern(node: Node, table: dict) -> Node:

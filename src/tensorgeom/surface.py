@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .curve import integrate
+from .curve import _ORDERS, _SCAN, _sign_changes, integrate
 from .expr import (ExprMap, Jet, NumericalFailure, _check, _map, _merged, _pointwise, _pow,
-                   _select, _stack, parse)
+                   _select, _stack, _abs_arguments, derivatives, parse)
 from .tensor2 import _components, cross, norm
 
 __all__ = [
@@ -71,11 +71,6 @@ class LeftDomain(NumericalFailure, RuntimeError):
 # ---------------------------------------------------------------------------
 # surfaces as expression maps
 # ---------------------------------------------------------------------------
-
-def _univariate_derivs(em: ExprMap, t: float) -> list[tuple[float, float, float, float]]:
-    jets = em.eval_jet((t,), order=3)
-    return [(j.partial(0), j.partial(1), j.partial(2), j.partial(3)) for j in jets]
-
 
 @dataclass(frozen=True)
 class Surface:
@@ -224,21 +219,8 @@ def _entries(m: np.ndarray) -> list:
     return list(_components(m.reshape(m.shape[:-2] + (4,))))
 
 
-# a jet coefficient times this is the derivative (exact): in graded order the
-# first six coefficients are those of 1, u, v, uu, uv, vv, and uu and vv are halved
-_TO_DERIVATIVE = (1.0, 1.0, 1.0, 2.0, 1.0, 2.0)
-
-
-def _derivatives(jets: list[Jet]) -> np.ndarray:
-    """p, f_u, f_v, f_uu, f_uv, f_vv as the rows of one (..., 6, 3) array."""
-    if any(type(j.value) is np.ndarray for j in jets):
-        out = np.empty(np.broadcast_shapes(*(np.shape(j.value) for j in jets)) + (6, 3))
-        for c, j in enumerate(jets):
-            for k, s in enumerate(_TO_DERIVATIVE):
-                out[..., k, c] = j.coef[k] * s
-        return out
-    # one point: a jet whose value is a float holds only floats
-    return np.array([[j.coef[k] * s for j in jets] for k, s in enumerate(_TO_DERIVATIVE)])
+# the rows p, f_u, f_v, f_uu, f_uv, f_vv that ``derivatives`` takes from a map's jets
+_SECOND = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 def _sqrt_2x2_spd(M: np.ndarray) -> np.ndarray:
@@ -265,14 +247,14 @@ def _christoffel_2d(g00, g01, g11, det, dg: dict) -> np.ndarray:
 
 
 # the nine distinct dot products of the metric and its derivatives, as row
-# pairs of ``_derivatives``: fu.fu, fu.fv, fv.fv, then f_uu, f_uv and f_vv
+# pairs of _SECOND: fu.fu, fu.fv, fv.fv, then f_uu, f_uv and f_vv
 # each against fu and fv
 _LEFT, _RIGHT = [1, 1, 2, 3, 3, 4, 4, 5, 5], [1, 2, 2, 1, 2, 1, 2, 1, 2]
 
 
 def _metric_and_connection(D: np.ndarray, u, v):
     """First fundamental form and the surface connection at (u, v) from the
-    parameter derivatives of the map (``_derivatives``).  A det g at or below
+    parameter derivatives of the map (the rows of _SECOND).  A det g at or below
     _REG_TOL g11 g22, where rounding may leave no digit of it, raises
     IrregularPoint naming the point (on a batch it marks the point)."""
     dots = _dot(D[..., _LEFT, :], D[..., _RIGHT, :])
@@ -290,7 +272,7 @@ def _metric_and_connection(D: np.ndarray, u, v):
 
 
 def jet_at(surface: Surface, u: float, v: float) -> SurfaceJet:
-    D = _derivatives(surface.map.eval_jet((u, v), 2))
+    D = derivatives(surface.map.eval_jet((u, v), 2), _SECOND)
     p, fu, fv, fuu, fuv, fvv = np.moveaxis(D, -2, 0)
     n_raw = cross(fu, fv)
     n_len = norm(n_raw)
@@ -413,19 +395,13 @@ class GeodesicTrajectory:
 
 
 def _metric_and_gamma(surface: Surface, u: float, v: float):
-    return _metric_and_connection(_derivatives(surface.map.eval_jet((u, v), 2)), u, v)
+    return _metric_and_connection(derivatives(surface.map.eval_jet((u, v), 2), _SECOND), u, v)
 
 
 def geodesic_integrate(surface: Surface, state0: GeodesicState, s_max: float,
-                       step: float, adaptive: bool = False,
-                       drift_tol: float = 1e-9) -> GeodesicTrajectory:
-    """RK4 integration of the geodesic system, starting from a state whose
-    parameter velocity is normalized to unit surface speed.
-
-    With ``adaptive=True`` each step is re-done in halves (up to 8 levels)
-    whenever the surface-speed drift exceeds ``drift_tol``; the default is a
-    plain fixed-step march.
-    """
+                       step: float) -> GeodesicTrajectory:
+    """Fixed-step RK4 integration of the geodesic system, starting from a
+    state whose parameter velocity is normalized to unit surface speed."""
     if step <= 0.0 or s_max <= 0.0:
         raise ValueError("need positive step and arc-length span")
     g0, _ = _metric_and_gamma(surface, state0.u, state0.v)
@@ -452,25 +428,13 @@ def geodesic_integrate(surface: Surface, state0: GeodesicState, s_max: float,
         k4 = rhs(y_ + h_ * k3)
         return y_ + (h_ / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def speed_drift(y_):
-        g, _ = _metric_and_gamma(surface, y_[0], y_[1])
-        w_ = y_[2:]
-        return abs(math.sqrt(w_ @ g @ w_) - 1.0)
-
-    def advance(y_, h_, depth=0):
-        y_new = rk4(y_, h_)
-        if adaptive and depth < 8 and speed_drift(y_new) > drift_tol:
-            y_half = advance(y_, 0.5 * h_, depth + 1)
-            return advance(y_half, 0.5 * h_, depth + 1)
-        return y_new
-
     n = int(round(s_max / step))
     h = s_max / n
     out = np.empty((n + 1, 5))
     out[0] = (0.0, *y)
     for i in range(n):
         try:
-            y = advance(y, h)
+            y = rk4(y, h)
         except LeftDomain as err:
             raise LeftDomain(str(err),
                              state=GeodesicState(y[0], y[1], y[2], y[3],
@@ -537,10 +501,9 @@ def gauss_weingarten_residual(surface: Surface, u: float, v: float):
              fu_j[0] * fv_j[1] - fu_j[1] * fv_j[0]]
     n_len = _jet_dot3(n_raw, n_raw).sqrt()
     N_jets = [c / n_len for c in n_raw]
-    N_u = np.array([j.partial(1, 0) for j in N_jets])
-    N_v = np.array([j.partial(0, 1) for j in N_jets])
+    N_u, N_v = derivatives(N_jets, ((1, 0), (0, 1)))
 
-    p, fu, fv, fuu, fuv, fvv = _derivatives(jets)
+    p, fu, fv, fuu, fuv, fvv = derivatives(jets, _SECOND)
     seconds = {(0, 0): fuu, (0, 1): fuv, (1, 0): fuv, (1, 1): fvv}
     basis = {0: fu, 1: fv}
     gamma, B, X, N = data.christoffel, data.second_form, data.weingarten, data.normal
@@ -564,10 +527,8 @@ def gauss_weingarten_residual(surface: Surface, u: float, v: float):
 
 def _metric_det(surface: Surface, u, v):
     """det g = |f_u|^2 |f_v|^2 - (f_u . f_v)^2 at a point or a batch."""
-    jets = surface.map.eval_jet((u, v), 1)
-    batch = np.broadcast_shapes(np.shape(u), np.shape(v))
-    fu = _stack([j.partial(1, 0) for j in jets], batch)
-    fv = _stack([j.partial(0, 1) for j in jets], batch)
+    D = derivatives(surface.map.eval_jet((u, v), 1), ((1, 0), (0, 1)))
+    fu, fv = D[..., 0, :], D[..., 1, :]
     det = _dot(fu, fu) * _dot(fv, fv) - _pow(_dot(fu, fv), 2)
     return _check(det <= 0.0, lambda: IrregularPoint(f"degenerate metric at ({u:g}, {v:g})"), det)
 
@@ -598,14 +559,21 @@ def curve_length_on_surface(surface: Surface, path: ExprMap, t0: float, t1: floa
 
     def integrand(t):
         jets = path.eval_jet((t,), order=1)
-        w = _stack([jets[0].partial(1), jets[1].partial(1)], np.shape(t))
-        D = _derivatives(surface.map.eval_jet((jets[0].value, jets[1].value), 2))
-        fu, fv = D[..., 1, :], D[..., 2, :]
+        w = derivatives(jets, ((1,),))[..., 0, :]
+        D = derivatives(surface.map.eval_jet((jets[0].value, jets[1].value), 1), ((1, 0), (0, 1)))
+        fu, fv = D[..., 0, :], D[..., 1, :]
         g12 = _dot(fu, fv)
         g = _mat2(_dot(fu, fu), g12, g12, _dot(fv, fv))  # the metric alone: no connection
         return _map(math.sqrt, _dot(np.vecmat(w, g), w))
 
-    return integrate(integrand, t0, t1, 1e-12)
+    # the speed may jump where an abs argument of the path, or of the surface
+    # along it, changes sign
+    kinks, surface_kinks = _abs_arguments(path), _abs_arguments(surface.map)
+    breaks = ()
+    if kinks.dimension or surface_kinks.dimension:
+        breaks = _sign_changes(lambda t: kinks(t) + surface_kinks(*path(t)),
+                               np.linspace(t0, t1, _SCAN))
+    return integrate(integrand, t0, t1, 1e-12, breaks)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +592,7 @@ def _arclength_jet_of_profile(u: float, p1, p2, p3, q1, q2, q3):
     u_s = h
     u_ss = hp * h
     u_sss = (hpp * h + hp * hp) * h
-    return Jet(1, 3, [u, u_s, u_ss / 2.0, u_sss / 6.0])
+    return Jet.variable(0.0, 0, 1, 3).compose(u, u_s, u_ss, u_sss)
 
 
 def revolution_closed_form(surface: Surface, u: float, v: float) -> dict:
@@ -634,14 +602,13 @@ def revolution_closed_form(surface: Surface, u: float, v: float) -> dict:
     parameter; the curvature is intrinsic either way)."""
     if not isinstance(surface, RevolutionSurface):
         raise ValueError("closed form applies to revolution surfaces only")
-    p0, p1, p2, p3 = _univariate_derivs(surface.radius, u)[0]
-    q0, q1, q2, q3 = _univariate_derivs(surface.height, u)[0]
+    (p0, q0), (p1, q1), (p2, q2), (p3, q3) = derivatives(
+        surface.radius.eval_jet((u,), 3) + surface.height.eval_jet((u,), 3), _ORDERS).tolist()
     if abs(p1 * p1 + q1 * q1 - 1.0) > 1e-9:
         U = _arclength_jet_of_profile(u, p1, p2, p3, q1, q2, q3)
         phi = U.compose(p0, p1, p2, p3)
         psi = U.compose(q0, q1, q2, q3)
-        p0, p1, p2 = phi.partial(0), phi.partial(1), phi.partial(2)
-        q1, q2 = psi.partial(1), psi.partial(2)
+        (p0, _), (p1, q1), (p2, q2) = derivatives([phi, psi], _ORDERS[:3]).tolist()
         arc_length_param = False
     else:
         arc_length_param = True
@@ -662,11 +629,8 @@ def developability(surface: Surface, u: float) -> tuple[bool, float]:
     developable at this u; returns the scale-free witness as well."""
     if not isinstance(surface, RuledSurface):
         raise ValueError("developability applies to ruled surfaces only")
-    g = _univariate_derivs(surface.directrix, u)
-    l = _univariate_derivs(surface.director, u)
-    gamma_p = np.array([c[1] for c in g])
-    lam = np.array([c[0] for c in l])
-    lam_p = np.array([c[1] for c in l])
+    gamma_p = derivatives(surface.directrix.eval_jet((u,), 3), ((1,),))[0]
+    lam, lam_p = derivatives(surface.director.eval_jet((u,), 3), ((0,), (1,)))
     if norm(lam) <= 1e-12:
         raise DegenerateDirector(f"null director at u={u:g}")
     witness = float(np.dot(cross(gamma_p, lam), lam_p))

@@ -155,7 +155,7 @@ def _finite(name: str, f, *args):
     result is not finite (an overflow, or inf - inf) NumericalFailure names it."""
     with np.errstate(over="ignore", invalid="ignore"):
         x = f(*args)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericalFailure(f"{name} overflows" + (f" ({x:g})" if np.ndim(x) == 0 else ""))
     return x
 
@@ -273,7 +273,7 @@ def _off_norm(A) -> float:
 def eigen_sym(L) -> SpectralDecomp:
     """Eigendecomposition of a symmetric tensor by cyclic Jacobi sweeps."""
     L = np.asarray(L, dtype=float)
-    nL = tensor_norm(L)
+    nL = _finite("the norm |L|", tensor_norm, L)  # below it no sum of squares overflows
     if tensor_norm(L - L.T) > _SYMMETRY_TOL * max(nL, np.finfo(float).tiny):
         raise NotSymmetric("symmetry residual above tolerance")
     A = sym_part(L)
@@ -354,8 +354,11 @@ class AxisAngle:
 
 
 def is_rotation(R, tol: float = 1e-9) -> bool:
+    """Whether R R^T = I and det R = 1 within tol; NumericalFailure where
+    |R R^T - I| overflows."""
     R = np.asarray(R, dtype=float)
-    return (tensor_norm(R @ R.T - I3) <= tol) and (abs(det(R) - 1.0) <= tol)
+    return (_finite("the deviation |R R^T - I|", lambda: tensor_norm(R @ R.T - I3)) <= tol
+            and abs(det(R) - 1.0) <= tol)
 
 
 def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import NumericalFailure
-from .tensor2 import I3, tensor_norm
+from .tensor2 import I3, _finite, tensor_norm
 
 __all__ = [
     "NotOrthogonal", "MissingMinorSymmetry", "SymmetryReport",
@@ -132,7 +132,7 @@ def projectors():
 
 def _check_orthogonal(U, tol: float = 1e-9):
     U = np.asarray(U, float)
-    if tensor_norm(U.T @ U - I3) > tol:
+    if _finite("the deviation |U^T U - I|", lambda: tensor_norm(U.T @ U - I3)) > tol:
         raise NotOrthogonal("U^T U deviates from the identity")
     return U
 

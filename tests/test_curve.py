@@ -83,7 +83,8 @@ def test_panel_nodes_in_one_batch_equal_node_by_node(helix):
 
 
 def test_length_that_does_not_converge_names_the_interval():
-    c = make_curve(["t", "abs(sin(20*t)) + t^2"], (0.05, 3.0))
+    # smooth, but about a thousand oscillations (a kink of abs is a panel edge instead)
+    c = make_curve(["t", "sin(2000*t)"], (0.05, 3.0))
     with pytest.raises(cv.QuadratureFailure, match=r"\[0\.05, 3\] did not converge"):
         cv.arc_length(c, 0.05, 3.0)
 

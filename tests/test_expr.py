@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorgeom.expr import (MAX_NESTING, ArityMismatch, DomainError, Jet, ParseError,
-                             UnknownIdentifier, _layout, jet_atan2, parse, unparse)
+                             UnknownIdentifier, _layout, derivatives, jet_atan2, parse, unparse)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +374,40 @@ def test_batch_matches_pointwise_evaluation(case):
         elif not marked:
             assert [[_bits(c) for c in comp] for comp in at_k] == \
                 [[_bits(c) for c in comp] for comp in single], (sources, point, order)
+
+
+@st.composite
+def _derivative_cases(draw):
+    nvars, order = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    size = draw(st.integers(1, 4)) if draw(st.booleans()) else None  # None: one point
+
+    def number(batch: bool):
+        if not batch:
+            return draw(_SMALL)
+        return np.array(draw(st.lists(st.one_of(_SMALL, st.just(math.nan)),
+                                      min_size=size, max_size=size)))
+
+    def jet():
+        # on a batch the value is an array, as eval_jet gives it; others may be floats
+        coef = [number(size is not None and (k == 0 or draw(st.booleans())))
+                for k in range(_layout(nvars)[order])]
+        return Jet(nvars, order, coef)
+
+    exponents = [p for p in itertools.product(range(order + 1), repeat=nvars) if sum(p) <= order]
+    powers = draw(st.lists(st.sampled_from(exponents), min_size=1, max_size=6))
+    return [jet() for _ in range(draw(st.integers(1, 3)))], powers, size
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_derivative_cases())
+def test_derivatives_equal_jet_partial_bit_for_bit(case):
+    jets, powers, size = case
+    D = derivatives(jets, powers)
+    assert D.shape == (() if size is None else (size,)) + (len(powers), len(jets))
+    for r, p in enumerate(powers):
+        for c, j in enumerate(jets):
+            want = np.broadcast_to(np.asarray(j.partial(*p), dtype=float), D.shape[:-2])
+            assert np.array_equal(D[..., r, c].view(np.int64), want.view(np.int64)), (p, j.coef)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from tensorgeom import surface as sf
-from tensorgeom.expr import parse
+from tensorgeom.curve import Curve, integrate
+from tensorgeom.expr import derivatives, parse
 from tensorgeom.tensor2 import norm, normalize
 
 rng = np.random.default_rng(31)
@@ -293,15 +294,6 @@ def test_geodesic_speed_drift_long_run():
     assert worst < 1e-6
 
 
-def test_geodesic_adaptive_step_halving(sphere):
-    # a coarse step with the drift monitor on still meets the drift target
-    traj = sf.geodesic_integrate(sphere, sf.GeodesicState(0.1, 0.0, 0.4, 0.7),
-                                 2.0, 0.1, adaptive=True, drift_tol=1e-10)
-    g, _ = sf._metric_and_gamma(sphere, traj.u[-1], traj.v[-1])
-    w = np.array([traj.du[-1], traj.dv[-1]])
-    assert abs(math.sqrt(w @ g @ w) - 1.0) < 1e-9
-
-
 def test_geodesic_curvature_along_output(sphere):
     traj = sf.geodesic_integrate(sphere, sf.GeodesicState(0.2, 0.4, 0.7, 0.4),
                                  1.0, 1e-3)
@@ -405,6 +397,20 @@ def test_parallel_length_at_latitude(sphere):
     path = parse([f"{math.pi / 4}+0*t", "t"], ["t"])
     length = sf.curve_length_on_surface(sphere, path, 0.0, dv)
     assert length == pytest.approx(math.sqrt(2.0) / 2.0 * dv, rel=1e-10)
+
+@pytest.mark.parametrize("surface, path", [
+    (["u", "v", "0"], ["t", "abs(sin(7*t))+t^2"]),   # the path's speed jumps
+    (["u", "abs(sin(7*u))+u^2", "v"], ["t", "0"]),   # the surface's metric jumps
+])
+def test_length_across_speed_jumps_is_the_sum_over_smooth_pieces(surface, path):
+    length = sf.curve_length_on_surface(sf.surface_from_expr(surface, ((-4, 4), (-4, 4))),
+                                        parse(path, ["t"]), 0.05, 3.0)
+    plane_curve = Curve(parse(["t", "abs(sin(7*t))+t^2"], ["t"]), (0.05, 3.0))
+    edges = [0.05, *(k * math.pi / 7 for k in range(1, 7)), 3.0]
+    pieces = math.fsum(integrate(lambda t: norm(plane_curve.velocity(t)), a, b, 1e-12)
+                       for a, b in zip(edges, edges[1:]))
+    assert abs(length - pieces) <= 1e-12 * pieces, (length, pieces)
+
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +553,11 @@ def test_stacked_vecdot_rounds_as_one_pair_at_a_time():
 def test_one_point_metric_and_connection_equals_its_batch_row(sources):
     surf = sf.surface_from_expr(sources, ((-1.0, 1.0), (-1.0, 1.0)))
     us, vs = rng.uniform(-1.0, 1.0, (2, 40))
-    g, gamma = sf._metric_and_connection(sf._derivatives(surf.map.eval_jet((us, vs), 2)),
-                                         us, vs)
+    g, gamma = sf._metric_and_connection(
+        derivatives(surf.map.eval_jet((us, vs), 2), sf._SECOND), us, vs)
     for k, (u, v) in enumerate(zip(us, vs)):
         g1, gamma1 = sf._metric_and_connection(
-            sf._derivatives(surf.map.eval_jet((u, v), 2)), u, v)
+            derivatives(surf.map.eval_jet((u, v), 2), sf._SECOND), u, v)
         assert _bits(g[k]) == _bits(g1) and _bits(gamma[k]) == _bits(gamma1)
 
 
