@@ -49,8 +49,8 @@ print("polar nonzero symbols:  G^r_tt =", g_second[0, 1, 1],
 print("route disagreement:", np.max(np.abs(g_second - g_metric)))
 
 print("\nthe metric is covariantly constant (Ricci lemma), spherical chart:")
-D = co.covariant_derivative(lambda z: co.metric_at(spherical, z).cov.reshape(-1),
-                            spherical, (1.5, 1.0, 0.3), "tensor_co")
+g_sph = parse(["1", "0", "0", "0", "r^2", "0", "0", "0", "(r*sin(p))^2"], ["r", "p", "t"])
+D = co.covariant_derivative(g_sph, spherical, (1.5, 1.0, 0.3), "tensor_co")
 print("max |g_np;h| =", np.max(np.abs(D)))
 
 print()

@@ -214,7 +214,7 @@ COUNT = _count(MAX_SAMPLES)
 RANGE = _numbers("[lo, hi] with lo < hi", (2,), lambda x: x[0] < x[1])
 POINT = _numbers("one finite number per variable", None)
 VECTOR = _numbers("3 finite numbers", (3,))
-DIRECTION = _numbers("3 finite numbers, not all zero", (3,), lambda x: tensor2.norm(x) > 0.0)
+DIRECTION = _numbers("3 finite numbers, not all zero", (3,), any)
 MATRIX = _numbers("a 3x3 array of finite numbers", (3, 3), out=np.array)
 TENSOR = _numbers("a 3x3x3x3 array of finite numbers", (3, 3, 3, 3), out=np.array)
 EXPRESSION = Kind("an expression string", lambda v, ctx: v if isinstance(v, str) else None)
@@ -321,17 +321,14 @@ def _table(columns: list[str], points: list, row: Callable, skipped: list) -> di
 
     ``row`` takes a point's coordinates, or arrays of them over a chunk of
     points, whose columns it then returns.  A point the chunk marks (a
-    non-finite number in its row) is run again alone, so its row or its
-    failure is exactly what the single point gives."""
+    non-finite number in its row) is run again alone (``_chunked``), so its
+    row or its failure is exactly what the single point gives."""
     rows = []
     for point, values in zip(points, _chunked(row, *zip(*points))):
-        if values is None:
-            try:
-                values = row(*point)
-            except ArithmeticError as exc:
-                skipped.append({"point": list(point), "error": str(exc)})
-                continue
-        rows.append(values)
+        if isinstance(values, ArithmeticError):
+            skipped.append({"point": list(point), "error": str(values)})
+        else:
+            rows.append(values)
     return {"table": {"columns": columns, "rows": rows}}
 
 

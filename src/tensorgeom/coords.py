@@ -182,34 +182,9 @@ def raise_lower(components, metric: Metric, direction: str) -> np.ndarray:
 # fields over a chart and their covariant derivatives
 # ---------------------------------------------------------------------------
 
-def _field_values_and_partials(field, z, n: int):
-    """(values, partials) with partials[..., k] = d(field)/dz^k.
-
-    ``field`` may be an ExprMap (exact jets) or a callable (central
-    differences).
-    """
-    z = tuple(float(c) for c in z)
-    if isinstance(field, ExprMap):
-        if field.arity != n:
-            raise ValueError("field arity does not match the chart")
-        return np.array(field(*z)), _derivative_arrays(field, z, 1)[0]
-    if callable(field):
-        values = np.asarray(field(z), float)
-        h = 1e-5
-        partials = np.empty(values.shape + (n,))
-        for k in range(n):
-            zp = list(z)
-            zm = list(z)
-            zp[k] += h
-            zm[k] -= h
-            partials[..., k] = (np.asarray(field(zp), float)
-                                - np.asarray(field(zm), float)) / (2.0 * h)
-        return values, partials
-    raise ValueError("a field must be an ExprMap or a callable")
-
-
 def covariant_derivative(field, chart: CoordMap, z, variance: str) -> np.ndarray:
-    """Covariant derivative of a field given in chart components.
+    """Covariant derivative of a field given in chart components, an ExprMap
+    over the chart's variables (its partials come from exact jets).
 
     variance "contra": returns D[h, k] = v^h_;k.
     variance "co":     returns D[h, k] = v_h;k.
@@ -217,8 +192,11 @@ def covariant_derivative(field, chart: CoordMap, z, variance: str) -> np.ndarray
     L^np, L_np and L^n_p respectively (mixed: first index up).
     """
     n = chart.ndim
+    if not isinstance(field, ExprMap) or field.arity != n:
+        raise ValueError("a field must be an ExprMap over the chart's variables")
     gamma = christoffel(chart, z)
-    values, partials = _field_values_and_partials(field, z, n)
+    z = tuple(float(c) for c in z)
+    values, partials = np.array(field(*z)), _derivative_arrays(field, z, 1)[0]
     if variance == "contra":
         return partials + np.einsum("hkl,l->hk", gamma, values)
     if variance == "co":

@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import (ExprMap, Jet, NumericalFailure, _check, _chunked, _pointwise, _pow, _stack,
-                   _abs_arguments, derivatives, parse)
+from .expr import (ExprMap, Jet, NumericalFailure, _check, _chunked, _pointwise, _pow, _raising,
+                   _stack, _abs_arguments, derivatives, parse)
 from .tensor2 import cross, inverse, mixed, norm, normalize, sqrt_spd
 
 __all__ = [
@@ -177,12 +177,12 @@ def integrate(f: Callable[[float], float], a: float, b: float, epsabs: float,
     """Integral of f over [a, b] to max(epsabs, 1e-12 * |value|): one panel if
     it passes QUADPACK's dqagse test, else the panel of largest error is bisected
     (no extrapolation) until the summed error estimate meets the bound.
-    ``breaks``, sorted points inside (a, b) where f may have a kink or a jump,
-    are the first panel edges, as in QUADPACK's dqagp.
+    ``breaks``, sorted points where f may have a kink or a jump, are the first
+    panel edges where they lie inside (a, b), as in QUADPACK's dqagp.
 
     f takes a float, or an array of them (the nodes of a panel) and returns
     their values; a non-finite value is recomputed by f on that node alone."""
-    edges = (a, *breaks, b)
+    edges = (a, *(x for x in breaks if a < x < b), b)
     panels = [(lo, hi, *_kronrod21(f, lo, hi)) for lo, hi in zip(edges, edges[1:])]
     # one panel passes on dqagse's test; several, once their summed error is small
     result, abserr, resasc = panels[0][2:] if len(panels) == 1 else \
@@ -212,20 +212,22 @@ def arc_length(curve: Curve, t0: float, t1: float) -> float:
     if not t0 < t1:
         raise ValueError("need t0 < t1")
     ts = np.linspace(t0, t1, _SCAN)
-    # the speed check also enforces regularity
-    top = max(_pointwise(curve.speed, ts))
     kinks = _abs_arguments(curve.map)
+    breaks = _sign_changes(kinks, ts) if kinks.dimension else ()
+    # the speed check also enforces regularity; at a kink the speed's jet is undefined
+    top = max(_pointwise(curve.speed, np.setdiff1d(ts, breaks)), default=0.0)
     return integrate(lambda t: norm(curve.velocity(t)), t0, t1, 1e-10 * (t1 - t0) * top,
-                     _sign_changes(kinks, ts) if kinks.dimension else ())
+                     breaks)
 
 
 def _sign_changes(values: Callable, ts: np.ndarray) -> tuple:
     """The sorted points where a component of ``values`` (a function of t, on a
-    float or an array) changes sign between adjacent samples ``ts``, each
-    bisected down to two adjacent doubles and given by the upper one."""
-    out = set()
+    float or an array) is zero at a sample ``ts`` or changes sign between
+    adjacent ones; a change is bisected down to two adjacent doubles and given
+    by the upper one."""
     with np.errstate(all="ignore"):  # a NaN sign never counts as a change
         signs = np.sign(np.array(values(ts)))
+        out = set(ts[np.any(signs == 0.0, axis=0)].tolist())
         for c, i in zip(*np.nonzero(signs[:, :-1] * signs[:, 1:] < 0.0)):
             lo, hi = float(ts[i]), float(ts[i + 1])
             while lo < (mid := 0.5 * (lo + hi)) < hi:
@@ -388,29 +390,29 @@ class BonnetResult:
         return np.vstack([self.tangents[i], self.normals[i], self.binormals[i]])
 
 
-def _cartan_rhs(c: float, theta: float, E: np.ndarray) -> np.ndarray:
-    out = np.empty_like(E)
-    out[0] = c * E[1]
-    out[1] = -c * E[0] - theta * E[2]
-    out[2] = theta * E[1]
+def _rk4(f, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical Runge-Kutta step of y' = f(node, y): f is evaluated at the
+    step's start (node 0), twice at its midpoint (node 1) and at its end (node 2)."""
+    k1 = f(0, y)
+    k2 = f(1, y + 0.5 * h * k1)
+    k3 = f(1, y + 0.5 * h * k2)
+    k4 = f(2, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _cartan_rhs(c: float, theta: float, Y: np.ndarray) -> np.ndarray:
+    """p' = T and the Frenet-Serret equations, on the rows (p, T, N, B)."""
+    out = np.empty_like(Y)
+    out[0] = Y[1]
+    out[1] = c * Y[2]
+    out[2] = -c * Y[1] - theta * Y[3]
+    out[3] = theta * Y[2]
     return out
 
 
 def _reorthonormalize(E: np.ndarray) -> np.ndarray:
     # nearest orthogonal matrix (polar projection)
     return E @ inverse(sqrt_spd(E.T @ E))
-
-
-def _profile_rows(funcs, *nodes):
-    """Per step, ``[f(x) for x in the step's nodes for f in funcs]``: the nodes
-    are columns over the steps, evaluated CHUNK steps at a time (``_chunked``).
-    A step its chunk marks is evaluated again alone, in that order, so it
-    raises where the first failing call raises."""
-    def values(*xs):
-        return [f(x) for x in xs for f in funcs]
-
-    for i, row in enumerate(_chunked(values, *nodes)):
-        yield values(*(float(x[i]) for x in nodes)) if row is None else row
 
 
 def bonnet_reconstruct(profile: CurvatureProfile, p0, frame0, step: float) -> BonnetResult:
@@ -435,28 +437,19 @@ def bonnet_reconstruct(profile: CurvatureProfile, p0, frame0, step: float) -> Bo
         if c_of(s) <= 0.0:
             raise UndefinedNormal(f"curvature {c_of(s):g} at s={s:g}: the frame "
                                   "normal is undefined")
-    p = np.asarray(p0, dtype=float).copy()
-    ss = np.empty(n + 1)
-    points = np.empty((n + 1, 3))
-    frames = np.empty((n + 1, 3, 3))
-    ss[0], points[0], frames[0] = s0, p, E
     h = (s1 - s0) / n
-    starts = s0 + np.arange(n) * h  # s0 + i*h, rounded as the loop below rounds it
-    rows = _profile_rows((c_of, th_of), starts, starts + 0.5 * h, starts + h)
-    for i, (c1, t1, c2, t2, c3, t3) in zip(range(n), rows):
-        s = s0 + i * h
-        k1 = _cartan_rhs(c1, t1, E)
-        E2 = E + 0.5 * h * k1
-        k2 = _cartan_rhs(c2, t2, E2)
-        E3 = E + 0.5 * h * k2
-        k3 = _cartan_rhs(c2, t2, E3)
-        E4 = E + h * k3
-        k4 = _cartan_rhs(c3, t3, E4)
-
-        p = p + (h / 6.0) * (E[0] + 2.0 * E2[0] + 2.0 * E3[0] + E4[0])
-        E = _reorthonormalize(E + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        ss[i + 1], points[i + 1], frames[i + 1] = s + h, p, E
-    return BonnetResult(ss, points, frames[:, 0], frames[:, 1], frames[:, 2])
+    starts = s0 + np.arange(n) * h
+    # per step, (c, theta) at its start, midpoint and end
+    rows = _raising(_chunked(lambda *xs: [f(x) for x in xs for f in (c_of, th_of)],
+                             starts, starts + 0.5 * h, starts + h))
+    states = np.empty((n + 1, 4, 3))  # rows (p, T, N, B)
+    states[0, 0], states[0, 1:] = p0, E
+    for i, row in zip(range(n), rows):
+        Y = _rk4(lambda j, y: _cartan_rhs(row[2 * j], row[2 * j + 1], y), states[i], h)
+        Y[1:] = _reorthonormalize(Y[1:])
+        states[i + 1] = Y
+    ss = np.concatenate(([s0], starts + h))
+    return BonnetResult(ss, *states.transpose(1, 0, 2))
 
 
 def discrete_frenet(s: np.ndarray, points: np.ndarray):

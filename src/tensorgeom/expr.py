@@ -184,13 +184,14 @@ def _select(cond, then, otherwise):
 
 
 def _chunked(f, *columns):
-    """Per point, the list of ``f``'s results there, or None where its chunk
-    marks the point.  The points are given by their coordinate columns; ``f``
-    takes the coordinates of a chunk of CHUNK points at once and returns a list
-    of result columns, each an array over the chunk (vectors on a trailing
-    axis) or one value for all of it.  A point is marked by a non-finite number
-    among its results (in a column of objects, a NaN), and every point of a
-    chunk on which ``f`` raises an arithmetic or linear-algebra error."""
+    """Per point, the list of ``f``'s results there.  The points are given by
+    their coordinate columns; ``f`` takes the coordinates of a chunk of CHUNK
+    points at once and returns a list of result columns, each an array over the
+    chunk (vectors on a trailing axis) or one value for all of it.  A point its
+    chunk marks, by a non-finite number among its results (in a column of
+    objects, a NaN) or by an arithmetic or linear-algebra error of ``f`` on the
+    whole chunk, is evaluated again alone: its results are ``f`` at that point,
+    or the ArithmeticError raised there in their place."""
     for lo in range(0, len(columns[0]), CHUNK):
         chunk = [np.asarray(c[lo:lo + CHUNK], dtype=float) for c in columns]
         size = len(chunk[0])
@@ -198,22 +199,36 @@ def _chunked(f, *columns):
             with np.errstate(all="ignore"):
                 results = [np.broadcast_to(r, (size,) + np.shape(r)[1:]) for r in f(*chunk)]
         except (ArithmeticError, np.linalg.LinAlgError):
-            yield from [None] * size
-            continue
-        unmarked = np.logical_and.reduce(
-            [r == r if r.dtype == object else np.isfinite(r).reshape(size, -1).all(axis=1)
-             for r in results]).tolist()
-        for values, ok in zip(zip(*(r.tolist() for r in results)), unmarked):
-            yield list(values) if ok else None
+            rows, unmarked = [None] * size, [False] * size
+        else:
+            rows = zip(*(r.tolist() for r in results))
+            unmarked = np.logical_and.reduce(
+                [r == r if r.dtype == object else np.isfinite(r).reshape(size, -1).all(axis=1)
+                 for r in results]).tolist()
+        for k, (values, ok) in enumerate(zip(rows, unmarked), lo):
+            if ok:
+                yield list(values)
+                continue
+            try:
+                yield f(*(c[k] for c in columns))
+            except ArithmeticError as exc:
+                yield exc
+
+
+def _raising(rows):
+    """The rows of ``_chunked``, up to the first error given in place of one,
+    which is raised."""
+    for row in rows:
+        if isinstance(row, ArithmeticError):
+            raise row
+        yield row
 
 
 def _pointwise(f, *columns) -> list:
     """``f`` at each point, the points given by their coordinate columns,
-    evaluated on chunks of points at once.  A point its chunk marks is
-    evaluated again alone, so it raises where ``f`` at that point raises; the
-    first such point raises first."""
-    return [f(*(c[k] for c in columns)) if values is None else values[0]
-            for k, values in enumerate(_chunked(lambda *chunk: [f(*chunk)], *columns))]
+    evaluated on chunks of points at once (``_chunked``): the first point where
+    ``f`` raises an arithmetic error raises it."""
+    return [values[0] for values in _raising(_chunked(lambda *chunk: [f(*chunk)], *columns))]
 
 
 def _spread(values: list, point) -> list:

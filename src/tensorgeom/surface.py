@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curve import _ORDERS, _SCAN, _sign_changes, integrate
+from .curve import _ORDERS, _SCAN, _rk4, _sign_changes, integrate
 from .expr import (ExprMap, Jet, NumericalFailure, _check, _map, _merged, _pointwise, _pow,
                    _select, _stack, _abs_arguments, derivatives, parse)
 from .tensor2 import _components, cross, norm
@@ -411,7 +411,7 @@ def geodesic_integrate(surface: Surface, state0: GeodesicState, s_max: float,
         raise ZeroVelocity(f"zero surface speed at ({state0.u:g}, {state0.v:g})")
     y = np.array([state0.u, state0.v, state0.du / speed, state0.dv / speed])
 
-    def rhs(y_):
+    def rhs(_, y_):
         if not surface.contains(y_[0], y_[1]):
             raise LeftDomain(f"trajectory left the parameter rectangle at "
                              f"(u, v) = ({y_[0]:g}, {y_[1]:g})",
@@ -421,20 +421,13 @@ def geodesic_integrate(surface: Surface, state0: GeodesicState, s_max: float,
         acc = -np.einsum("hij,i,j->h", gamma, w_, w_)
         return np.array([w_[0], w_[1], acc[0], acc[1]])
 
-    def rk4(y_, h_):
-        k1 = rhs(y_)
-        k2 = rhs(y_ + 0.5 * h_ * k1)
-        k3 = rhs(y_ + 0.5 * h_ * k2)
-        k4 = rhs(y_ + h_ * k3)
-        return y_ + (h_ / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
     n = int(round(s_max / step))
     h = s_max / n
     out = np.empty((n + 1, 5))
     out[0] = (0.0, *y)
     for i in range(n):
         try:
-            y = rk4(y, h)
+            y = _rk4(rhs, y, h)
         except LeftDomain as err:
             raise LeftDomain(str(err),
                              state=GeodesicState(y[0], y[1], y[2], y[3],

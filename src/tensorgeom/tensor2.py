@@ -86,12 +86,23 @@ def norm(v) -> float:
 
 
 def normalize(v) -> np.ndarray:
-    """v over its length; raises ValueError for the null vector.  On an array
-    of vectors each is divided by its own length, and a null one gives NaN."""
+    """v over its length; raises ValueError for the null vector.  A single
+    vector is first scaled by a power of two, which is exact, so that its
+    length neither overflows nor underflows.  On an array of vectors each is
+    divided by its own length, and a null one gives NaN."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        v = _unit_scaled(v)
     n = norm(v)
     if np.ndim(n) == 0 and n == 0.0:
         raise ValueError("cannot normalize the null vector")
-    return np.asarray(v, dtype=float) / np.asarray(n)[..., None]
+    return v / np.asarray(n)[..., None]
+
+
+def _unit_scaled(a: np.ndarray) -> np.ndarray:
+    """``a`` times the power of two that puts its largest |entry| in [0.5, 1):
+    exact, and no square or sum of squares of it overflows."""
+    return np.ldexp(a, -np.frexp(np.max(np.abs(a)))[1])
 
 
 def dyad(u, v) -> np.ndarray:
@@ -283,12 +294,16 @@ def eigen_sym(L) -> SpectralDecomp:
         if _off_norm(A) <= target:
             break
         for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = A[p, q]
+            apq = float(A[p, q])
             if apq == 0.0:
                 continue
-            # classic Jacobi rotation annihilating A[p, q]
-            theta = 0.5 * (A[q, q] - A[p, p]) / apq
-            t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
+            # classic Jacobi rotation annihilating A[p, q]; in Python floats, an
+            # overflow is inf and not a warning, and an infinite theta gives t = 0
+            theta = 0.5 * (float(A[q, q]) - float(A[p, p])) / apq
+            # from |theta| = 2^27 on, 1 + theta^2 rounds to theta^2, whose root is
+            # exactly |theta|: the same t, without squaring a theta that may overflow
+            t = 0.5 / theta if abs(theta) >= 2.0 ** 27 else \
+                math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
             c = 1.0 / math.sqrt(1.0 + t * t)
             s = t * c
             R = np.eye(3)

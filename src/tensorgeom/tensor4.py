@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import NumericalFailure
-from .tensor2 import I3, _finite, tensor_norm
+from .tensor2 import I3, _finite, _unit_scaled, tensor_norm
 
 __all__ = [
     "NotOrthogonal", "MissingMinorSymmetry", "SymmetryReport",
@@ -95,15 +95,15 @@ class SymmetryReport:
 
 
 def symmetry_report(LL, rel_tol: float = 1e-12) -> SymmetryReport:
-    LL = np.asarray(LL, float)
+    """Index symmetries of LL: each residual is |LL - P(LL)| / |LL| for an index
+    permutation P, taken of LL scaled by a power of two so that it is exact and
+    no difference or norm overflows; a symmetry holds below ``rel_tol``."""
+    LL = _unit_scaled(np.asarray(LL, float))
     scale = max(norm4(LL), np.finfo(float).tiny)
-    residuals = {
-        "major": norm4(LL - transpose4(LL)),
-        "minor_left": norm4(LL - np.transpose(LL, (1, 0, 2, 3))),
-        "minor_right": norm4(LL - np.transpose(LL, (0, 1, 3, 2))),
-        "cauchy_poisson": norm4(LL - np.transpose(LL, (0, 2, 1, 3))),
-    }
-    flags = {k: v < rel_tol * scale for k, v in residuals.items()}
+    residuals = {name: norm4(LL - np.transpose(LL, axes)) / scale for name, axes in (
+        ("major", (2, 3, 0, 1)), ("minor_left", (1, 0, 2, 3)),
+        ("minor_right", (0, 1, 3, 2)), ("cauchy_poisson", (0, 2, 1, 3)))}
+    flags = {k: v < rel_tol for k, v in residuals.items()}
     return SymmetryReport(flags["major"], flags["minor_left"],
                           flags["minor_right"], flags["cauchy_poisson"], residuals)
 
@@ -158,7 +158,8 @@ def rotate4_components(LL, U) -> np.ndarray:
 
 def isotropic(lam: float, mu: float) -> np.ndarray:
     """Tensor mapping every symmetric A to 2 mu A + lam tr(A) I."""
-    return 2.0 * mu * symmetric_identity4() + lam * dyad4(I3, I3)
+    return _finite("the isotropic tensor",
+                   lambda: 2.0 * mu * symmetric_identity4() + lam * dyad4(I3, I3))
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +189,12 @@ def from_kelvin_vector(v) -> np.ndarray:
 def to_kelvin(LL, rel_tol: float = 1e-10) -> np.ndarray:
     """6x6 Kelvin matrix of a minor-symmetric fourth-rank tensor."""
     LL = np.asarray(LL, float)
-    scale = max(norm4(LL), np.finfo(float).tiny)
     rep = symmetry_report(LL, rel_tol=rel_tol)
-    if (rep.residuals["minor_left"] > rel_tol * scale
-            or rep.residuals["minor_right"] > rel_tol * scale):
+    if not (rep.has_minor_left and rep.has_minor_right):
         raise MissingMinorSymmetry("minor-symmetry residual above tolerance")
-    K = np.empty((6, 6))
-    for a, (i, j) in enumerate(KELVIN_PAIRS):
-        for b, (k, l) in enumerate(KELVIN_PAIRS):
-            K[a, b] = _WEIGHTS[a] * _WEIGHTS[b] * LL[i, j, k, l]
-    return K
+    i, j = np.array(KELVIN_PAIRS).T
+    return _finite("the Kelvin matrix", lambda: np.outer(_WEIGHTS, _WEIGHTS)
+                   * LL[i[:, None], j[:, None], i, j])
 
 
 def from_kelvin(K) -> np.ndarray:

@@ -166,6 +166,13 @@ HOSTILE = {
     "laplacian that overflows": ("analyze", _scene(
         POLAR_CHART, components=["1e-150*z1+1e160*z2^2", "1e-150*z2"], variables=["z1", "z2"],
         requests=[{"op": "laplacian", "params": {"z": [0.5, 0.0], "field": "k*z2^2"}}])),
+    # 2 x 1e308 leaves the float range in the shear block of the Kelvin matrix
+    "kelvin with shear entries 1e308": ("tensor", json.dumps(
+        {"op": "kelvin", "tensor": [[[[1e308 if {i, j} == {k, l} == {0, 1} else 0.0
+                                       for l in range(3)] for k in range(3)]
+                                     for j in range(3)] for i in range(3)]})),
+    "isotropic with lam = mu = 1e308": ("tensor", json.dumps(
+        {"op": "isotropic", "lam": 1e308, "mu": 1e308})),
     # u + v rounds just below 1: the tangent plane passes its test, det g rounds to 0
     "jet where det g rounds to 0": ("analyze", _scene(
         SPHERE, components=["atan2(exp(1), cosh(pi)-v)", "cosh(1)^cos(u/u)", "asin(u+v)"],
@@ -214,7 +221,9 @@ def test_exit_code_classes(tmp_path, capsys):
                           ("kelvin_rotation of diag(1e300, 1, 1)",
                            "the deviation |U^T U - I| overflows (inf)"),
                           ("axis_angle of diag(1e300, 1, 1)",
-                           "the deviation |R R^T - I| overflows (inf)")):
+                           "the deviation |R R^T - I| overflows (inf)"),
+                          ("kelvin with shear entries 1e308", "the Kelvin matrix overflows"),
+                          ("isotropic with lam = mu = 1e308", "the isotropic tensor overflows")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _run(tmp_path, "tensor", HOSTILE[name][1]) == 3
@@ -230,6 +239,53 @@ def test_exit_code_classes(tmp_path, capsys):
             warnings.simplefilter("error")
             assert _run(tmp_path, "analyze", HOSTILE[name][1]) == 3
         assert capsys.readouterr().err.endswith(message + "\n")
+
+
+# Inputs whose results are well defined although an intermediate of the
+# numerics is not: each exits 0, and numpy warns of nothing.
+WELL_DEFINED = {
+    # an abs argument is exactly 0 at a scan sample, where the speed's jet is undefined
+    "kink on a scan sample": ("analyze", _scene(
+        CURVE_OF_T, components=["t", "abs(t-1)"], domain=[[0.0, 2.0]],
+        requests=[{"op": "arc_length", "params": {}}])),
+    # theta^2 of a Jacobi rotation overflows
+    "eigen with a tiny off-diagonal entry": ("tensor", json.dumps(
+        {"op": "eigen", "matrix": [[1, 1e-10, 0], [1e-10, 2, 1e-200], [0, 1e-200, 3]]})),
+    # ... and theta itself: a subnormal entry against a gap of 1e10
+    "eigen with a subnormal off-diagonal entry": ("tensor", json.dumps(
+        {"op": "eigen", "matrix": [[1, 1, 0], [1, 2, 1e-320], [0, 1e-320, 1e10]]})),
+    "reconstruct with curvature atan2(1e-300, s)": ("reconstruct", _scene(
+        PROFILE, curvature="atan2(1e-300, s)", torsion="atan2(1e-300, s)",
+        s_range=[0.0, 1.0], step=0.25)),
+    # |axis|^2 overflows, or underflows to 0
+    "rotation about the axis (1e154, 1e154, 0)": ("tensor", json.dumps(
+        {"op": "rotation", "axis": [1e154, 1e154, 0], "angle": 0.3})),
+    "rotation about the axis (1e-200, 0, 0)": ("tensor", json.dumps(
+        {"op": "rotation", "axis": [1e-200, 0, 0], "angle": 0.3})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WELL_DEFINED))
+def test_well_defined_input_exits_0_without_warnings(name, tmp_path, capsys):
+    command, text = WELL_DEFINED[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(tmp_path, command, text) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_rotation_about_a_huge_or_tiny_axis_is_the_rotation_about_its_direction(tmp_path):
+    def matrix(axis):
+        assert _run(tmp_path, "tensor", json.dumps(
+            {"op": "rotation", "axis": axis, "angle": 0.3})) == 0
+        return json.loads((tmp_path / "out" / "input_report.json").read_text())[
+            "results"][0]["result"]["matrix"]
+    # scaling by a power of two is exact
+    assert matrix([2.0 ** 600, 2.0 ** 600, 0]) == matrix([1, 1, 0])
+    assert matrix([2.0 ** -700, 2.0 ** -700, 0]) == matrix([1, 1, 0])
+    assert matrix([1e-200, 0, 0]) == matrix([1, 0, 0])
+    assert max(abs(a - b) for ra, rb in zip(matrix([1e154, 1e154, 0]), matrix([1, 1, 0]))
+               for a, b in zip(ra, rb)) < 1e-15
 
 
 # abs makes the speed jump where its argument changes sign; each such point is
@@ -396,4 +452,37 @@ def test_random_charts_and_tensor_jobs_exit_0_2_or_3_without_warnings(case):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         code = _run(Path(tmp), command, text)
+    assert code in (0, 2, 3) and "Traceback" not in err.getvalue(), (text, err.getvalue())
+
+
+# the tensor jobs whose inputs are not matrices, over the same magnitudes and 1e308
+_WIDE_MAGNITUDES = (*_MAGNITUDES, 1e308)
+
+
+@st.composite
+def _random_tensor_job(draw):
+    number = st.tuples(st.sampled_from((1.0, -1.0)), st.sampled_from(_WIDE_MAGNITUDES)) \
+        .map(math.prod)
+    op = draw(st.sampled_from(("kelvin", "isotropic", "rotation axis", "rotation angles")))
+    if op == "kelvin":  # minor-symmetric: one entry per pair of index pairs
+        entries = {}
+        tensor = [[[[entries.setdefault((frozenset((i, j)), frozenset((k, l))), draw(number))
+                     for l in range(3)] for k in range(3)] for j in range(3)] for i in range(3)]
+        return json.dumps({"op": op, "tensor": tensor})
+    if op == "isotropic":
+        return json.dumps({"op": op, "lam": draw(number), "mu": draw(number)})
+    if op == "rotation axis":
+        return json.dumps({"op": "rotation", "axis": [draw(number) for _ in range(3)],
+                           "angle": draw(number)})
+    return json.dumps({"op": "rotation", "kind": draw(st.sampled_from(
+        ("euler", "coordinate", "physical"))), "angles": [draw(number) for _ in range(3)]})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_random_tensor_job())
+def test_random_kelvin_isotropic_and_rotation_jobs_exit_0_2_or_3_without_warnings(text):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        code = _run(Path(tmp), "tensor", text)
     assert code in (0, 2, 3) and "Traceback" not in err.getvalue(), (text, err.getvalue())

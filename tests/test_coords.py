@@ -159,6 +159,14 @@ def test_cartesian_covariant_derivative_is_plain_partials():
     assert np.allclose(D, expected, atol=1e-12)
 
 
+# the covariant and contravariant metric of a chart, as fields over it
+_METRIC_FIELDS = {
+    co.polar_map: (["1", "0", "0", "r^2"], ["1", "0", "0", "1/r^2"]),
+    co.spherical_map: (["1", "0", "0", "0", "r^2", "0", "0", "0", "(r*sin(p))^2"],
+                       ["1", "0", "0", "0", "1/r^2", "0", "0", "0", "1/(r*sin(p))^2"]),
+}
+
+
 @pytest.mark.parametrize("chart_factory, z", [
     (co.polar_map, (1.4, 0.9)),
     (co.spherical_map, (2.0, 0.8, -0.5)),
@@ -166,17 +174,14 @@ def test_cartesian_covariant_derivative_is_plain_partials():
 def test_ricci_lemma(chart_factory, z):
     # the covariant derivative of the metric itself vanishes
     chart = chart_factory()
-
-    def g_cov(zz):
-        return co.metric_at(chart, zz).cov.reshape(-1)
-
-    def g_con(zz):
-        return co.metric_at(chart, zz).con.reshape(-1)
-
+    g_cov, g_con = (parse(g, chart.map.variables) for g in _METRIC_FIELDS[chart_factory])
+    met = co.metric_at(chart, z)
+    assert np.allclose(np.reshape(g_cov(*z), met.cov.shape), met.cov, rtol=1e-14, atol=1e-14)
+    assert np.allclose(np.reshape(g_con(*z), met.con.shape), met.con, rtol=1e-14, atol=1e-14)
     D_co = co.covariant_derivative(g_cov, chart, z, "tensor_co")
     D_con = co.covariant_derivative(g_con, chart, z, "tensor_contra")
-    assert np.max(np.abs(D_co)) < 1e-6
-    assert np.max(np.abs(D_con)) < 1e-6
+    assert np.max(np.abs(D_co)) < 1e-13
+    assert np.max(np.abs(D_con)) < 1e-13
 
 
 def test_constant_cartesian_vector_in_polar():
@@ -184,14 +189,12 @@ def test_constant_cartesian_vector_in_polar():
     # v^i = dual_i . v; its covariant derivative must vanish identically
     chart = co.polar_map()
     v_cart = np.array([0.7, -0.3])
-
-    def field(z):
-        met = co.metric_at(chart, z)
-        return met.dual @ v_cart
-
+    field = parse(["0.7*cos(t) - 0.3*sin(t)", "(-0.7*sin(t) - 0.3*cos(t))/r"], ["r", "t"])
     for z in [(1.0, 0.3), (2.5, -1.2)]:
+        assert np.allclose(field(*z), co.metric_at(chart, z).dual @ v_cart,
+                           rtol=1e-14, atol=1e-14)
         D = co.covariant_derivative(field, chart, z, "contra")
-        assert np.max(np.abs(D)) < 1e-8
+        assert np.max(np.abs(D)) < 1e-13
 
 
 def test_divergence_matches_cartesian_pushforward():
@@ -199,17 +202,24 @@ def test_divergence_matches_cartesian_pushforward():
     # contravariant components of the field whose Cartesian form is
     # (x1^2, x1 x2): v^i = dz^i/dx_k v^x_k
     v_cart_src = parse(["z1^2", "z1*z2"], ["z1", "z2"])
-
-    def field(z):
-        met = co.metric_at(chart, z)
-        x = chart.map(*z)
-        return met.dual @ np.array(v_cart_src(*x))
-
+    x1, x2 = "(r*cos(t))", "(r*sin(t))"
+    field = parse([f"cos(t)*{x1}^2 + sin(t)*{x1}*{x2}",
+                   f"(-sin(t)*{x1}^2 + cos(t)*{x1}*{x2})/r"], ["r", "t"])
     z = (1.3, 0.7)
-    div_chart = co.divergence_from_chart(field, chart, z)
     x = chart.map(*z)
+    assert np.allclose(field(*z), co.metric_at(chart, z).dual @ v_cart_src(*x),
+                       rtol=1e-14, atol=1e-14)
+    div_chart = co.divergence_from_chart(field, chart, z)
     # Cartesian divergence of (x1^2, x1 x2) is 2 x1 + x1 = 3 x1
-    assert div_chart == pytest.approx(3.0 * x[0], rel=1e-6)
+    assert div_chart == pytest.approx(3.0 * x[0], rel=1e-13)
+
+
+def test_a_field_that_is_not_an_expr_map_is_rejected():
+    chart = co.polar_map()
+    with pytest.raises(ValueError, match="ExprMap"):
+        co.covariant_derivative(lambda z: [1.0, 0.0], chart, (1.0, 0.3), "contra")
+    with pytest.raises(ValueError, match="ExprMap"):
+        co.divergence_from_chart(parse(["1", "0", "0"], ["z1", "z2", "z3"]), chart, (1.0, 0.3))
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +347,81 @@ def test_tensor_divergence_cylindrical_identity():
     assert np.allclose(out, 0.0, atol=1e-13)
     out = co.diff_ops("spherical", "tensor", "div", ident, (1.1, 0.8, 0.4))
     assert np.allclose(out, 0.0, atol=1e-13)
+
+
+# Each curvilinear system: its variables, the chart x(z), and the rows of its
+# orthonormal frame (e_1, e_2, e_3) in Cartesian components, as expressions.
+_FRAMES = {
+    "cylindrical": (("rho", "t", "z"), ("(rho*cos(t))", "(rho*sin(t))", "z"),
+                    (("cos(t)", "sin(t)", "0"), ("-sin(t)", "cos(t)", "0"), ("0", "0", "1"))),
+    "spherical": (("r", "p", "t"),
+                  ("(r*sin(p)*cos(t))", "(r*sin(p)*sin(t))", "(r*cos(p))"),
+                  (("sin(p)*cos(t)", "sin(p)*sin(t)", "cos(p)"),
+                   ("cos(p)*cos(t)", "cos(p)*sin(t)", "-sin(p)"),
+                   ("-sin(t)", "cos(t)", "0"))),
+}
+_CARTESIAN_FIELDS = {  # components in x1, x2, x3; a tensor's row by row, not symmetric
+    "scalar": ["{x1}^2*{x2} + sin({x3})*{x1} + {x2}*{x3}^2"],
+    "vector": ["{x1}*{x2}", "{x2}^2*{x3}", "sin({x1}) + {x3}*{x1}"],
+    "tensor": ["{x1}*{x2}", "{x3}", "{x1}^2", "{x2}*{x3}", "{x2}", "{x1}*{x3}",
+               "sin({x2})", "{x1} + {x3}^2", "{x3}*{x2}"],
+}
+_OPS = [(kind, op) for kind, ops in (("scalar", ("grad", "laplacian")),
+                                     ("vector", ("grad", "div", "curl", "laplacian")),
+                                     ("tensor", ("div",))) for op in ops]
+
+
+@pytest.mark.parametrize("system, point", [("cylindrical", (1.3, 0.4, -0.7)),
+                                           ("spherical", (1.7, 0.9, -0.6))])
+@pytest.mark.parametrize("kind, op", _OPS)
+def test_closed_form_operators_match_the_cartesian_ones(system, point, kind, op):
+    # in physical components: e_i . V for a vector, e_i . T . e_j for a tensor
+    names, x, frame = _FRAMES[system]
+    cart = [c.format(x1="x1", x2="x2", x3="x3") for c in _CARTESIAN_FIELDS[kind]]
+    there = [c.format(x1=x[0], x2=x[1], x3=x[2]) for c in _CARTESIAN_FIELDS[kind]]
+    if kind == "scalar":
+        physical = there
+    elif kind == "vector":
+        physical = [" + ".join(f"({e[a]})*({there[a]})" for a in range(3)) for e in frame]
+    else:
+        physical = [" + ".join(f"({ei[a]})*({ej[b]})*({there[3 * a + b]})"
+                               for a in range(3) for b in range(3))
+                    for ei in frame for ej in frame]
+    got = co.diff_ops(system, kind, op, parse(physical, names), point)
+    E = np.reshape(parse([e for row in frame for e in row], names)(*point), (3, 3))
+    want = co.diff_ops("cartesian", kind, op, parse(cart, ["x1", "x2", "x3"]),
+                       parse(x, names)(*point))
+    want = E @ want @ E.T if np.ndim(want) == 2 else E @ want if np.ndim(want) else want
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13), (got, want)
+
+
+@pytest.mark.parametrize("chart_factory, z, metric", [
+    (co.polar_map, (1.4, 0.9), ("1", "r^2")),
+    (co.spherical_map, (2.0, 0.8, -0.5), ("1", "r^2", "(r*sin(p))^2")),
+])
+def test_covariant_and_mixed_variances_are_the_lowered_contravariant_ones(chart_factory, z,
+                                                                          metric):
+    # diagonal metrics: lowering index p multiplies by g_pp
+    chart = chart_factory()
+    names = chart.map.variables
+    n = len(names)
+    v = [f"{names[0]}*{names[-1]}^{k + 1} + {k}" for k in range(n)]
+    L = [f"sin({names[-1]} + {k})*{names[0]}^{k % 3}" for k in range(n * n)]
+    lowered = parse([f"({g})*({c})" for g, c in zip(metric, v)], names)
+    mixed = parse([f"({metric[k % n]})*({c})" for k, c in enumerate(L)], names)
+    v, L = parse(v, names), parse(L, names)
+    met = co.metric_at(chart, z)
+    assert np.allclose(lowered(*z), co.raise_lower(v(*z), met, "down"), rtol=1e-14)
+    assert np.allclose(np.reshape(mixed(*z), (n, n)), co.raise_lower(
+        np.reshape(L(*z), (n, n)), met, "mixed_from_contra"), rtol=1e-14)
+    D = co.covariant_derivative(v, chart, z, "contra")
+    assert np.allclose(co.covariant_derivative(lowered, chart, z, "co"), met.cov @ D,
+                       rtol=1e-13, atol=1e-13)
+    D = co.covariant_derivative(L, chart, z, "tensor_contra")
+    want = np.stack([co.raise_lower(D[:, :, h], met, "mixed_from_contra") for h in range(n)],
+                    axis=-1)
+    assert np.allclose(co.covariant_derivative(mixed, chart, z, "tensor_mixed"), want,
+                       rtol=1e-13, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

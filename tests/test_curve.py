@@ -74,6 +74,18 @@ def test_length_matches_closed_form(sources, domain, exact):
     assert abs(cv.arc_length(c, *domain) - exact) <= requested
 
 
+@pytest.mark.parametrize("sources, domain", [
+    (["t", "abs(t-1)"], (0.0, 2.0)),    # the kink is a scan sample
+    (["t", "abs(t)"], (0.0, 1.0)),      # ... the first one
+    (["t", "abs(t-0.5)"], (0.0, 2.0)),
+])
+def test_length_with_a_kink_on_a_scan_sample(sources, domain):
+    # the speed is sqrt(2) on both sides of the kink, where its jet is undefined
+    exact = math.sqrt(2.0) * (domain[1] - domain[0])
+    length = cv.arc_length(make_curve(sources, domain), *domain)
+    assert abs(length - exact) <= 1e-10 * (domain[1] - domain[0]) * math.sqrt(2.0)
+
+
 def test_panel_nodes_in_one_batch_equal_node_by_node(helix):
     speed = lambda t: norm(helix.velocity(t))
     # NaN from every batch: integrate evaluates each node alone

@@ -398,6 +398,13 @@ def test_parallel_length_at_latitude(sphere):
     length = sf.curve_length_on_surface(sphere, path, 0.0, dv)
     assert length == pytest.approx(math.sqrt(2.0) / 2.0 * dv, rel=1e-10)
 
+def test_length_on_a_surface_with_a_kink_at_the_panel_centre():
+    # the kink t = 1 is the first panel's centre and a scan sample
+    plane = sf.Surface(parse(["u", "v", "0*u"], ["u", "v"]), ((-5.0, 5.0), (-5.0, 5.0)))
+    length = sf.curve_length_on_surface(plane, parse(["t", "abs(t-1)"], ["t"]), 0.0, 2.0)
+    assert length == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
+
+
 @pytest.mark.parametrize("surface, path", [
     (["u", "v", "0"], ["t", "abs(sin(7*t))+t^2"]),   # the path's speed jumps
     (["u", "abs(sin(7*u))+u^2", "v"], ["t", "0"]),   # the surface's metric jumps
