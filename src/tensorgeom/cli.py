@@ -50,11 +50,30 @@ class ValidationError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise DomainError(f"non-finite value {x!r} in report")
-    if x == int(x) and abs(x) < 1e16:
-        return format(x, ".1f")
-    return format(x, ".17g")
+    return format(x, ".1f" if x.is_integer() and abs(x) < 1e16 else ".17g")
+
+
+def _joined(head: str, items: list[str], sep: str, tail: str) -> str:
+    """``head + sep.join(items) + tail`` for items not empty, in one copy of
+    the items, so that a report's text is held about twice at most."""
+    pieces = [head]
+    for item in items:
+        pieces += (item, sep)
+    pieces[-1] = tail
+    return "".join(pieces)
+
+
+def _json_list(items: list[str], indent: int) -> str:
+    """A JSON array of formatted items: on one line when it is short, else one
+    item per line."""
+    if not items:
+        return "[]"
+    if len(items) <= 8 and max(map(len, items)) < 24 and "\n" not in "".join(items):
+        return "[" + ", ".join(items) + "]"
+    inner = "  " * (indent + 1)
+    return _joined("[\n" + inner, items, ",\n" + inner, "\n" + "  " * indent + "]")
 
 
 def format_json(obj, indent: int = 0) -> str:
@@ -65,15 +84,12 @@ def format_json(obj, indent: int = 0) -> str:
             return "{}"
         parts = [f'{inner}{json.dumps(str(k))}: {format_json(obj[k], indent + 1)}'
                  for k in sorted(obj)]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+        return _joined("{\n", parts, ",\n", f"\n{pad}}}")
+    if isinstance(obj, Table):
+        return obj._json(indent)
     if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [format_json(x, indent + 1) for x in np.asarray(obj).tolist()] \
-            if isinstance(obj, np.ndarray) else [format_json(x, indent + 1) for x in obj]
-        if not items:
-            return "[]"
-        if all("\n" not in s and len(s) < 24 for s in items) and len(items) <= 8:
-            return "[" + ", ".join(items) + "]"
-        return "[\n" + ",\n".join(inner + s for s in items) + f"\n{pad}]"
+        items = np.asarray(obj).tolist() if isinstance(obj, np.ndarray) else obj
+        return _json_list([format_json(x, indent + 1) for x in items], indent)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (float, np.floating)):
@@ -85,17 +101,51 @@ def format_json(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def _csv_cell(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return _fmt_float(float(x))
-    return str(x)
+def _cells(row) -> list[str]:
+    """A table row's cells as CSV text: a float through ``_fmt_float``, a
+    string as it is."""
+    return [x if type(x) is str else _fmt_float(float(x)) for x in row]
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+class Table:
+    """A report table: column names, and rows of floats (numpy's too) and
+    strings.
+
+    ``format_json`` writes it as it writes ``{"columns": ..., "rows": ...}``,
+    and ``write_csv`` as a header line and one line per row.  Both take a
+    row's cells from ``_cells``; JSON quotes the strings.  When ``keep_csv`` is
+    set, the JSON writer keeps each row's CSV line as it formats the row, and
+    ``write_csv`` writes those lines, so each number is formatted once."""
+
+    def __init__(self, columns: list[str], rows: list):
+        self.columns, self.rows = columns, rows
+        self.keep_csv = False
+        self._csv: list[str] | None = None
+
+    def _json(self, indent: int) -> str:
+        csv = [] if self.keep_csv else None
+        rows = []
+        for row in self.rows:
+            cells = _cells(row)
+            if csv is not None:
+                csv.append(",".join(cells))
+            if str in map(type, row):
+                cells = [json.dumps(x) if type(x) is str else c for x, c in zip(row, cells)]
+            rows.append(_json_list(cells, indent + 2))
+        self._csv = csv
+        text = _json_list(rows, indent + 1)
+        del rows  # before the table's text is copied once more
+        inner = "  " * (indent + 1)
+        return (f'{{\n{inner}"columns": {format_json(self.columns, indent + 1)},\n'
+                f'{inner}"rows": {text}\n{"  " * indent}}}')
+
+
+def write_csv(path: Path, table: Table) -> None:
+    lines, table._csv = table._csv, None
+    if lines is None:
+        lines = [",".join(_cells(row)) for row in table.rows]
+    path.write_text("\n".join([",".join(table.columns), *lines]) + "\n",
+                    encoding="utf-8", newline="\n")
 
 
 def _output(args, suffix: str) -> Path:
@@ -104,19 +154,23 @@ def _output(args, suffix: str) -> Path:
     return outdir / f"{Path(args.path).stem}_{suffix}"
 
 
-def _write_report(args, scene, results: list, diagnostics: dict) -> None:
-    """Write the report envelope of any command as JSON and print its path."""
-    report = {"schema_version": SCHEMA_VERSION, "version": __version__,
-              "scene": scene, "results": results, "diagnostics": diagnostics}
-    path = _output(args, "report.json")
-    path.write_text(format_json(report) + "\n", encoding="utf-8", newline="\n")
-    print(path)
-
-
-def _write_table(args, name: str, table: dict) -> None:
-    path = _output(args, f"{name}.csv")
-    write_csv(path, table["columns"], table["rows"])
-    print(path)
+def _write(args, scene, results: list, diagnostics: dict, tables: dict) -> None:
+    """Write the report envelope of any command as JSON (unless ``--format
+    csv``) and each of its ``tables`` as CSV, named by its key (unless
+    ``--format json``); print each path."""
+    for table in tables.values():
+        table.keep_csv = args.format == "both"
+    if args.format != "csv":
+        report = {"schema_version": SCHEMA_VERSION, "version": __version__,
+                  "scene": scene, "results": results, "diagnostics": diagnostics}
+        path = _output(args, "report.json")
+        path.write_text(format_json(report) + "\n", encoding="utf-8", newline="\n")
+        print(path)
+    if args.format != "json":
+        for name, table in tables.items():
+            path = _output(args, f"{name}.csv")
+            write_csv(path, table)
+            print(path)
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +376,26 @@ def _table(columns: list[str], points: list, row: Callable, skipped: list) -> di
     ``row`` takes a point's coordinates, or arrays of them over a chunk of
     points, whose columns it then returns.  A point the chunk marks (a
     non-finite number in its row) is run again alone (``_chunked``), so its
-    row or its failure is exactly what the single point gives."""
+    row or its failure is exactly what the single point gives; a row of that
+    point that still holds a non-finite number fails, naming its column."""
+    def checked(*point):
+        if np.ndim(point[0]):  # a chunk: _chunked marks its rows of non-finite numbers
+            return row(*point)
+        with np.errstate(all="ignore"):  # a point run again alone is checked here
+            values = row(*point)
+        for name, x in zip(columns, values):
+            if type(x) is not str and not math.isfinite(x):
+                where = ", ".join(f"{c} = {z:g}" for c, z in zip(columns, point))
+                raise DomainError(f"non-finite {name} = {float(x)} at {where}")
+        return values
+
     rows = []
-    for point, values in zip(points, _chunked(row, *zip(*points))):
+    for point, values in zip(points, _chunked(checked, *zip(*points))):
         if isinstance(values, ArithmeticError):
             skipped.append({"point": list(point), "error": str(values)})
         else:
             rows.append(values)
-    return {"table": {"columns": columns, "rows": rows}}
+    return {"table": Table(columns, rows)}
 
 
 def _run_curve_request(cv: curve.Curve, op: str, p: dict, skipped: list):
@@ -386,8 +452,7 @@ def _run_surface_request(sf: surface.Surface, op: str, p: dict, skipped: list):
     stride = max(1, len(traj) // max(p["samples"], 2))
     rows = [[traj.s[i], traj.u[i], traj.v[i], traj.du[i], traj.dv[i],
              *sf.point(traj.u[i], traj.v[i])] for i in range(0, len(traj), stride)]
-    return {"table": {"columns": ["s", "u", "v", "du", "dv", "x1", "x2", "x3"],
-                      "rows": rows}}
+    return {"table": Table(["s", "u", "v", "du", "dv", "x1", "x2", "x3"], rows)}
 
 
 def _run_coordmap_request(chart: coords.CoordMap, op: str, p: dict, skipped: list):
@@ -435,12 +500,9 @@ def cmd_analyze(args) -> int:
             diagnostics["failure"] = {"request": op, "error": str(exc)}
             failure = f"numerical failure in request {op!r}: {exc}"
             break
-    if args.format != "csv":
-        _write_report(args, scene, results, diagnostics)
-    if args.format != "json":
-        for i, entry in enumerate(results):
-            if "table" in entry["result"]:
-                _write_table(args, f"{entry['op']}_{i}", entry["result"]["table"])
+    _write(args, scene, results, diagnostics,
+           {f"{entry['op']}_{i}": entry["result"]["table"]
+            for i, entry in enumerate(results) if "table" in entry["result"]})
     if failure:
         print(failure, file=sys.stderr)
         return EXIT_NUMERICAL
@@ -456,13 +518,10 @@ def cmd_reconstruct(args) -> int:
     stride = max(1, len(res.s) // 2000)
     rows = [[res.s[i], *res.points[i], *res.tangents[i], *res.normals[i],
              *res.binormals[i]] for i in range(0, len(res.s), stride)]
-    table = {"columns": ["s", "x1", "x2", "x3", "t1", "t2", "t3", "n1", "n2", "n3",
-                         "b1", "b2", "b3"], "rows": rows}
-    if args.format != "json":
-        _write_table(args, "curve", table)
-    if args.format != "csv":
-        _write_report(args, job, [{"op": "reconstruct", "result": {"table": table}}],
-                      {"step": p["step"], "samples": len(rows)})
+    table = Table(["s", "x1", "x2", "x3", "t1", "t2", "t3", "n1", "n2", "n3",
+                   "b1", "b2", "b3"], rows)
+    _write(args, job, [{"op": "reconstruct", "result": {"table": table}}],
+           {"step": p["step"], "samples": len(rows)}, {"curve": table})
     return EXIT_OK
 
 
@@ -488,7 +547,7 @@ def cmd_tensor(args) -> int:
     else:
         LL = p["tensor"] if op == "kelvin" else tensor4.isotropic(p["lam"], p["mu"])
         result = {"kelvin": tensor4.to_kelvin(LL)}
-    _write_report(args, job, [{"op": op, "result": result}], {})
+    _write(args, job, [{"op": op, "result": result}], {}, {})
     return EXIT_OK
 
 

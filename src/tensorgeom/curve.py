@@ -80,7 +80,10 @@ class Curve:
         self.domain = (float(domain[0]), float(domain[1]))
         ts = np.linspace(*self.domain, _SCALE_SAMPLES)
         pts = np.array(_pointwise(self.point, ts))
-        self.scale = float(np.max(np.linalg.norm(pts, axis=1)))
+        with np.errstate(over="ignore"):  # |p|^2 beyond the float range: measured below
+            self.scale = float(np.max(np.linalg.norm(pts, axis=1)))
+        if self.scale == math.inf:
+            self.scale = max(math.hypot(*p) for p in pts)
         self._planar = bool(np.max(np.abs(pts[:, 2])) <= _REG_TOL * max(self.scale, 1.0))
 
     # -- evaluation helpers ---------------------------------------------
@@ -98,7 +101,8 @@ class Curve:
         return self.derivatives(t, 1)[1]
 
     def speed(self, t: float) -> float:
-        v = norm(self.velocity(t))
+        with np.errstate(over="ignore"):  # an overflow is reported below, naming t
+            v = _overflow_checked(norm(self.velocity(t)), t)
         return _check(v <= _REG_TOL * max(self.scale, 1.0), lambda: IrregularCurve(
             f"|p'({t:g})| = {v:g} below regularity tolerance", t=t), v)
 
@@ -256,11 +260,18 @@ def arclength_table(curve: Curve, n: int = 128) -> tuple[np.ndarray, np.ndarray]
 # Frenet machinery
 # ---------------------------------------------------------------------------
 
+def _overflow_checked(v, t):
+    """|p'| at t (a float, or an array over a chunk of points), which must not
+    overflow."""
+    return _check(v == math.inf, lambda: IrregularCurve(f"|p'| overflows at t = {t:g}", t=t), v)
+
+
 def _frenet_core(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, scale: float, t: float):
     with np.errstate(over="ignore"):  # an overflow is reported below, naming t
         v = norm(p1)
         w = cross(p1, p2)
         nw = norm(w)
+    v = _overflow_checked(v, t)
     v = _check(v <= _REG_TOL * max(scale, 1.0),
                lambda: IrregularCurve(f"|p'({t:g})| below regularity tolerance", t=t), v)
     nw = _check(nw <= _REG_TOL * v * v, lambda: UndefinedNormal(

@@ -236,7 +236,7 @@ def _point_by_point_table(columns, points, row, skipped):
             rows.append(row(*point))
         except ArithmeticError as exc:
             skipped.append({"point": list(point), "error": str(exc)})
-    return {"table": {"columns": columns, "rows": rows}}
+    return {"table": cli.Table(columns, rows)}
 
 
 def _outputs(directory: Path) -> dict:

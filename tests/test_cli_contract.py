@@ -13,6 +13,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,9 +242,23 @@ def test_exit_code_classes(tmp_path, capsys):
         assert capsys.readouterr().err.endswith(message + "\n")
 
 
+# z = 1e300 u v: the tangent plane degenerates in double rounding, and at
+# (0, 0), where it does not, the curvature is not finite
+HUGE_SADDLE = dict(SPHERE, components=["u", "v", "1e300*u*v"])
+# |p'| = e^t overflows on the whole domain
+EXP_CURVE = dict(CURVE_OF_T, components=["exp(t)", "t", "0*t"], domain=[[700.0, 709.7]],
+                 requests=[{"op": "frenet", "params": {"samples": 9}},
+                           {"op": "evolute", "params": {"samples": 9}}])
+
 # Inputs whose results are well defined although an intermediate of the
-# numerics is not: each exits 0, and numpy warns of nothing.
+# numerics is not, or whose failing grid points are skipped: each exits 0
+# with its report, and numpy warns of nothing.
 WELL_DEFINED = {
+    "curvatures of z = 1e300 u v": ("analyze", _scene(HUGE_SADDLE, requests=[
+        {"op": "curvatures", "params": {"samples": 5}}])),
+    "egregium of z = 1e300 u v": ("analyze", _scene(HUGE_SADDLE, requests=[
+        {"op": "egregium", "params": {"samples": 5}}])),
+    "frenet and evolute where |p'| overflows": ("analyze", json.dumps(EXP_CURVE)),
     # an abs argument is exactly 0 at a scan sample, where the speed's jet is undefined
     "kink on a scan sample": ("analyze", _scene(
         CURVE_OF_T, components=["t", "abs(t-1)"], domain=[[0.0, 2.0]],
@@ -272,6 +287,24 @@ def test_well_defined_input_exits_0_without_warnings(name, tmp_path, capsys):
         warnings.simplefilter("error")
         assert _run(tmp_path, command, text) == 0
     assert capsys.readouterr().err == ""
+
+
+def _skipped(tmp: Path, text: str) -> list[str]:
+    assert _run(tmp, "analyze", text) == 0
+    report = json.loads((tmp / "out" / "input_report.json").read_text())
+    assert all(not entry["result"]["table"]["rows"] for entry in report["results"])
+    return [entry["error"] for entry in report["diagnostics"]["skipped"]]
+
+
+def test_non_finite_and_overflowing_grid_points_are_skipped_by_name(tmp_path, capsys):
+    for op, column, value in (("curvatures", "K", "-inf"), ("egregium", "K_intrinsic", "nan")):
+        errors = _skipped(tmp_path, _scene(HUGE_SADDLE, requests=[
+            {"op": op, "params": {"samples": 5}}]))
+        assert len(errors) == 25
+        assert errors[12] == f"non-finite {column} = {value} at u = 0, v = 0"
+    errors = _skipped(tmp_path, json.dumps(EXP_CURVE))
+    assert errors[:2] == ["|p'| overflows at t = 700", "|p'| overflows at t = 701.212"]
+    assert len(errors) == 18 and all("overflows at t = " in e for e in errors)
 
 
 def test_rotation_about_a_huge_or_tiny_axis_is_the_rotation_about_its_direction(tmp_path):
@@ -323,6 +356,92 @@ def test_output_below_a_regular_file_is_exit_2(tmp_path, capsys):
 def test_non_finite_report_value_is_a_numerical_failure():
     with pytest.raises(NumericalFailure):
         cli.format_json({"x": math.inf})
+
+
+# The writer as it was before tables were formatted once: the reference.
+def _old_fmt_float(x: float) -> str:
+    if math.isnan(x) or math.isinf(x):
+        raise cli.DomainError(f"non-finite value {x!r} in report")
+    if x == int(x) and abs(x) < 1e16:
+        return format(x, ".1f")
+    return format(x, ".17g")
+
+
+def _old_format_json(obj, indent: int = 0) -> str:
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [f'{inner}{json.dumps(str(k))}: {_old_format_json(obj[k], indent + 1)}'
+                 for k in sorted(obj)]
+        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        items = [_old_format_json(x, indent + 1) for x in np.asarray(obj).tolist()] \
+            if isinstance(obj, np.ndarray) else [_old_format_json(x, indent + 1) for x in obj]
+        if not items:
+            return "[]"
+        if all("\n" not in s and len(s) < 24 for s in items) and len(items) <= 8:
+            return "[" + ", ".join(items) + "]"
+        return "[\n" + ",\n".join(inner + s for s in items) + f"\n{pad}]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (float, np.floating)):
+        return _old_fmt_float(float(obj))
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if obj is None:
+        return "null"
+    return json.dumps(str(obj))
+
+
+def _csv_cell(x) -> str:
+    if isinstance(x, (float, np.floating)):
+        return _old_fmt_float(float(x))
+    return str(x)
+
+
+# -0.0, integral floats on both sides of 1e16, and cells of 24 characters or
+# more, which put a JSON row on one line per cell
+_CELL_FLOATS = (-0.0, 0.0, 3.0, 9999999999999998.0, 1e16, 1e16 + 2.0, -1e17, 0.1,
+                -1.2345678901234567e-100, 1.2345678901234567e+300, 5e-324)
+_CELLS = st.one_of(st.sampled_from(_CELL_FLOATS), st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+                   st.text(max_size=30))
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(1, 12))
+    columns = draw(st.lists(st.text(min_size=1, max_size=4), min_size=width, max_size=width))
+    rows = draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=6))
+    return columns, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables(), st.integers(0, 4), st.booleans())
+def test_a_table_is_written_as_its_plain_dict_and_the_old_csv_cells(table, indent, both):
+    columns, rows = table
+    t = cli.Table(columns, rows)
+    t.keep_csv = both  # write_csv then writes the lines the JSON writer kept
+    plain = {"table": {"columns": columns, "rows": rows}}
+    assert cli.format_json({"table": t}, indent) == cli.format_json(plain, indent) \
+        == _old_format_json(plain, indent)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        cli.write_csv(path, t)
+        text = path.read_bytes().decode("utf-8")
+    assert text == "\n".join([",".join(columns), *(",".join(map(_csv_cell, row))
+                                                    for row in rows)]) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, np.float64(-math.inf)])
+def test_a_table_with_a_non_finite_number_is_not_written(bad, tmp_path):
+    t = cli.Table(["a", "b"], [[1.0, "x"], [2.0, bad]])
+    with pytest.raises(cli.DomainError):
+        cli.format_json(t)
+    with pytest.raises(cli.DomainError):
+        cli.write_csv(tmp_path / "t.csv", t)
 
 
 def _locations(doc):

@@ -111,15 +111,23 @@ def test_irregular_curve_rejected():
 # Frenet frame, curvature, torsion
 # ---------------------------------------------------------------------------
 
-def test_overflowing_speed_is_an_irregular_point_named_by_t():
+@pytest.mark.parametrize("sources, domain", [
     # |p'|^3 = 1e315 overflows at every t, |p' x p''|^2 too at t = 0
-    c = cv.Curve(parse(["1e105*t", "1e100*t^2", "0"], ["t"]), (-1.0, 1.0))
+    (["1e105*t", "1e100*t^2", "0"], (-1.0, 1.0)),
+    # |p'| = e^t itself: it was taken for 0 against the curve's overflowing scale
+    (["exp(t)", "t", "0*t"], (700.0, 709.7)),
+    # |p'|^3 = 1e450, where |p|^2 overflows but |p| = 1e155 does not
+    (["1e150*t", "1e155 + 1e150*t^2", "0*t"], (1.0, 2.0)),
+], ids=["cube", "norm", "scale"])
+def test_overflowing_speed_is_an_irregular_point_named_by_t(sources, domain):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and no numpy RuntimeWarning
-        for t in (-1.0, 0.0, 1.0):
+        c = cv.Curve(parse(sources, ["t"]), domain)
+        ts = (domain[0], sum(domain) / 2, domain[1])
+        for t in ts:
             with pytest.raises(cv.IrregularCurve, match=rf"overflows at t = {t:g}$"):
                 cv.frenet(c, t)
-        frames = cv.frenet(c, np.array([-1.0, 0.0, 1.0]))  # a batch marks all three
+        frames = cv.frenet(c, np.array(ts))  # a batch marks all three
     assert np.isnan(frames.curvature).all()
 
 
