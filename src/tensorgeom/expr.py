@@ -263,8 +263,8 @@ def _stack(values, batch: tuple = ()) -> np.ndarray:
 # in descending lexicographic order), the coefficient count per order, the
 # position of each multi-index, per multi-index the (position, prod k!) pair
 # that turns its coefficient into the derivative, and per (arity, order) the
-# (i, j) pairs of every product slot.  Plain dicts keep ``Jet.__mul__`` at one
-# C-level lookup.
+# jet product as a function of the two coefficient lists.  Plain dicts keep
+# ``Jet.__mul__`` at one C-level lookup.
 _POWERS: dict = {}
 _COUNT: dict = {}
 _INDEX: dict = {}
@@ -289,14 +289,21 @@ def _layout(nvars: int) -> tuple:
                    for order in range(MAX_ORDER + 1))
     for order, cnt in enumerate(counts):
         per_slot = []
-        for target in powers[:cnt]:
+        for k, target in enumerate(powers[:cnt]):
             pairs = []
             for i in range(cnt):
                 rem = tuple(t - a for t, a in zip(target, powers[i]))
                 if min(rem) >= 0:
-                    pairs.append((i, index[rem]))
-            per_slot.append(tuple(pairs))
-        _MUL[(nvars, order)] = tuple(per_slot)
+                    pairs.append(f"a[{i}] * b[{index[rem]}]")
+            # 0.0 plus the pair products in order, so -0.0 sums to 0.0 and a NaN
+            # mark stays; += adds into an array over a batch in place
+            first, *rest = pairs
+            per_slot.append(f" s{k} = 0.0 + {first}" + "".join(f"; s{k} += {p}" for p in rest))
+        # straight-line code, so a product walks no pair table
+        namespace: dict = {}
+        exec("def product(a, b):\n" + "\n".join(per_slot)
+             + f"\n return [{', '.join(f's{k}' for k in range(cnt))}]", namespace)
+        _MUL[(nvars, order)] = namespace["product"]
     _POWERS[nvars] = powers
     _INDEX[nvars] = index
     _PARTIAL[nvars] = {p: (k, math.prod(_FACT[e] for e in p)) for p, k in index.items()}
@@ -410,14 +417,7 @@ class Jet:
         if o is None:
             k = other if type(other) is float else _num(other)
             return Jet(self.nvars, self.order, [a * k for a in self.coef])
-        a, b = self.coef, o.coef
-        out = []
-        for pairs in _MUL[(self.nvars, self.order)]:
-            acc = 0.0
-            for i, j in pairs:
-                acc += a[i] * b[j]
-            out.append(acc)
-        return Jet(self.nvars, self.order, out)
+        return Jet(self.nvars, self.order, _MUL[(self.nvars, self.order)](self.coef, o.coef))
 
     __rmul__ = __mul__
 

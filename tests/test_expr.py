@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorgeom.expr import (MAX_NESTING, ArityMismatch, DomainError, Jet, ParseError,
-                             UnknownIdentifier, _layout, derivatives, jet_atan2, parse, unparse)
+                             UnknownIdentifier, _INDEX, _POWERS, _layout, derivatives, jet_atan2,
+                             parse, unparse)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +462,41 @@ def test_order_aware_compose_matches_cubic_horner(case):
     with np.errstate(all="ignore"):
         got, want = jet.compose(*fs).coef, _cubic_horner(jet, *fs).coef
     assert all(_same(a, b, size) for a, b in zip(got, want)), (jet.coef, fs)
+
+
+def _pair_loop_product(a: Jet, b: Jet) -> list:
+    """The jet product as nested loops over each slot's exponent pairs, summed
+    from 0.0 in the graded order of the first factor's exponents."""
+    powers, index = _POWERS[a.nvars], _INDEX[a.nvars]
+    out = []
+    for target in powers[:len(a.coef)]:
+        acc = 0.0
+        for i, p in enumerate(powers[:len(a.coef)]):
+            rem = tuple(t - e for t, e in zip(target, p))
+            if min(rem) >= 0:
+                acc += a.coef[i] * b.coef[index[rem]]
+        out.append(acc)
+    return out
+
+
+@st.composite
+def _product_cases(draw):
+    nvars, order, size = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    # a coefficient is one value for the batch, or an array over it with NaN marks
+    number = st.one_of(_SMALL, st.lists(st.one_of(_SMALL, st.just(math.nan)), min_size=size,
+                                        max_size=size).map(np.array))
+    n = _layout(nvars)[order]
+    a, b = (Jet(nvars, order, draw(st.lists(number, min_size=n, max_size=n))) for _ in "ab")
+    return a, b, size
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_product_cases())
+def test_straight_line_product_matches_the_pair_loop(case):
+    a, b, size = case
+    with np.errstate(all="ignore"):
+        got, want = (a * b).coef, _pair_loop_product(a, b)
+    assert all(_same(x, y, size) for x, y in zip(got, want)), (a.coef, b.coef)
 
 
 def _square_and_multiply(x, n):
