@@ -398,6 +398,24 @@ def _table(columns: list[str], points: list, row: Callable, skipped: list) -> di
     return {"table": Table(columns, rows)}
 
 
+def _finite_result(result: dict) -> dict:
+    """A request's result, if every number outside its table is finite; else
+    DomainError names the first key, in report order, that holds one that is
+    not.  (``_table`` checks the rows of a grid table.)"""
+    for key in sorted(result):
+        value = result[key]
+        if isinstance(value, np.ndarray):
+            finite = np.isfinite(value).all()
+        elif isinstance(value, (float, np.floating)):
+            finite = math.isfinite(value)
+        else:  # a string, a flag, a table or None
+            continue
+        if not finite:
+            x = np.ravel(value)
+            raise DomainError(f"non-finite {key} = {x[~np.isfinite(x)][0]}")
+    return result
+
+
 def _run_curve_request(cv: curve.Curve, op: str, p: dict, skipped: list):
     if op in ("frenet", "evolute"):
         ts = list(zip(_grid(*cv.domain, p["samples"])))
@@ -495,7 +513,9 @@ def cmd_analyze(args) -> int:
     failure = None
     for op, p in requests:
         try:
-            results.append({"op": op, "result": run(obj, op, p, skipped)})
+            with np.errstate(all="ignore"):  # a non-finite number is named when the request ends
+                result = run(obj, op, p, skipped)
+            results.append({"op": op, "result": _finite_result(result)})
         except ArithmeticError as exc:  # report what ran before the failing request
             diagnostics["failure"] = {"request": op, "error": str(exc)}
             failure = f"numerical failure in request {op!r}: {exc}"
@@ -629,16 +649,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tensorgeom",
                                 description="Analyze expression-defined curves, "
                                             "surfaces and coordinate maps.")
-    p.add_argument("--grid", type=_grid_arg, default=64, help="samples per axis")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", choices=("json", "csv", "both"), default="json")
+    # The options go before the command or after it.  After it they have no
+    # default, which would replace a value given before it.
+    after = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    for flag, default, kw in (("--grid", 64, {"type": _grid_arg, "help": "samples per axis"}),
+                              ("--out", ".", {"help": "output directory"}),
+                              ("--format", "json", {"choices": ("json", "csv", "both")})):
+        p.add_argument(flag, default=default, **kw)
+        after.add_argument(flag, **kw)
     sub = p.add_subparsers(dest="command", required=True)
     for name, func, path, text in (
             ("analyze", cmd_analyze, "scene", "run a scene file"),
             ("reconstruct", cmd_reconstruct, "profile", "rebuild a curve from curvature/torsion"),
             ("tensor", cmd_tensor, "job", "one-shot tensor computation"),
             ("check", cmd_check, None, "run the invariant battery")):
-        sp = sub.add_parser(name, help=text)
+        sp = sub.add_parser(name, help=text, parents=[after])
         if path:
             sp.add_argument("path", metavar=path)
         sp.set_defaults(func=func)

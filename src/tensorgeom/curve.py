@@ -19,7 +19,8 @@ import numpy as np
 
 from .expr import (ExprMap, Jet, NumericalFailure, _check, _chunked, _pointwise, _pow, _raising,
                    _stack, _abs_arguments, derivatives, parse)
-from .tensor2 import cross, inverse, mixed, norm, normalize, sqrt_spd
+from .tensor2 import NotNearOrthogonal, _orthonormal_polish, cross, mixed, norm, normalize
+from .tensor2 import sqrt_spd  # noqa: F401 -- unused; bench/'s tracer test looks it up
 
 __all__ = [
     "IrregularCurve", "UndefinedNormal", "UndefinedOsculatingSphere",
@@ -421,16 +422,15 @@ def _cartan_rhs(c: float, theta: float, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reorthonormalize(E: np.ndarray) -> np.ndarray:
-    # nearest orthogonal matrix (polar projection)
-    return E @ inverse(sqrt_spd(E.T @ E))
-
-
 def bonnet_reconstruct(profile: CurvatureProfile, p0, frame0, step: float) -> BonnetResult:
     """Integrate the moving-frame system e' = C(s) e together with p' = tangent.
 
-    Fixed-step RK4 with a polar re-orthonormalization of the frame after
-    every step.  ``frame0`` holds the rows (tangent, normal, binormal).
+    Fixed-step RK4; after every step one Newton-Schulz step
+    (``tensor2._orthonormal_polish``) returns the frame to the rotations, which
+    RK4 leaves it next to.  ``frame0`` holds the rows (tangent, normal,
+    binormal).  A step that leaves the frame too far from orthonormal for that
+    polish (a step too coarse for the curvature) raises NotNearOrthogonal,
+    naming the arc length it reached.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -455,10 +455,18 @@ def bonnet_reconstruct(profile: CurvatureProfile, p0, frame0, step: float) -> Bo
                              starts, starts + 0.5 * h, starts + h))
     states = np.empty((n + 1, 4, 3))  # rows (p, T, N, B)
     states[0, 0], states[0, 1:] = p0, E
-    for i, row in zip(range(n), rows):
-        Y = _rk4(lambda j, y: _cartan_rhs(row[2 * j], row[2 * j + 1], y), states[i], h)
-        Y[1:] = _reorthonormalize(Y[1:])
-        states[i + 1] = Y
+    # a step that overflows leaves a frame whose defect is not finite: it raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, row in zip(range(n), rows):
+            Y = _rk4(lambda j, y: _cartan_rhs(row[2 * j], row[2 * j + 1], y), states[i], h)
+            try:
+                Y[1:] = _orthonormal_polish(Y[1:])
+            except NotNearOrthogonal as exc:
+                raise NotNearOrthogonal(
+                    f"the RK4 step to s = {starts[i] + h:g} leaves the frame {exc.defect:.3g} "
+                    f"from orthonormal: the step {h:g} is too coarse for the curvature",
+                    exc.defect) from None
+            states[i + 1] = Y
     ss = np.concatenate(([s0], starts + h))
     return BonnetResult(ss, *states.transpose(1, 0, 2))
 

@@ -256,11 +256,16 @@ def _metric_and_connection(D: np.ndarray, u, v):
     """First fundamental form and the surface connection at (u, v) from the
     parameter derivatives of the map (the rows of _SECOND).  A det g at or below
     _REG_TOL g11 g22, where rounding may leave no digit of it, raises
-    IrregularPoint naming the point (on a batch it marks the point)."""
+    IrregularPoint naming the point (on a batch it marks the point); at one
+    point, so does a metric that overflows (on a batch that fails the det g
+    test)."""
     dots = _dot(D[..., _LEFT, :], D[..., _RIGHT, :])
     # at one point Python floats, which round as numpy's scalars do
     g11, g12, g22, uu_u, uu_v, uv_u, uv_v, vv_u, vv_v = (
         dots.tolist() if dots.ndim == 1 else _components(dots))
+    # g12^2 <= g11 g22, so where g11 g22 is finite no power of g below overflows
+    if dots.ndim == 1 and not (math.isfinite(g11 * g22) and math.isfinite(g12)):
+        raise IrregularPoint(f"the metric overflows at (u, v) = ({u:g}, {v:g})")
     det = g11 * g22 - _pow(g12, 2)
     g11, g12, g22, det = _check(
         np.logical_not(det > _REG_TOL * g11 * g22),
@@ -398,6 +403,7 @@ def _metric_and_gamma(surface: Surface, u: float, v: float):
     return _metric_and_connection(derivatives(surface.map.eval_jet((u, v), 2), _SECOND), u, v)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a metric that overflows raises, naming the point
 def geodesic_integrate(surface: Surface, state0: GeodesicState, s_max: float,
                        step: float) -> GeodesicTrajectory:
     """Fixed-step RK4 integration of the geodesic system, starting from a

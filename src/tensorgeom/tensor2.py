@@ -19,7 +19,7 @@ from .expr import NumericalFailure, _stack
 
 __all__ = [
     "SingularTensor", "NotSkew", "NotSymmetric", "NotSPD",
-    "NonPositiveDeterminant", "NotARotation", "AxisUndefined", "NotUnit",
+    "NonPositiveDeterminant", "NotARotation", "AxisUndefined", "NotUnit", "NotNearOrthogonal",
     "SpectralDecomp", "AxisAngle", "PolarDecomp",
     "norm", "normalize", "dyad", "apply", "compose", "transpose",
     "sym_part", "skew_part", "spherical_part", "deviatoric_part",
@@ -36,6 +36,11 @@ I3 = np.eye(3)
 _SINGULAR_TOL = 1e-12  # inverse refuses |det| at or below this times |L|^3
 _SYMMETRY_TOL = 1e-10  # eigen_sym refuses |L - L^T| above this times |L|
 _SPD_TOL = 1e-12       # sqrt_spd refuses an eigenvalue at or below this times the largest
+_POLISH_TOL = 1e-8     # a defect max|R^T R - I| at or below this takes one polish step
+# Below this defect |R^T R - I| <= 3 max|R^T R - I| < 0.5 in the spectral norm:
+# each singular value squared is within 0.5 of 1, where a step about squares it.
+_POLISH_LIMIT = 1.0 / 6.0
+_POLISH_STEPS = 8      # from just below _POLISH_LIMIT, 6 steps reach the rounding level
 
 
 class SingularTensor(NumericalFailure, ValueError):
@@ -70,6 +75,12 @@ class AxisUndefined(NumericalFailure, ValueError):
 
 class NotUnit(NumericalFailure, ValueError):
     pass
+
+
+class NotNearOrthogonal(NumericalFailure, ValueError):
+    def __init__(self, message, defect=None):
+        super().__init__(message)
+        self.defect = defect
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +354,33 @@ class PolarDecomp:
     left_stretch: np.ndarray
 
 
+def _orthonormal_polish(R: np.ndarray) -> np.ndarray:
+    """The nearest orthogonal matrix to a nearly orthogonal R, by Newton-Schulz
+    steps R (1.5 I - 0.5 R^T R) (Bjorck & Bowie, SIAM J. Numer. Anal. 8, 1971;
+    Higham, SIAM J. Sci. Stat. Comput. 7, 1986).  Each step about squares the
+    defect max|R^T R - I|: one step is taken, and another while the defect
+    before it was above _POLISH_TOL.  A defect not below _POLISH_LIMIT (NaN
+    included) is outside the fast convergence and raises NotNearOrthogonal;
+    where R^T R overflows numpy warns, unless the caller's np.errstate ignores it."""
+    for _ in range(_POLISH_STEPS):
+        G = R.T @ R
+        defect = float(abs(G - I3).max())
+        if not defect < _POLISH_LIMIT:
+            raise NotNearOrthogonal(f"max|R^T R - I| = {defect:.3g} is not below 1/6", defect)
+        R = R @ (1.5 * I3 - 0.5 * G)
+        if defect <= _POLISH_TOL:
+            break
+    return R
+
+
 def polar(F) -> PolarDecomp:
     F = np.asarray(F, dtype=float)
     _, rel = _relative_det(F)
     if rel <= 1e-12:
         raise NonPositiveDeterminant(f"det F / |F|^3 = {rel:.3g} is not above 1e-12")
     U = sqrt_spd(F.T @ F)
-    R = F @ inverse(U)
-    # one orthogonality polish step kills the rounding drift of U^-1
-    R = R @ (1.5 * I3 - 0.5 * (R.T @ R))
+    # the polish kills the rounding drift of U^-1
+    R = _orthonormal_polish(F @ inverse(U))
     V = R @ U @ R.T
     return PolarDecomp(R, U, V)
 

@@ -268,3 +268,40 @@ def test_a_grid_evaluates_its_expressions_once_per_chunk(tmp_path, monkeypatch, 
         {"op": "curvatures", "params": {"samples": 64}}]))
     assert run(["--out", tmp_path, "analyze", scene]) == 0
     assert len(calls) == math.ceil(64 * 64 / CHUNK)
+
+
+def _readme_command_line_section() -> str:
+    text = (Path(tensorgeom.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    return text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_every_readme_command_line_runs(tmp_path, monkeypatch, capsys):
+    section = _readme_command_line_section()
+    commands = [line.split("#")[0].split()
+                for line in section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()]
+    assert [argv[:2] for argv in commands] == [["tensorgeom", "analyze"],
+                                               ["tensorgeom", "reconstruct"],
+                                               ["tensorgeom", "tensor"], ["tensorgeom", "check"]]
+    # the README's scene file; a profile and a job for the files it only names
+    (tmp_path / "helix.json").write_text(section.split("```json\n", 1)[1].split("```", 1)[0],
+                                         encoding="utf-8")
+    _write(tmp_path, "profile.json", {"curvature": "0.4", "torsion": "-0.2",
+                                      "s_range": [0.0, 1.0], "step": 0.01})
+    _write(tmp_path, "job.json", {"op": "polar", "matrix": [[2, 1, 0], [0, 3, 0], [0, 0, 1]]})
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
+    capsys.readouterr()
+    assert {p.name for p in tmp_path.joinpath("results").iterdir()} == {
+        "helix_report.json", "helix_frenet_0.csv"}
+    assert (tmp_path / "profile_curve.csv").is_file()
+    assert (tmp_path / "job_report.json").is_file()
+
+
+def test_options_after_the_command_override_those_before_it(tmp_path):
+    scene = _write(tmp_path, "helix.json", dict(HELIX_SCENE, requests=[{"op": "frenet"}]))
+    assert run(["--out", tmp_path / "a", "--format", "csv", "analyze", scene,
+                "--out", tmp_path / "b", "--grid", 5]) == 0
+    assert not (tmp_path / "a").exists()
+    assert [p.name for p in (tmp_path / "b").iterdir()] == ["helix_frenet_0.csv"]
+    assert len((tmp_path / "b" / "helix_frenet_0.csv").read_text().splitlines()) == 6

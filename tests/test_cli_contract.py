@@ -90,6 +90,9 @@ def _geodesic(**changes) -> dict:
 
 
 CURVE_OF_T = dict(HELIX, requests=[])
+# z = 1e300 u v: the tangent plane degenerates in double rounding, and at
+# (0, 0), where it does not, the curvature is not finite
+HUGE_SADDLE = dict(SPHERE, components=["u", "v", "1e300*u*v"])
 
 # Inputs that break a parameter's kind, a rule that ties parameters together,
 # the expression grammar's nesting limit, or the numerics.
@@ -174,6 +177,16 @@ HOSTILE = {
                                      for j in range(3)] for i in range(3)]})),
     "isotropic with lam = mu = 1e308": ("tensor", json.dumps(
         {"op": "isotropic", "lam": 1e308, "mu": 1e308})),
+    # RK4 at step 1 turns the frame by 10 radians: far from any rotation
+    "reconstruct step too coarse for its curvature": ("reconstruct", _scene(
+        PROFILE, curvature="10", torsion="0", s_range=[0.0, 5.0], step=1.0)),
+    # K at (0, 0) is -inf, a number no typed check of jet_at meets
+    "jet of z = 1e300 u v after a grid": ("analyze", _scene(HUGE_SADDLE, requests=[
+        {"op": "gauss_curvature", "params": {"samples": 3}},
+        {"op": "jet", "params": {"u": 0.0, "v": 0.0}}])),
+    # fu . fu = 1 + (1e300 v)^2 overflows at the first RK4 stage off (0, 0)
+    "geodesic whose metric overflows": ("analyze", _scene(HUGE_SADDLE, requests=[
+        {"op": "geodesic", "params": {"u": 0.0, "v": 0.0, "du": 1.0, "dv": 0.5}}])),
     # u + v rounds just below 1: the tangent plane passes its test, det g rounds to 0
     "jet where det g rounds to 0": ("analyze", _scene(
         SPHERE, components=["atan2(exp(1), cosh(pi)-v)", "cosh(1)^cos(u/u)", "asin(u+v)"],
@@ -208,6 +221,11 @@ def test_exit_code_classes(tmp_path, capsys):
     capsys.readouterr()
     assert _run(tmp_path, "analyze", HOSTILE["jet where det g rounds to 0"][1]) == 3
     assert "degenerate metric at (u, v) = (0.666667, 0.333333)" in capsys.readouterr().err
+    coarse = HOSTILE["reconstruct step too coarse for its curvature"][1]
+    assert _run(tmp_path, "reconstruct", coarse) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: the RK4 step to s = 1 leaves the frame 1.6e+05 from orthonormal: "
+        "the step 1 is too coarse for the curvature\n")
     for name, message in (("polar of diag(1e120, 1, 1)", "det F / |F|^3 = 1e-240"),
                           ("polar of diag(1e300, 1, 1)", "det F / |F|^3 = 0 "),
                           ("polar with an overflowing determinant", "determinant overflows")):
@@ -232,6 +250,10 @@ def test_exit_code_classes(tmp_path, capsys):
     for name, message in (
             ("chart whose Jacobian determinant overflows",
              "numerical failure in request 'metric': the Jacobian determinant overflows (inf)"),
+            ("jet of z = 1e300 u v after a grid",
+             "numerical failure in request 'jet': non-finite gaussian = -inf"),
+            ("geodesic whose metric overflows", "numerical failure in request 'geodesic': "
+             "the metric overflows at (u, v) = (0.000447214, 0.000223607)"),
             ("christoffel symbol that overflows",
              "numerical failure in request 'christoffel': a Christoffel symbol overflows"),
             ("laplacian that overflows",
@@ -242,13 +264,18 @@ def test_exit_code_classes(tmp_path, capsys):
         assert capsys.readouterr().err.endswith(message + "\n")
 
 
-# z = 1e300 u v: the tangent plane degenerates in double rounding, and at
-# (0, 0), where it does not, the curvature is not finite
-HUGE_SADDLE = dict(SPHERE, components=["u", "v", "1e300*u*v"])
 # |p'| = e^t overflows on the whole domain
 EXP_CURVE = dict(CURVE_OF_T, components=["exp(t)", "t", "0*t"], domain=[[700.0, 709.7]],
                  requests=[{"op": "frenet", "params": {"samples": 9}},
                            {"op": "evolute", "params": {"samples": 9}}])
+
+def test_a_non_finite_result_fails_its_request_and_keeps_the_report_before_it(tmp_path):
+    assert _run(tmp_path, "analyze", HOSTILE["jet of z = 1e300 u v after a grid"][1]) == 3
+    report = json.loads((tmp_path / "out" / "input_report.json").read_text())
+    assert [entry["op"] for entry in report["results"]] == ["gauss_curvature"]
+    assert report["diagnostics"]["failure"] == {"request": "jet",
+                                                "error": "non-finite gaussian = -inf"}
+
 
 # Inputs whose results are well defined although an intermediate of the
 # numerics is not, or whose failing grid points are skipped: each exits 0

@@ -9,7 +9,7 @@ import pytest
 
 from tensorgeom import curve as cv
 from tensorgeom.expr import DomainError, parse
-from tensorgeom.tensor2 import norm, normalize
+from tensorgeom.tensor2 import NotNearOrthogonal, norm, normalize
 
 rng = np.random.default_rng(7)
 
@@ -336,6 +336,23 @@ def test_reconstruct_helix_roundtrip():
     for i in (len(res.s) // 2, len(res.s) - 1):
         E = res.frame(i)
         assert np.max(np.abs(E @ E.T - np.eye(3))) < 1e-9
+
+
+def test_reconstruct_frames_stay_orthonormal_to_rounding_over_10000_steps():
+    k = {"c0": 1.1, "c1": 0.4, "w1": 1.3, "t0": 0.5, "t1": 0.2, "w2": 0.8}
+    profile = cv.CurvatureProfile.build(parse("c0 + c1*sin(w1*s)", ["s"], k),
+                                        parse("t0 + t1*cos(w2*s)", ["s"], k), (0.0, 10.0))
+    res = cv.bonnet_reconstruct(profile, [0.1, 0.2, 0.3], np.eye(3), 1e-3)
+    assert len(res.s) == 10001
+    E = np.stack([res.tangents, res.normals, res.binormals], axis=1)
+    assert np.max(np.abs(E @ E.transpose(0, 2, 1) - np.eye(3))) <= 1e-15
+
+
+def test_reconstruct_with_a_step_too_coarse_for_the_curvature_names_s():
+    profile = cv.CurvatureProfile.build(lambda s: 10.0, lambda s: 0.0, (0.0, 5.0))
+    with pytest.raises(NotNearOrthogonal, match=r"step to s = 1 leaves the frame .* "
+                                                 r"the step 1 is too coarse"):
+        cv.bonnet_reconstruct(profile, [0.0, 0.0, 0.0], np.eye(3), 1.0)
 
 
 def test_reconstruct_profile_maps():

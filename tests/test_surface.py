@@ -2,6 +2,7 @@
 surfaces, direction fields, geodesics and intrinsic curvature."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,15 @@ def test_geodesic_speed_drift_long_run():
         w = np.array([traj.du[i], traj.dv[i]])
         worst = max(worst, abs(math.sqrt(w @ g @ w) - 1.0))
     assert worst < 1e-6
+
+
+def test_geodesic_names_a_metric_that_overflows_without_a_warning():
+    saddle = sf.surface_from_expr(["u", "v", "1e300*u*v"], ((-1.0, 1.0), (-1.0, 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sf.IrregularPoint, match=r"the metric overflows at \(u, v\) = "
+                                                    r"\(0.000447214, 0.000223607\)"):
+            sf.geodesic_integrate(saddle, sf.GeodesicState(0.0, 0.0, 1.0, 0.5), 1.0, 1e-3)
 
 
 def test_geodesic_curvature_along_output(sphere):

@@ -320,6 +320,35 @@ def test_polar_random():
             assert t2.eigen_sym(S).values[2] > 0.0
 
 
+def test_polish_keeps_the_bits_of_the_one_step_polar_took():
+    # the 1000-matrix battery of acceptance criterion 7
+    battery = np.random.default_rng(7)
+    done = 0
+    while done < 1000:
+        F = battery.normal(size=(3, 3))
+        if t2.det(F) <= 0.1:
+            continue
+        done += 1
+        R = F @ t2.inverse(t2.sqrt_spd(F.T @ F))
+        one_step = R @ (1.5 * t2.I3 - 0.5 * (R.T @ R))
+        assert np.array_equal(t2._orthonormal_polish(R), one_step)
+        assert np.array_equal(t2.polar(F).rotation, one_step)
+
+
+def test_polish_steps_to_the_rotation_or_refuses_a_far_matrix():
+    R = t2.rot_z(0.7) @ t2.rot_x(0.2)
+    for scale in (1.08, 0.92):  # defects 0.166 and 0.154, just below 1 / 6: several steps
+        P = t2._orthonormal_polish(scale * R)
+        assert np.max(np.abs(P - R)) < 1e-15
+    # a singular value 0.1 puts max|R^T R - I| at 0.33, but its square is 0.99
+    # from 1: 8 steps would leave R 1e-3 from orthogonal
+    v = np.ones(3) / math.sqrt(3.0)
+    for bad in (1.1 * R, 0.9 * R, R - 0.9 * np.outer(v, v), np.full((3, 3), math.nan)):
+        with pytest.raises(t2.NotNearOrthogonal) as err:
+            t2._orthonormal_polish(bad)
+        assert not err.value.defect < 1.0 / 6.0
+
+
 def test_polar_rejects_flips():
     with pytest.raises(t2.NonPositiveDeterminant):
         t2.polar(np.diag([1.0, 1.0, -1.0]))
