@@ -114,11 +114,6 @@ def _metric_and_second_partials(chart: CoordMap, z):
     return _metric_from_jacobian(J, z), S
 
 
-def _metric_derivative(J: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """dg[a, b, c] = derivative of g_ab by z^c."""
-    return np.einsum("mac,mb->abc", S, J) + np.einsum("ma,mbc->abc", J, S)
-
-
 def christoffel(chart: CoordMap, z, method: str = "second_derivative") -> np.ndarray:
     """Connection coefficients G[h, k, l], symmetric in (k, l).
 
@@ -134,17 +129,12 @@ def _connection(met: Metric, S: np.ndarray, method: str) -> np.ndarray:
     if method == "second_derivative":
         return np.einsum("hm,mkl->hkl", met.dual, S)
     if method == "metric_derivative":
-        n = len(S)
-        dg = _metric_derivative(met.jacobian, S)
-        gamma = np.empty((n, n, n))
-        for h in range(n):
-            for k in range(n):
-                for l in range(n):
-                    acc = 0.0
-                    for m in range(n):
-                        acc += met.con[h, m] * (dg[m, k, l] + dg[m, l, k] - dg[k, l, m])
-                    gamma[h, k, l] = 0.5 * acc
-        return gamma
+        # dg[a, b, c] = derivative of g_ab by z^c, then
+        # G[h, k, l] = g^hm (dg[m, k, l] + dg[m, l, k] - dg[k, l, m]) / 2
+        J = met.jacobian
+        dg = np.einsum("mac,mb->abc", S, J) + np.einsum("ma,mbc->abc", J, S)
+        return 0.5 * np.einsum("hm,mkl->hkl", met.con,
+                               dg + dg.transpose(0, 2, 1) - dg.transpose(2, 0, 1))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -221,7 +211,8 @@ def divergence_from_chart(field, chart: CoordMap, z) -> float:
 
 
 def laplacian_curvilinear(field, chart: CoordMap, z) -> float:
-    """Laplace operator of a scalar field in arbitrary coordinates."""
+    """Laplace operator of a scalar field in arbitrary coordinates:
+    g^hk (d_h d_k f - G^l_hk d_l f)."""
     z = tuple(float(c) for c in z)
     if not isinstance(field, ExprMap) or field.dimension != 1:
         raise ValueError("needs a scalar ExprMap over the chart variables")
@@ -231,10 +222,7 @@ def laplacian_curvilinear(field, chart: CoordMap, z) -> float:
 
     def terms():
         gamma = _connection(met, S, "second_derivative")
-        # derivative of the inverse metric from the metric derivative
-        dgi = -np.einsum("ha,abc,bk->hkc", met.con, _metric_derivative(met.jacobian, S), met.con)
-        return (np.einsum("hk,hk->", met.con, d2) + np.einsum("hkh,k->", dgi, d1)
-                + np.einsum("hhj,jk,k->", gamma, met.con, d1))
+        return np.einsum("hk,hk->", met.con, d2 - np.einsum("lhk,l->hk", gamma, d1))
     return float(_finite("the Laplacian", terms))
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import (ExprMap, Jet, NumericalFailure, _check, _chunked, _pointwise, _pow, _raising,
+from .expr import (ExprMap, NumericalFailure, _check, _chunked, _pointwise, _pow, _raising,
                    _stack, _abs_arguments, derivatives, parse)
 from .tensor2 import NotNearOrthogonal, _orthonormal_polish, cross, mixed, norm, normalize
 from .tensor2 import sqrt_spd  # noqa: F401 -- unused; bench/'s tracer test looks it up
@@ -88,7 +88,7 @@ class Curve:
         self._planar = bool(np.max(np.abs(pts[:, 2])) <= _REG_TOL * max(self.scale, 1.0))
 
     # -- evaluation helpers ---------------------------------------------
-    def jets(self, t: float, order: int = 3) -> list[Jet]:
+    def jets(self, t: float, order: int = 3) -> list:
         return self.map.eval_jet((t,), order)
 
     def derivatives(self, t: float, order: int = 3) -> list[np.ndarray]:
@@ -267,7 +267,8 @@ def _overflow_checked(v, t):
     return _check(v == math.inf, lambda: IrregularCurve(f"|p'| overflows at t = {t:g}", t=t), v)
 
 
-def _frenet_core(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, scale: float, t: float):
+def _frenet_core(t: float, p0: np.ndarray, p1: np.ndarray, p2: np.ndarray, p3: np.ndarray,
+                 scale: float) -> FrenetData:
     with np.errstate(over="ignore"):  # an overflow is reported below, naming t
         v = norm(p1)
         w = cross(p1, p2)
@@ -287,37 +288,30 @@ def _frenet_core(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, scale: float, t
     torsion = -np.vecdot(w, p3) / nw2
     normal = normalize(p2 - np.asarray(np.vecdot(p2, tangent))[..., None] * tangent)
     binormal = cross(tangent, normal)
-    return tangent, normal, binormal, curvature, torsion
+    return FrenetData(t, p0, tangent, normal, binormal, curvature, torsion, 1.0 / curvature)
 
 
 def frenet(curve: Curve, t: float) -> FrenetData:
+    return _frenet_core(t, *curve.derivatives(t, 3), curve.scale)
+
+
+def _frenet_and_curvature_rate(curve: Curve, t: float) -> tuple[FrenetData, float]:
+    """The Frenet data at t and d(curvature)/ds, from one evaluation of the
+    curve: with w = p' x p'' and v = |p'|,
+    dc/ds = [w.(p' x p''')/(|w| v^3) - 3c (p'.p'')/v^2] / v."""
     p0, p1, p2, p3 = curve.derivatives(t, 3)
-    tangent, normal, binormal, c, theta = _frenet_core(p1, p2, p3, curve.scale, t)
-    return FrenetData(t, p0, tangent, normal, binormal, c, theta, 1.0 / c)
-
-
-def _curvature_s_derivative(curve: Curve, t: float) -> tuple[float, float]:
-    """(curvature, d(curvature)/ds) from exact jets."""
-    jets = curve.jets(t, 3)
-    d1 = [j.deriv() for j in jets]                  # order-2 jets of p'
-    d2 = [j.truncated(1) for j in (k.deriv() for k in d1)]  # order-1 jets of p''
-    d1 = [j.truncated(1) for j in d1]
-    cx = d1[1] * d2[2] - d1[2] * d2[1]
-    cy = d1[2] * d2[0] - d1[0] * d2[2]
-    cz = d1[0] * d2[1] - d1[1] * d2[0]
-    cross_norm = (cx * cx + cy * cy + cz * cz).sqrt()
-    speed = (d1[0] * d1[0] + d1[1] * d1[1] + d1[2] * d1[2]).sqrt()
-    c_jet = cross_norm / (speed * speed * speed)
-    return c_jet.value, c_jet.partial(1) / speed.value
+    data = _frenet_core(t, p0, p1, p2, p3, curve.scale)
+    v, w = norm(p1), cross(p1, p2)
+    return data, (np.vecdot(w, cross(p1, p3)) / (norm(w) * _pow(v, 3))
+                  - 3.0 * data.curvature * np.vecdot(p1, p2) / (v * v)) / v
 
 
 def osculating(curve: Curve, t: float):
     """Osculating circle (center, radius) and, off planar points, the
     osculating sphere (center, radius)."""
-    data = frenet(curve, t)
-    rho = data.radius
+    data, dc_ds = _frenet_and_curvature_rate(curve, t)
+    c, rho = data.curvature, data.radius
     circle_center = data.point + rho * data.normal
-    c, dc_ds = _curvature_s_derivative(curve, t)
     if abs(data.torsion) <= 1e-10 * c:
         return circle_center, rho, None, None
     drho_ds = -dc_ds / c ** 2
@@ -346,8 +340,7 @@ def evolute(curve: Curve, t: float) -> np.ndarray:
 def canonical_coefficients(curve: Curve, t0: float) -> tuple[float, float, float]:
     """(c0, dc/ds at t0, torsion0): the coefficients of the local projections
     onto the osculating / rectifying / normal planes."""
-    data = frenet(curve, t0)
-    _, dc_ds = _curvature_s_derivative(curve, t0)
+    data, dc_ds = _frenet_and_curvature_rate(curve, t0)
     return data.curvature, dc_ds, data.torsion
 
 

@@ -361,25 +361,6 @@ class Jet:
         k, scale = _PARTIAL[self.nvars][orders]
         return self.coef[k] * scale
 
-    def deriv(self, which: int = 0) -> "Jet":
-        """Jet of the derivative with respect to one variable (order drops by 1)."""
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 jet")
-        n = self.nvars
-        out = [0.0] * _COUNT[n][self.order - 1]
-        for k in range(len(out)):
-            p = _POWERS[n][k]
-            q = list(p)
-            q[which] += 1
-            out[k] = self.coef[_INDEX[n][tuple(q)]] * q[which]
-        return Jet(n, self.order - 1, out)
-
-    def truncated(self, order: int) -> "Jet":
-        """Copy of this jet with the expansion cut at a lower order."""
-        if order > self.order:
-            raise ValueError("cannot raise the order of a jet")
-        return Jet(self.nvars, order, self.coef[: _COUNT[self.nvars][order]])
-
     # -- arithmetic ----------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, Jet):

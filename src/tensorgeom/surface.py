@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .curve import _ORDERS, _SCAN, _rk4, _sign_changes, integrate
-from .expr import (ExprMap, Jet, NumericalFailure, _check, _map, _merged, _pointwise, _pow,
-                   _select, _stack, _abs_arguments, derivatives, parse)
+from .expr import (ExprMap, NumericalFailure, _check, _map, _merged, _pointwise, _pow, _select,
+                   _stack, _abs_arguments, derivatives, parse)
 from .tensor2 import _components, cross, norm
 
 __all__ = [
@@ -80,7 +79,7 @@ class Surface:
     domain: tuple
 
     def point(self, u: float, v: float) -> np.ndarray:
-        return np.array([j.value for j in self.map.eval_jet((u, v), 1)])
+        return _stack(self.map(u, v))
 
     def contains(self, u: float, v: float) -> bool:
         (u0, u1), (v0, v1) = self.domain
@@ -446,66 +445,50 @@ def geodesic_integrate(surface: Surface, state0: GeodesicState, s_max: float,
 # intrinsic curvature and moving-frame residuals
 # ---------------------------------------------------------------------------
 
-def _jet_dot3(a: Sequence[Jet], b: Sequence[Jet]) -> Jet:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+# the rows f_u, f_v, f_uu, f_uv, f_vv, f_uuv, f_uvv that Brioschi's formula reads
+_THIRD = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2))
+# its thirteen dot products, as row pairs of _THIRD: E, F, G; E_u/2, E_v/2,
+# G_u/2, G_v/2; then fuu.fv and fvv.fu of F_u and F_v; then fuvv.fu, fuv.fuv,
+# fuuv.fv and fuu.fvv of E_vv/2, F_uv and G_uu/2
+_LEFT3, _RIGHT3 = [0, 0, 1, 2, 3, 3, 4, 2, 4, 6, 3, 5, 2], [0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 3, 1, 4]
 
 
 def egregium_curvature(surface: Surface, u: float, v: float) -> float:
-    """Gaussian curvature from the first fundamental form alone (metric and
-    connection, no normal data)."""
-    jets = surface.map.eval_jet((u, v), 3)
-    fu = [j.deriv(0) for j in jets]   # order-2 jets
-    fv = [j.deriv(1) for j in jets]
-    g11 = _jet_dot3(fu, fu)
-    g12 = _jet_dot3(fu, fv)
-    g22 = _jet_dot3(fv, fv)
-    g11t, g12t, g22t = (x.truncated(1) for x in (g11, g12, g22))
-    det = g11t * g22t - g12t * g12t
-    degenerate = ((norm(_stack([x.value for x in (g11, g12, g22)])) == 0.0)
-                  | (abs(det.value) <= _REG_TOL * np.maximum(g11.value * g22.value,
-                                                             np.finfo(float).tiny)))
-    _check(degenerate, lambda: IrregularPoint("degenerate metric"))
-
-    def solve(r1: Jet, r2: Jet):
-        return ((r1 * g22t - r2 * g12t) / det, (g11t * r2 - g12t * r1) / det)
-
-    half = 0.5
-    G1_11, G2_11 = solve(g11.deriv(0) * half, g12.deriv(0) - g11.deriv(1) * half)
-    G1_12, G2_12 = solve(g11.deriv(1) * half, g22.deriv(0) * half)
-    G1_22, G2_22 = solve(g12.deriv(1) - g22.deriv(0) * half, g22.deriv(1) * half)
-
-    def by_g11():
-        num = (G1_11.value * G2_12.value + G2_11.value * G2_22.value
-               + G2_11.partial(0, 1) - G1_12.value * G2_11.value
-               - G2_12.value * G2_12.value - G2_12.partial(1, 0))
-        return num / g11.value
-
-    def by_g12():
-        num = (G1_12.partial(1, 0) + G2_12.value * G1_12.value
-               - G1_11.partial(0, 1) - G2_11.value * G1_22.value)
-        return num / g12.value
-
-    return _check(degenerate, None, _select(abs(g11.value) >= abs(g12.value), by_g11, by_g12))
+    """Gaussian curvature from the first fundamental form alone, by Brioschi's
+    formula (do Carmo, Differential Geometry of Curves and Surfaces, 4-3):
+    K (EG - F^2)^2 = det M1 - det M2, whose entries are E, F, G and their first
+    and second derivatives; no normal data.  A metric with det g at or below
+    _REG_TOL (E + G)^2 (a condition number above about 1e10, as at a
+    coordinate pole, where the formula keeps no digit) raises IrregularPoint
+    naming the point; on a batch it marks the point."""
+    D = derivatives(surface.map.eval_jet((u, v), 3), _THIRD)
+    dots = _dot(D[..., _LEFT3, :], D[..., _RIGHT3, :])
+    # at one point Python floats, which round as numpy's scalars do
+    E, F, G, e_u, e_v, g_u, g_v, uu_v, vv_u, uvv_u, uv_uv, uuv_v, uu_vv = (
+        dots.tolist() if dots.ndim == 1 else _components(dots))
+    det = E * G - F * F
+    det = _check(np.logical_not(det > _REG_TOL * (E + G) * (E + G)),
+                 lambda: IrregularPoint(f"degenerate metric at (u, v) = ({u:g}, {v:g})"), det)
+    F_u, F_v = uu_v + e_v, g_u + vv_u
+    # F_uv - E_vv/2 - G_uu/2: the third partials cancel in exact arithmetic
+    a = (uuv_v + uu_vv + uv_uv + uvv_u) - (uvv_u + uv_uv) - (uuv_v + uv_uv)
+    m1 = a * det - e_u * ((F_v - g_u) * G - F * g_v) + (F_u - e_v) * ((F_v - g_u) * F - E * g_v)
+    m2 = g_u * (e_v * F - E * g_u) - e_v * (e_v * G - F * g_u)
+    return (m1 - m2) / det / det
 
 
 def gauss_weingarten_residual(surface: Surface, u: float, v: float):
     """Scale-relative residuals of the two moving-frame equations: the
-    expansion of f_,ij on (f_u, f_v, N) and of N_,j on (f_u, f_v)."""
-    jets = surface.map.eval_jet((u, v), 3)
+    expansion of f_,ij on (f_u, f_v, N) and of N_,j on (f_u, f_v).  With
+    n = f_u x f_v, N_,j = (n_j - N (N . n_j)) / |n| for n_j = f_uj x f_v + f_u x f_vj."""
     data = jet_at(surface, u, v)
-    fu_j = [j.deriv(0) for j in jets]
-    fv_j = [j.deriv(1) for j in jets]
-    n_raw = [fu_j[1] * fv_j[2] - fu_j[2] * fv_j[1],
-             fu_j[2] * fv_j[0] - fu_j[0] * fv_j[2],
-             fu_j[0] * fv_j[1] - fu_j[1] * fv_j[0]]
-    n_len = _jet_dot3(n_raw, n_raw).sqrt()
-    N_jets = [c / n_len for c in n_raw]
-    N_u, N_v = derivatives(N_jets, ((1, 0), (0, 1)))
-
-    p, fu, fv, fuu, fuv, fvv = derivatives(jets, _SECOND)
-    seconds = {(0, 0): fuu, (0, 1): fuv, (1, 0): fuv, (1, 1): fvv}
-    basis = {0: fu, 1: fv}
+    _, fu, fv, fuu, fuv, fvv = derivatives(surface.map.eval_jet((u, v), 2), _SECOND)
     gamma, B, X, N = data.christoffel, data.second_form, data.weingarten, data.normal
+    n_len = norm(cross(fu, fv))
+    N_u, N_v = ((n_j - _dot(N, n_j) * N) / n_len
+                for n_j in (cross(fuu, fv) + cross(fu, fuv), cross(fuv, fv) + cross(fu, fvv)))
+
+    seconds = {(0, 0): fuu, (0, 1): fuv, (1, 0): fuv, (1, 1): fvv}
     scale = max(1.0, max(norm(s) for s in seconds.values()), norm(fu), norm(fv))
 
     gauss_res = 0.0
@@ -557,9 +540,9 @@ def curve_length_on_surface(surface: Surface, path: ExprMap, t0: float, t1: floa
         raise ValueError("path must map one parameter to (u, v)")
 
     def integrand(t):
-        jets = path.eval_jet((t,), order=1)
-        w = derivatives(jets, ((1,),))[..., 0, :]
-        D = derivatives(surface.map.eval_jet((jets[0].value, jets[1].value), 1), ((1, 0), (0, 1)))
+        P = derivatives(path.eval_jet((t,), order=1), _ORDERS[:2])
+        (pu, pv), w = _components(P[..., 0, :]), P[..., 1, :]
+        D = derivatives(surface.map.eval_jet((pu, pv), 1), ((1, 0), (0, 1)))
         fu, fv = D[..., 0, :], D[..., 1, :]
         g12 = _dot(fu, fv)
         g = _mat2(_dot(fu, fu), g12, g12, _dot(fv, fv))  # the metric alone: no connection
@@ -579,21 +562,6 @@ def curve_length_on_surface(surface: Surface, path: ExprMap, t0: float, t1: floa
 # revolution and ruled specifics
 # ---------------------------------------------------------------------------
 
-def _arclength_jet_of_profile(u: float, p1, p2, p3, q1, q2, q3):
-    """Taylor jet of u as a function of profile arc length, at this point,
-    from the first three derivatives of the radius (p) and height (q)."""
-    qsum = p1 * p1 + q1 * q1
-    dq = 2.0 * (p1 * p2 + q1 * q2)
-    ddq = 2.0 * (p2 * p2 + p1 * p3 + q2 * q2 + q1 * q3)
-    h = qsum ** -0.5
-    hp = -0.5 * qsum ** -1.5 * dq
-    hpp = 0.75 * qsum ** -2.5 * dq * dq - 0.5 * qsum ** -1.5 * ddq
-    u_s = h
-    u_ss = hp * h
-    u_sss = (hpp * h + hp * hp) * h
-    return Jet.variable(0.0, 0, 1, 3).compose(u, u_s, u_ss, u_sss)
-
-
 def revolution_closed_form(surface: Surface, u: float, v: float) -> dict:
     """Metric, second form and Gaussian curvature of a revolution surface from
     its profile alone.  Profiles that are not parameterized by arc length are
@@ -601,16 +569,15 @@ def revolution_closed_form(surface: Surface, u: float, v: float) -> dict:
     parameter; the curvature is intrinsic either way)."""
     if not isinstance(surface, RevolutionSurface):
         raise ValueError("closed form applies to revolution surfaces only")
-    (p0, q0), (p1, q1), (p2, q2), (p3, q3) = derivatives(
-        surface.radius.eval_jet((u,), 3) + surface.height.eval_jet((u,), 3), _ORDERS).tolist()
-    if abs(p1 * p1 + q1 * q1 - 1.0) > 1e-9:
-        U = _arclength_jet_of_profile(u, p1, p2, p3, q1, q2, q3)
-        phi = U.compose(p0, p1, p2, p3)
-        psi = U.compose(q0, q1, q2, q3)
-        (p0, _), (p1, q1), (p2, q2) = derivatives([phi, psi], _ORDERS[:3]).tolist()
-        arc_length_param = False
-    else:
-        arc_length_param = True
+    (p0, _), (p1, q1), (p2, q2) = derivatives(
+        surface.radius.eval_jet((u,), 2) + surface.height.eval_jet((u,), 2), _ORDERS[:3]).tolist()
+    speed2 = p1 * p1 + q1 * q1
+    arc_length_param = abs(speed2 - 1.0) <= 1e-9
+    if not arc_length_param:
+        # the chain rule to order 2 for the profile as a function of its arc
+        # length s: du/ds = speed2^-1/2 and d2u/ds2 = -(p1 p2 + q1 q2) / speed2^2
+        u_s, u_ss = speed2 ** -0.5, -(p1 * p2 + q1 * q2) / (speed2 * speed2)
+        p1, p2, q1, q2 = p1 * u_s, p2 / speed2 + p1 * u_ss, q1 * u_s, q2 / speed2 + q1 * u_ss
     c = p1 * q2 - q1 * p2
     g = np.array([[1.0, 0.0], [0.0, p0 * p0]])
     B = np.array([[c, 0.0], [0.0, p0 * q1]])

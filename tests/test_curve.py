@@ -238,6 +238,18 @@ def test_helix_sphere_radius_constant(helix):
     assert max(radii) - min(radii) < 1e-9
 
 
+def test_viviani_curve_osculates_its_sphere():
+    # Viviani's curve lies on the sphere |x| = 2a, which is therefore its
+    # osculating sphere wherever the torsion is not 0; its dc/ds is not 0
+    a = 1.3
+    viviani = make_curve(["a*(1+cos(t))", "a*sin(t)", "2*a*sin(t/2)"], (0.1, 6.0), {"a": a})
+    for t in (0.5, 1.7, 2.9, 4.4):
+        assert abs(cv.canonical_coefficients(viviani, t)[1]) > 0.01
+        _, _, center, radius = cv.osculating(viviani, t)
+        assert np.allclose(center, 0.0, atol=1e-12)
+        assert radius == pytest.approx(2.0 * a, rel=1e-12)
+
+
 def test_sphere_undefined_for_plane_curve(circle3):
     with pytest.raises(cv.UndefinedOsculatingSphere):
         cv.osculating_sphere(circle3, 1.0)
@@ -292,6 +304,15 @@ def test_canonical_helix_constant(helix):
         assert c0 == pytest.approx(0.4, rel=1e-12)
         assert c0p == pytest.approx(0.0, abs=1e-10)
         assert th0 == pytest.approx(-0.2, rel=1e-12)
+
+
+def test_canonical_curvature_rate_of_an_ellipse():
+    a, b = 2.0, 0.7
+    ellipse = make_curve(["a*cos(t)", "b*sin(t)"], (0.0, 2.0 * math.pi), {"a": a, "b": b})
+    for t in (0.4, 1.1, 2.5, 5.0):
+        want = (-3.0 * a * b * (a * a - b * b) * math.sin(t) * math.cos(t)
+                / (a * a * math.sin(t) ** 2 + b * b * math.cos(t) ** 2) ** 3)
+        assert cv.canonical_coefficients(ellipse, t)[1] == pytest.approx(want, rel=1e-12)
 
 
 def test_canonical_matches_local_expansion(helix):

@@ -361,7 +361,10 @@ def test_geodesic_locally_minimizes_length(sphere):
 # ---------------------------------------------------------------------------
 
 def test_egregium_matches_shape_operator(sphere, catenoid, torus):
-    for surf in (sphere, catenoid, torus):
+    # the monkey saddle and the sheared torus have F != 0, where Brioschi's F terms count
+    monkey = sf.surface_from_expr(["u", "v", "u^3 - 3*u*v^2"], ((-1.0, 1.0), (-1.0, 1.0)))
+    sheared = sf.reparameterized(torus, ["u + 0.3*v", "v"], ((-2.5, 2.5), (-3.0, 3.0)))
+    for surf in (sphere, catenoid, torus, monkey, sheared):
         (u0, u1), (v0, v1) = surf.domain
         for u in np.linspace(u0 + 0.1, u1 - 0.1, 5):
             for v in np.linspace(v0 + 0.1, v1 - 0.1, 5):
@@ -373,6 +376,15 @@ def test_egregium_matches_shape_operator(sphere, catenoid, torus):
 def test_egregium_plane_is_zero(plane_patch):
     assert sf.egregium_curvature(plane_patch, 0.4, 0.4) == pytest.approx(0.0,
                                                                          abs=1e-14)
+
+
+def test_egregium_names_a_degenerate_metric(sphere):
+    # at the pole u = pi/2, G = cos(u)^2 is about 3.7e-33
+    with pytest.raises(sf.IrregularPoint, match=r"degenerate metric at \(u, v\) = \(1.5708, 0.3\)"):
+        sf.egregium_curvature(sphere, math.pi / 2, 0.3)
+    with np.errstate(all="ignore"):
+        batch = sf.egregium_curvature(sphere, np.array([math.pi / 2, 0.3]), np.array([0.3, 0.3]))
+    assert math.isnan(batch[0]) and batch[1] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gauss_weingarten_residuals(sphere, plane_patch):
