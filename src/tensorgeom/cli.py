@@ -202,11 +202,22 @@ def _load_json(path: str) -> dict:
     return data
 
 
+# The maps parsed in this run by (sources, variables, constants): a request
+# that names an expression again reuses its map and the programs compiled for
+# it.  ``main`` empties it when the run ends.
+_PARSED: dict = {}
+
+
 def _parse(source, variables, constants: dict) -> ExprMap:
-    try:
-        return parse(source, variables, constants)
-    except ValueError as exc:  # a ParseError, or a name that is both variable and constant
-        raise ValidationError(f"expression error: {exc}") from exc
+    key = (source if isinstance(source, str) else tuple(source), tuple(variables),
+           tuple(sorted(constants.items())))
+    emap = _PARSED.get(key)
+    if emap is None:
+        try:
+            emap = _PARSED[key] = parse(source, variables, constants)
+        except ValueError as exc:  # a ParseError, or a name that is both variable and constant
+            raise ValidationError(f"expression error: {exc}") from exc
+    return emap
 
 
 # What a scene fixes for its requests' parameters; and a parameter kind: what a
@@ -686,6 +697,8 @@ def main(argv=None) -> int:
     except OSError as exc:  # inputs are read in _load_json, so this is the output
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        _PARSED.clear()
 
 
 if __name__ == "__main__":

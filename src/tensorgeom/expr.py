@@ -258,16 +258,13 @@ def _stack(values, batch: tuple = ()) -> np.ndarray:
 # Truncated Taylor jets
 # ---------------------------------------------------------------------------
 
-# Flat coefficient layout per arity, filled by ``_layout`` on first use:
-# exponent multi-indices in graded order (total degree, then the exponents
-# in descending lexicographic order), the coefficient count per order, the
-# position of each multi-index, per multi-index the (position, prod k!) pair
-# that turns its coefficient into the derivative, and per (arity, order) the
-# jet product as a function of the two coefficient lists.  Plain dicts keep
-# ``Jet.__mul__`` at one C-level lookup.
-_POWERS: dict = {}
+# Flat coefficient layout per arity, filled by ``_layout`` on first use: the
+# coefficient count per order, per exponent multi-index the (position,
+# prod k!) pair that turns its coefficient into the derivative (in graded
+# order: total degree, then the exponents in descending lexicographic order),
+# and per (arity, order) the jet product as a function of the two coefficient
+# lists.  Plain dicts keep ``Jet.__mul__`` at one C-level lookup.
 _COUNT: dict = {}
-_INDEX: dict = {}
 _PARTIAL: dict = {}
 _MUL: dict = {}
 _FACT = (1.0, 1.0, 2.0, 6.0)
@@ -304,11 +301,259 @@ def _layout(nvars: int) -> tuple:
         exec("def product(a, b):\n" + "\n".join(per_slot)
              + f"\n return [{', '.join(f's{k}' for k in range(cnt))}]", namespace)
         _MUL[(nvars, order)] = namespace["product"]
-    _POWERS[nvars] = powers
-    _INDEX[nvars] = index
     _PARTIAL[nvars] = {p: (k, math.prod(_FACT[e] for e in p)) for p, k in index.items()}
     _COUNT[nvars] = counts
     return counts
+
+
+# Jet arithmetic on coefficient lists.  ``Jet`` and the compiled programs of
+# ``ExprMap`` both call these, so each operation is written once.  A function
+# that multiplies two jets takes ``mul``, the product ``_MUL[(arity,
+# order)]``, and ``order``; a number operand is a float, or an array over a
+# batch.
+
+def _jconstant(value, count: int) -> list:
+    coef = [0.0] * count
+    coef[0] = value if type(value) is float else _num(value)
+    return coef
+
+
+def _jneg(a: list) -> list:
+    return [-x for x in a]
+
+
+def _jadd(a: list, b: list) -> list:
+    return [x + y for x, y in zip(a, b)]
+
+
+def _jsub(a: list, b: list) -> list:
+    return [x - y for x, y in zip(a, b)]
+
+
+def _jadd_num(a: list, k) -> list:
+    out = a.copy()
+    out[0] = out[0] + (k if type(k) is float else _num(k))
+    return out
+
+
+def _jsub_num(a: list, k) -> list:
+    out = a.copy()
+    out[0] = out[0] - (k if type(k) is float else _num(k))
+    return out
+
+
+def _jrsub_num(a: list, k) -> list:
+    """k - a."""
+    return _jadd_num(_jneg(a), k)
+
+
+def _jscale(a: list, k) -> list:
+    """a * k."""
+    k = k if type(k) is float else _num(k)
+    return [x * k for x in a]
+
+
+def _jscaled(a: list, c) -> list:
+    """c * a, with the coefficients 0.0 + c * x that the jet product of the
+    constant c and a has wherever they are finite."""
+    return [0.0 + c * x for x in a]
+
+
+def _division_by_zero() -> DomainError:
+    return DomainError("division by zero")
+
+
+def _jdiv_num(a: list, k) -> list:
+    k = _check(k == 0.0, _division_by_zero, _num(k))
+    return _jscale(a, 1.0 / k)
+
+
+def _jreciprocal(a: list, mul, order: int) -> list:
+    a0 = _check(a[0] == 0.0, _division_by_zero, a[0])
+    ia = 1.0 / a0
+    return _jcompose(a, ia, -ia * ia, 2.0 * _pow(ia, 3), -6.0 * _pow(ia, 4), mul, order)
+
+
+def _jdiv(a: list, b: list, mul, order: int) -> list:
+    return mul(a, _jreciprocal(b, mul, order))
+
+
+def _jrdiv_num(a: list, k, mul, order: int) -> list:
+    """k / a."""
+    return _jscale(_jreciprocal(a, mul, order), _num(k))
+
+
+def _jpow_jet(a: list, b: list, mul, order: int) -> list:
+    """a ** b for a jet exponent."""
+    varying = False
+    for c in b[1:]:
+        varying = varying | (c != 0.0)
+    if np.all(varying):
+        # general exponent: x^y = exp(y ln x)
+        return _jexp(mul(b, _jln(a, mul, order)), mul, order)
+    if np.any(varying) or isinstance(b[0], np.ndarray):
+        # not one rule for the whole batch: its points are re-run one by one
+        raise DomainError("an exponent that is constant at some points only")
+    return _jpow_num(a, b[0], mul, order)
+
+
+def _jpow_num(a: list, e, mul, order: int) -> list:
+    """a ** e for a number exponent."""
+    e = float(e)
+    if e == round(e) and abs(e) <= 64:
+        return _jint_pow(a, int(round(e)), mul, order)
+    a0 = _check(a[0] <= 0.0, lambda: DomainError("non-integer power of a non-positive base"), a[0])
+    return _jcompose(a, _pow(a0, e), e * _pow(a0, e - 1), e * (e - 1) * _pow(a0, e - 2),
+                     e * (e - 1) * (e - 2) * _pow(a0, e - 3), mul, order)
+
+
+def _jnum_pow(k: float, b: list, mul, order: int) -> list:
+    """k ** b for a jet exponent and a float base."""
+    if k <= 0.0:
+        raise DomainError("jet exponent needs a positive base")
+    return _jexp(_jscale(b, math.log(k)), mul, order)
+
+
+def _jint_pow(a: list, n: int, mul, order: int) -> list:
+    if n < 0:
+        return _jint_pow(_jreciprocal(a, mul, order), -n, mul, order)
+    if n == 0:
+        one = 1.0
+        if isinstance(a[0], np.ndarray):
+            one = 1.0 + 0.0 * a[0]  # x^0 keeps the marks of x
+        return _jconstant(one, len(a))
+    out, base = None, a
+    while n:
+        if n & 1:
+            out = _jscaled(base, 1.0) if out is None else mul(out, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return out
+
+
+def _jcompose(a: list, f0, f1, f2, f3, mul, order: int) -> list:
+    """f(a) where f has value/derivatives f0..f3 at a's value.
+
+    Horner's scheme in h = a - a's value, from the jet's order down:
+    ((c_p h + c_(p-1)) h + ...) h + c_0, so an order-2 jet takes one jet
+    product; its first step, c_p h, is ``_jscaled``.  The terms past the
+    order add 0.0 * c to c_p: nothing where c is finite, and NaN (a mark on a
+    batch) where it is not, as the full cubic scheme has."""
+    h = a.copy()
+    h[0] = 0.0
+    c = (f0, f1, f2 / 2.0, f3 / 6.0)
+    top = c[order]
+    for k in range(order + 1, MAX_ORDER + 1):
+        top = top + 0.0 * c[k]
+    out = _jscaled(h, top if type(top) is float else _num(top))
+    for k in range(order - 1, -1, -1):
+        # out + c_k, in place: ``out`` is a list made here
+        out[0] = out[0] + (c[k] if type(c[k]) is float else _num(c[k]))
+        if k:
+            out = mul(out, h)
+    return out
+
+
+# the builtins: ``_j<name>(a, mul, order)``
+
+def _jsin(a: list, mul, order: int) -> list:
+    s, c = _map(math.sin, a[0]), _map(math.cos, a[0])
+    return _jcompose(a, s, c, -s, -c, mul, order)
+
+
+def _jcos(a: list, mul, order: int) -> list:
+    s, c = _map(math.sin, a[0]), _map(math.cos, a[0])
+    return _jcompose(a, c, -s, -c, s, mul, order)
+
+
+def _jtan(a: list, mul, order: int) -> list:
+    t = _map(_tan, a[0])
+    sec2 = 1.0 + t * t
+    return _jcompose(a, t, sec2, 2.0 * t * sec2, 2.0 * sec2 * (1.0 + 3.0 * t * t), mul, order)
+
+
+def _inside_unit(a0, name: str):
+    return _check(np.logical_not((-1.0 < a0) & (a0 < 1.0)),
+                  lambda: DomainError(f"{name} outside (-1, 1)"), a0)
+
+
+def _jasin(a: list, mul, order: int) -> list:
+    a0 = _inside_unit(a[0], "asin")
+    r = 1.0 - a0 * a0
+    return _jcompose(a, _map(math.asin, a0), _pow(r, -0.5), a0 * _pow(r, -1.5),
+                     (1.0 + 2.0 * a0 * a0) * _pow(r, -2.5), mul, order)
+
+
+def _jacos(a: list, mul, order: int) -> list:
+    a0 = _inside_unit(a[0], "acos")
+    r = 1.0 - a0 * a0
+    return _jcompose(a, _map(math.acos, a0), -_pow(r, -0.5), -a0 * _pow(r, -1.5),
+                     -(1.0 + 2.0 * a0 * a0) * _pow(r, -2.5), mul, order)
+
+
+def _jatan(a: list, mul, order: int) -> list:
+    a0 = a[0]
+    d = 1.0 + a0 * a0
+    return _jcompose(a, _map(math.atan, a0), 1.0 / d, -2.0 * a0 / _pow(d, 2),
+                     (6.0 * a0 * a0 - 2.0) / _pow(d, 3), mul, order)
+
+
+def _jsinh(a: list, mul, order: int) -> list:
+    s, c = _map(math.sinh, a[0]), _map(math.cosh, a[0])
+    return _jcompose(a, s, c, s, c, mul, order)
+
+
+def _jcosh(a: list, mul, order: int) -> list:
+    s, c = _map(math.sinh, a[0]), _map(math.cosh, a[0])
+    return _jcompose(a, c, s, c, s, mul, order)
+
+
+def _jtanh(a: list, mul, order: int) -> list:
+    t = _map(math.tanh, a[0])
+    d = 1.0 - t * t
+    return _jcompose(a, t, d, -2.0 * t * d, d * (6.0 * t * t - 2.0), mul, order)
+
+
+def _jexp(a: list, mul, order: int) -> list:
+    e = _map(math.exp, a[0])
+    return _jcompose(a, e, e, e, e, mul, order)
+
+
+def _positive(a0, message: str):
+    return _check(a0 <= 0.0, lambda: DomainError(message), a0)
+
+
+def _jln(a: list, mul, order: int) -> list:
+    a0 = _positive(a[0], "log of a non-positive value")
+    ia = 1.0 / a0
+    return _jcompose(a, _map(math.log, a0), ia, -ia * ia, 2.0 * _pow(ia, 3), mul, order)
+
+
+def _jsqrt(a: list, mul, order: int) -> list:
+    a0 = _positive(a[0], "sqrt of a non-positive value")
+    return _jcompose(a, _map(math.sqrt, a0), 0.5 * _pow(a0, -0.5), -0.25 * _pow(a0, -1.5),
+                     0.375 * _pow(a0, -2.5), mul, order)
+
+
+def _jabs(a: list, mul, order: int) -> list:
+    a0 = a[0]
+    if isinstance(a0, np.ndarray):  # marked at 0, where abs is not differentiable
+        return [_check(np.logical_not(a0 != 0.0), None, np.where(a0 < 0.0, -c, c)) for c in a]
+    if a0 > 0.0:
+        return a.copy()
+    if a0 < 0.0:
+        return _jneg(a)
+    raise DomainError("abs is not differentiable at zero")
+
+
+def _jatan2(y: list, x: list, mul, order: int) -> list:
+    base = _map(_atan2, y[0], x[0])  # on a batch, NaN marks (0, 0)
+    y0, x0 = y[0], x[0]
+    # rotate so the varying part sits at angle 0, then add the base angle
+    p = _jadd(_jscale(x, x0), _jscale(y, y0))
+    q = _jsub(_jscale(y, x0), _jscale(x, y0))
+    return _jadd_num(_jatan(_jdiv(q, p, mul, order), mul, order), base)
 
 
 Number = Union[int, float]
@@ -321,7 +566,8 @@ class Jet:
     multiplication is a plain truncated convolution.  ``partial`` restores
     the derivative scaling.  Each coefficient is a float, or a float array
     holding it at each point of a batch (a coefficient that is the same at
-    every point may stay a float).
+    every point may stay a float).  The arithmetic is that of the ``_j*``
+    functions on the coefficient lists.
     """
 
     __slots__ = ("nvars", "order", "coef")
@@ -334,9 +580,7 @@ class Jet:
     # -- constructors -------------------------------------------------
     @classmethod
     def constant(cls, value: float, nvars: int, order: int) -> "Jet":
-        coef = [0.0] * (_COUNT.get(nvars) or _layout(nvars))[order]
-        coef[0] = value if type(value) is float else _num(value)
-        return cls(nvars, order, coef)
+        return cls(nvars, order, _jconstant(value, (_COUNT.get(nvars) or _layout(nvars))[order]))
 
     @classmethod
     def variable(cls, value: float, which: int, nvars: int, order: int) -> "Jet":
@@ -369,201 +613,94 @@ class Jet:
             return other
         return None
 
+    def _with(self, coef: list) -> "Jet":
+        return Jet(self.nvars, self.order, coef)
+
+    def _apply(self, f, *args) -> "Jet":
+        """The jet of ``f(coef, *args, mul, order)``."""
+        return Jet(self.nvars, self.order,
+                   f(self.coef, *args, _MUL[(self.nvars, self.order)], self.order))
+
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            out = self.coef.copy()
-            out[0] = out[0] + (other if type(other) is float else _num(other))
-            return Jet(self.nvars, self.order, out)
-        return Jet(self.nvars, self.order, [a + b for a, b in zip(self.coef, o.coef)])
+        return self._with(_jadd_num(self.coef, other) if o is None else _jadd(self.coef, o.coef))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            out = self.coef.copy()
-            out[0] = out[0] - (other if type(other) is float else _num(other))
-            return Jet(self.nvars, self.order, out)
-        return Jet(self.nvars, self.order, [a - b for a, b in zip(self.coef, o.coef)])
+        return self._with(_jsub_num(self.coef, other) if o is None else _jsub(self.coef, o.coef))
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        return self._with(_jrsub_num(self.coef, other))
 
     def __neg__(self):
-        return Jet(self.nvars, self.order, [-a for a in self.coef])
+        return self._with(_jneg(self.coef))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
-            k = other if type(other) is float else _num(other)
-            return Jet(self.nvars, self.order, [a * k for a in self.coef])
-        return Jet(self.nvars, self.order, _MUL[(self.nvars, self.order)](self.coef, o.coef))
+            return self._with(_jscale(self.coef, other))
+        return self._with(_MUL[(self.nvars, self.order)](self.coef, o.coef))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            k = _check(other == 0.0, lambda: DomainError("division by zero"), _num(other))
-            return self * (1.0 / k)
-        return self * o._reciprocal()
+            return self._with(_jdiv_num(self.coef, other))
+        return self._apply(_jdiv, o.coef)
 
     def __rtruediv__(self, other):
-        return self._reciprocal() * _num(other)
-
-    def _reciprocal(self) -> "Jet":
-        a = _check(self.value == 0.0, lambda: DomainError("division by zero"), self.value)
-        ia = 1.0 / a
-        return self.compose(ia, -ia * ia, 2.0 * _pow(ia, 3), -6.0 * _pow(ia, 4))
+        return self._apply(_jrdiv_num, other)
 
     def __pow__(self, other):
-        if isinstance(other, Jet):
-            varying = False
-            for c in other.coef[1:]:
-                varying = varying | (c != 0.0)
-            if np.all(varying):
-                # general exponent: x^y = exp(y ln x)
-                return (other * self._ln()).exp()
-            if np.any(varying) or isinstance(other.value, np.ndarray):
-                # not one rule for the whole batch: its points are re-run one by one
-                raise DomainError("an exponent that is constant at some points only")
-            other = other.value
-        p = float(other)
-        if p == round(p) and abs(p) <= 64:
-            return self._int_pow(int(round(p)))
-        a = _check(self.value <= 0.0,
-                   lambda: DomainError("non-integer power of a non-positive base"), self.value)
-        return self.compose(_pow(a, p), p * _pow(a, p - 1), p * (p - 1) * _pow(a, p - 2),
-                            p * (p - 1) * (p - 2) * _pow(a, p - 3))
+        o = self._coerce(other)
+        return self._apply(_jpow_num, other) if o is None else self._apply(_jpow_jet, o.coef)
 
-    def _int_pow(self, n: int) -> "Jet":
-        if n < 0:
-            return self._reciprocal()._int_pow(-n)
-        if n == 0:
-            one = 1.0
-            if isinstance(self.value, np.ndarray):
-                one = 1.0 + 0.0 * self.value  # x^0 keeps the marks of x
-            return Jet.constant(one, self.nvars, self.order)
-        out, base = None, self
-        while n:
-            if n & 1:
-                out = base._scaled(1.0) if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
-    def _scaled(self, c) -> "Jet":
-        """c * self, with the coefficients 0.0 + c * x that the jet product
-        Jet.constant(c) * self has wherever they are finite."""
-        return Jet(self.nvars, self.order, [0.0 + c * x for x in self.coef])
-
-    # -- composition with a smooth scalar function ---------------------
     def compose(self, f0: float, f1: float, f2: float, f3: float) -> "Jet":
-        """f(self) where f has value/derivatives f0..f3 at self.value.
-
-        Horner's scheme in h = self - self.value, from the jet's order down:
-        ((c_p h + c_(p-1)) h + ...) h + c_0, so an order-2 jet takes one jet
-        product; its first step, c_p h, is ``_scaled``.  The terms past the
-        order add 0.0 * c to c_p: nothing where c is finite, and NaN (a mark
-        on a batch) where it is not, as the full cubic scheme has."""
-        p = self.order
-        h = Jet(self.nvars, p, self.coef.copy())
-        h.coef[0] = 0.0
-        c = (f0, f1, f2 / 2.0, f3 / 6.0)
-        top = c[p]
-        for k in range(p + 1, MAX_ORDER + 1):
-            top = top + 0.0 * c[k]
-        out = h._scaled(top if type(top) is float else _num(top))
-        for k in range(p - 1, 0, -1):
-            out = (out + c[k]) * h
-        return out + c[0]
+        """f(self) where f has value/derivatives f0..f3 at self.value."""
+        return self._apply(_jcompose, f0, f1, f2, f3)
 
     # -- builtins -------------------------------------------------------
     def sin(self):
-        a = self.value
-        s, c = _map(math.sin, a), _map(math.cos, a)
-        return self.compose(s, c, -s, -c)
+        return self._apply(_jsin)
 
     def cos(self):
-        a = self.value
-        s, c = _map(math.sin, a), _map(math.cos, a)
-        return self.compose(c, -s, -c, s)
+        return self._apply(_jcos)
 
     def tan(self):
-        t = _map(_tan, self.value)
-        sec2 = 1.0 + t * t
-        return self.compose(t, sec2, 2.0 * t * sec2, 2.0 * sec2 * (1.0 + 3.0 * t * t))
-
-    def _inside_unit(self, name: str):
-        a = self.value
-        return _check(np.logical_not((-1.0 < a) & (a < 1.0)),
-                      lambda: DomainError(f"{name} outside (-1, 1)"), a)
+        return self._apply(_jtan)
 
     def asin(self):
-        a = self._inside_unit("asin")
-        r = 1.0 - a * a
-        return self.compose(_map(math.asin, a), _pow(r, -0.5), a * _pow(r, -1.5),
-                            (1.0 + 2.0 * a * a) * _pow(r, -2.5))
+        return self._apply(_jasin)
 
     def acos(self):
-        a = self._inside_unit("acos")
-        r = 1.0 - a * a
-        return self.compose(_map(math.acos, a), -_pow(r, -0.5), -a * _pow(r, -1.5),
-                            -(1.0 + 2.0 * a * a) * _pow(r, -2.5))
+        return self._apply(_jacos)
 
     def atan(self):
-        a = self.value
-        d = 1.0 + a * a
-        return self.compose(_map(math.atan, a), 1.0 / d, -2.0 * a / _pow(d, 2),
-                            (6.0 * a * a - 2.0) / _pow(d, 3))
+        return self._apply(_jatan)
 
     def sinh(self):
-        a = self.value
-        s, c = _map(math.sinh, a), _map(math.cosh, a)
-        return self.compose(s, c, s, c)
+        return self._apply(_jsinh)
 
     def cosh(self):
-        a = self.value
-        s, c = _map(math.sinh, a), _map(math.cosh, a)
-        return self.compose(c, s, c, s)
+        return self._apply(_jcosh)
 
     def tanh(self):
-        t = _map(math.tanh, self.value)
-        d = 1.0 - t * t
-        return self.compose(t, d, -2.0 * t * d, d * (6.0 * t * t - 2.0))
+        return self._apply(_jtanh)
 
     def exp(self):
-        e = _map(math.exp, self.value)
-        return self.compose(e, e, e, e)
+        return self._apply(_jexp)
 
-    def _positive(self, message: str):
-        return _check(self.value <= 0.0, lambda: DomainError(message), self.value)
-
-    def _ln(self):
-        a = self._positive("log of a non-positive value")
-        ia = 1.0 / a
-        return self.compose(_map(math.log, a), ia, -ia * ia, 2.0 * _pow(ia, 3))
-
-    ln = _ln
+    def ln(self):
+        return self._apply(_jln)
 
     def sqrt(self):
-        a = self._positive("sqrt of a non-positive value")
-        return self.compose(_map(math.sqrt, a), 0.5 * _pow(a, -0.5), -0.25 * _pow(a, -1.5),
-                            0.375 * _pow(a, -2.5))
+        return self._apply(_jsqrt)
 
     def abs(self):
-        a = self.value
-        if isinstance(a, np.ndarray):  # marked at 0, where abs is not differentiable
-            return Jet(self.nvars, self.order, [_check(np.logical_not(a != 0.0), None,
-                                                       np.where(a < 0.0, -c, c))
-                                                for c in self.coef])
-        if a > 0.0:
-            return Jet(self.nvars, self.order, self.coef.copy())
-        if a < 0.0:
-            return -self
-        raise DomainError("abs is not differentiable at zero")
+        return self._apply(_jabs)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Jet(nvars={self.nvars}, order={self.order}, coef={self.coef})"
@@ -606,16 +743,10 @@ def jet_atan2(y, x):
     if not yj and not xj:
         return _map(_atan2, y, x)
     ref = y if yj else x
-    if not yj:
-        y = Jet.constant(y, ref.nvars, ref.order)
-    if not xj:
-        x = Jet.constant(x, ref.nvars, ref.order)
-    base = _map(_atan2, y.value, x.value)  # on a batch, NaN marks (0, 0)
-    y0, x0 = y.value, x.value
-    # rotate so the varying part sits at angle 0, then add the base angle
-    p = x * x0 + y * y0
-    q = y * x0 - x * y0
-    return (q / p).atan() + base
+    count = len(ref.coef)
+    yc = y.coef if yj else _jconstant(y, count)
+    xc = ref._coerce(x).coef if xj else _jconstant(x, count)
+    return ref._with(_jatan2(yc, xc, _MUL[(ref.nvars, ref.order)], ref.order))
 
 
 _UNARY_FUNCS = ("sin", "cos", "tan", "asin", "acos", "atan", "sinh", "cosh",
@@ -888,84 +1019,141 @@ def unparse(node: Node) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _eval(node: Node, env: list, memo: dict):
-    """Evaluate an AST on a mix of floats and jets.
-
-    On floats alone every branch is plain float arithmetic, so this is also
-    the float evaluator.  ``memo`` holds, by node identity, the value of each
-    operation node already evaluated in this call: ``parse`` makes equal
-    subtrees of a map one node, so each is evaluated once.
-    """
-    if isinstance(node, Var):
-        return env[node.index]
-    if isinstance(node, (Num, ConstRef)):
-        return node.value
-    value = memo.get(id(node))
-    if value is None:
-        value = memo[id(node)] = _operation(node, env, memo)
-    return value
+def _fdiv(a, b):
+    """a / b on numbers: true division, as on floats."""
+    return a / _check(b == 0.0, _division_by_zero, b)
 
 
-def _operation(node: Node, env: list, memo: dict):
-    """The value of an operation node, its operands from ``_eval``."""
-    try:
-        if isinstance(node, Neg):
-            return -_eval(node.operand, env, memo)
-        if isinstance(node, BinOp):
-            a = _eval(node.left, env, memo)
-            b = _eval(node.right, env, memo)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                if isinstance(a, Jet) or isinstance(b, Jet):
-                    if not isinstance(a, Jet):
-                        return b.__rtruediv__(a)
-                    return a / b
-                return a / _check(b == 0.0, lambda: DomainError("division by zero"), b)
-            if isinstance(a, Jet):
-                return a ** b
-            if isinstance(b, Jet):
-                if a <= 0.0:
-                    raise DomainError("jet exponent needs a positive base")
-                return (b * math.log(a)).exp()
-            return _map(_real_pow, a, b)
-        if isinstance(node, Call):
-            args = [_eval(a, env, memo) for a in node.args]
-            if node.func == "atan2":
-                return jet_atan2(args[0], args[1])
-            a = args[0]
-            if isinstance(a, Jet):
-                return getattr(a, node.func)()
-            return _map(_FLOAT_FUNCS[node.func], a)
-    except (ArithmeticError, ValueError) as err:
-        # the one wrap point: math's overflow and domain errors become
-        # DomainError, and each names the innermost node that failed
-        if isinstance(err, DomainError) and err.expression is not None:
-            raise
-        reason = err.reason if isinstance(err, DomainError) else (
-            "overflow" if isinstance(err, OverflowError) else str(err))
-        raise DomainError(reason, unparse(node), node.span[0]) from None
-    raise TypeError(f"not an AST node: {node!r}")
+# Each operation as one statement of a compiled program: by its operator or
+# function and whether each operand is a jet, the code over the operands'
+# names {0}, {1}, the jet order {p} and the coefficient count {n}.  Numbers
+# (every value at order 0, and subtrees of constants) take true division and
+# ``pow``.
+_CODE = {
+    ("neg", False): "-{0}", ("neg", True): "_jneg({0})",
+    ("+", False, False): "{0} + {1}", ("+", True, True): "_jadd({0}, {1})",
+    ("+", True, False): "_jadd_num({0}, {1})", ("+", False, True): "_jadd_num({1}, {0})",
+    ("-", False, False): "{0} - {1}", ("-", True, True): "_jsub({0}, {1})",
+    ("-", True, False): "_jsub_num({0}, {1})", ("-", False, True): "_jrsub_num({1}, {0})",
+    ("*", False, False): "{0} * {1}", ("*", True, True): "mul({0}, {1})",
+    ("*", True, False): "_jscale({0}, {1})", ("*", False, True): "_jscale({1}, {0})",
+    ("/", False, False): "_fdiv({0}, {1})", ("/", True, True): "_jdiv({0}, {1}, mul, {p})",
+    ("/", True, False): "_jdiv_num({0}, {1})", ("/", False, True): "_jrdiv_num({1}, {0}, mul, {p})",
+    ("^", False, False): "_map(_real_pow, {0}, {1})",
+    ("^", True, True): "_jpow_jet({0}, {1}, mul, {p})",
+    ("^", True, False): "_jpow_num({0}, {1}, mul, {p})",
+    ("^", False, True): "_jnum_pow({0}, {1}, mul, {p})",
+    ("atan2", False, False): "_map(_atan2, {0}, {1})",
+    ("atan2", True, True): "_jatan2({0}, {1}, mul, {p})",
+    ("atan2", True, False): "_jatan2({0}, _jconstant({1}, {n}), mul, {p})",
+    ("atan2", False, True): "_jatan2(_jconstant({0}, {n}), {1}, mul, {p})",
+}
+for _name in _UNARY_FUNCS:
+    _CODE[(_name, False)] = f"_map(_FLOAT_FUNCS[{_name!r}], {{0}})"
+    _CODE[(_name, True)] = f"_j{_name}({{0}}, mul, {{p}})"
 
 
-def _finite(value, node: Node):
-    """A component result, rejected when any of its numbers is not finite (on
-    a batch: marked at the points where one is not)."""
-    nums = value.coef if isinstance(value, Jet) else [value]
+def _compile(em: "ExprMap", order: int) -> tuple:
+    """``em`` evaluated at ``order`` as generated straight-line code: the
+    function of the point's coordinates that returns the component values
+    (order 0) or jets, and per line of it the operation node that line
+    evaluates.
+
+    Each operation node of the interned DAG is one statement, in the order of
+    a walk of the components (operands left to right, a node evaluated before
+    skipped), and each component is checked for finiteness right after its
+    nodes.  A node is a jet when it depends on a variable and the order is
+    above 0, else a number; the code does no type dispatch."""
+    jets = order > 0
+    count = _layout(em.arity)[order] if jets else 1
+    xs = [f"x{k}" for k in range(em.arity)]
+    free, bound = [], []  # the names the code closes over, and their values
+    seen: dict = {}  # per node id, its value's name in the code and whether it is a jet
+    body, located = [], {}
+
+    def bind(value) -> str:
+        free.append(f"k{len(free)}")
+        bound.append(value)
+        return free[-1]
+
+    def visit(node: Node) -> tuple:
+        if id(node) not in seen:
+            if isinstance(node, Var):
+                seen[id(node)] = (f"v{node.index}", True) if jets else (xs[node.index], False)
+            elif isinstance(node, (Num, ConstRef)):
+                seen[id(node)] = (bind(node.value), False)
+            else:
+                if isinstance(node, Neg):
+                    op, operands = "neg", (node.operand,)
+                elif isinstance(node, BinOp):
+                    op, operands = node.op, (node.left, node.right)
+                else:
+                    op, operands = node.func, node.args
+                names, kinds = zip(*map(visit, operands))
+                name = f"t{len(located)}"
+                located[len(body)] = node
+                body.append(f"{name} = " + _CODE[(op, *kinds)].format(*names, p=order, n=count))
+                seen[id(node)] = (name, any(kinds))
+        return seen[id(node)]
+
+    out = []
+    for i, comp in enumerate(em.components):
+        name, jet = visit(comp)
+        body.append(f"c{i} = {'_finite' if jet else '_finite_num'}({name}, {bind(comp)})")
+        if not jets:
+            out.append(f"c{i}")
+        elif jet:
+            out.append(f"Jet({em.arity}, {order}, c{i})")
+        else:  # a component of constants: a constant jet over the point's batch
+            out.append(f"Jet({em.arity}, {order}, "
+                       f"_jconstant(_spread([c{i}], ({', '.join(xs)},))[0], {count}))")
+    # jets: each variable seeded as Jet.variable seeds it
+    seeds = [f"v{k} = [{', '.join([x] + ['1.0' if j == 1 + k else '0.0' for j in range(1, count)])}]"
+             for k, x in enumerate(xs)] if jets else []
+    source = "\n".join([f"def build(mul, {', '.join(free)}):",
+                        f" def program({', '.join(xs)}):",
+                        *(f"  {line}" for line in seeds + body),
+                        f"  return [{', '.join(out)}]",
+                        " return program"])
+    scope: dict = {}
+    exec(compile(source, "<expression program>", "exec"), globals(), scope)
+    program = scope["build"](_MUL.get((em.arity, order)), *bound)
+    first = 3 + len(seeds)  # the line of body[0]
+    return program, {first + k: node for k, node in located.items()}
+
+
+def _located(err: Exception, program, located: dict) -> DomainError:
+    """An error a compiled program raised, as the DomainError that names the
+    innermost node that failed: the node of the program line it came from,
+    unless it names its node already (a non-finite component)."""
+    if isinstance(err, DomainError) and err.expression is not None:
+        return err
+    tb = err.__traceback__
+    while tb.tb_frame.f_code is not program.__code__:
+        tb = tb.tb_next
+    node = located[tb.tb_lineno]
+    reason = err.reason if isinstance(err, DomainError) else (
+        "overflow" if isinstance(err, OverflowError) else str(err))
+    return DomainError(reason, unparse(node), node.span[0])
+
+
+def _finite(nums: list, node: Node) -> list:
+    """A component's numbers (its value, or its jet's coefficients), rejected
+    when any of them is not finite (on a batch: marked at the points where
+    one is not)."""
     if type(nums[0]) is not np.ndarray:  # a value the same at every point: so is each number
         if not all(map(math.isfinite, nums)):
             raise DomainError("non-finite value", unparse(node), node.span[0])
-        return value
+        return nums
     if not all(math.isfinite(c) for c in nums if type(c) is not np.ndarray):
         raise DomainError("non-finite value", unparse(node), node.span[0])
     bad = np.logical_not(np.logical_and.reduce([np.isfinite(c) for c in nums
                                                 if type(c) is np.ndarray]))
-    nums = [_check(bad, None, c) for c in nums]
-    return Jet(value.nvars, value.order, nums) if isinstance(value, Jet) else nums[0]
+    return [_check(bad, None, c) for c in nums]
+
+
+def _finite_num(value, node: Node):
+    return _finite([value], node)[0]
 
 
 @dataclass(frozen=True)
@@ -973,12 +1161,15 @@ class ExprMap:
     """Immutable map R^n -> R^m defined by parsed expressions.
 
     ``arity`` is the number of variables (jets carry derivatives in all of
-    them), ``dimension`` the number of components.
+    them), ``dimension`` the number of components.  The first evaluation at
+    an order compiles the map for that order (``_compile``); the program is
+    kept for every later one, at one point or on a batch.
     """
 
     variables: tuple
     constants: tuple
     components: tuple
+    _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def arity(self) -> int:
@@ -988,6 +1179,16 @@ class ExprMap:
     def dimension(self) -> int:
         return len(self.components)
 
+    def _evaluate(self, order: int, point) -> list:
+        compiled = self._programs.get(order)
+        if compiled is None:
+            compiled = self._programs[order] = _compile(self, order)
+        program, located = compiled
+        try:
+            return program(*point)
+        except (ArithmeticError, ValueError) as err:
+            raise _located(err, program, located) from None
+
     def __call__(self, *point: float) -> list[float]:
         """Component values at a point; with an array per coordinate, at a
         batch of points."""
@@ -996,8 +1197,7 @@ class ExprMap:
         if len(point) != self.arity:
             raise ValueError(f"expected {self.arity} coordinates, got {len(point)}")
         values = list(map(_num, point))
-        memo = {}
-        out = [_finite(_eval(c, values, memo), c) for c in self.components]
+        out = self._evaluate(0, values)
         return _spread(out, values) if np.ndarray in map(type, values) else out
 
     def eval_jet(self, point: Sequence[float], order: int = MAX_ORDER):
@@ -1009,16 +1209,7 @@ class ExprMap:
             raise ValueError(f"expected {self.arity} coordinates, got {len(point)}")
         if order == 0:
             return self.__call__(*point)
-        nv = self.arity
-        env = [Jet.variable(p, k, nv, order) for k, p in enumerate(point)]
-        memo = {}
-        out = []
-        for comp in self.components:
-            val = _finite(_eval(comp, env, memo), comp)
-            if not isinstance(val, Jet):
-                val = Jet.constant(_spread([val], point)[0], nv, order)
-            out.append(val)
-        return out
+        return self._evaluate(order, point)
 
     def compose(self, inner: "ExprMap") -> "ExprMap":
         """This map after ``inner``: each variable replaced by the matching

@@ -276,7 +276,11 @@ def _metric_and_connection(D: np.ndarray, u, v):
 
 
 def jet_at(surface: Surface, u: float, v: float) -> SurfaceJet:
-    D = derivatives(surface.map.eval_jet((u, v), 2), _SECOND)
+    return _surface_jet(derivatives(surface.map.eval_jet((u, v), 2), _SECOND), u, v)
+
+
+def _surface_jet(D: np.ndarray, u, v) -> SurfaceJet:
+    """``jet_at`` from the map's derivatives at (u, v), the rows of _SECOND."""
     p, fu, fv, fuu, fuv, fvv = np.moveaxis(D, -2, 0)
     n_raw = cross(fu, fv)
     n_len = norm(n_raw)
@@ -481,8 +485,9 @@ def gauss_weingarten_residual(surface: Surface, u: float, v: float):
     """Scale-relative residuals of the two moving-frame equations: the
     expansion of f_,ij on (f_u, f_v, N) and of N_,j on (f_u, f_v).  With
     n = f_u x f_v, N_,j = (n_j - N (N . n_j)) / |n| for n_j = f_uj x f_v + f_u x f_vj."""
-    data = jet_at(surface, u, v)
-    _, fu, fv, fuu, fuv, fvv = derivatives(surface.map.eval_jet((u, v), 2), _SECOND)
+    D = derivatives(surface.map.eval_jet((u, v), 2), _SECOND)
+    data = _surface_jet(D, u, v)
+    _, fu, fv, fuu, fuv, fvv = D
     gamma, B, X, N = data.christoffel, data.second_form, data.weingarten, data.normal
     n_len = norm(cross(fu, fv))
     N_u, N_v = ((n_j - _dot(N, n_j) * N) / n_len

@@ -139,6 +139,32 @@ def test_coordmap_requests(tmp_path):
     assert abs(gamma[0][1][1] + 2.0) < 1e-10
 
 
+def test_a_run_parses_each_distinct_expression_once(tmp_path, monkeypatch):
+    parsed = []
+    parse = cli.parse
+    monkeypatch.setattr(cli, "parse", lambda *args: parsed.append(args[0]) or parse(*args))
+    laplacian = [{"op": "laplacian", "params": {"z": [1.0 + k / 4, 0.5], "field": f}}
+                 for k in range(3) for f in ("r^2", "t")]
+    scene = _write(tmp_path, "polar.json", {
+        "kind": "coordmap", "components": ["r*cos(t)", "r*sin(t)"], "variables": ["r", "t"],
+        "domain": [[0.1, 5.0], [-3.1, 3.1]], "requests": laplacian})
+    for _ in range(2):  # the second run parses again: nothing is kept between runs
+        parsed.clear()
+        assert run(["--out", tmp_path, "analyze", scene]) == 0
+        assert parsed == [["r*cos(t)", "r*sin(t)"], "r^2", "t"]
+        assert cli._PARSED == {}
+    report = json.loads((tmp_path / "polar_report.json").read_text())
+    assert [r["result"]["laplacian"] for r in report["results"]] == \
+        pytest.approx([4.0, 0.0] * 3, abs=1e-12)
+    # an expression that fails to parse is not kept: each attempt raises
+    parsed.clear()
+    with pytest.raises(cli.ValidationError, match="expression error"):
+        cli._parse("r*(", ["r", "t"], {})
+    with pytest.raises(cli.ValidationError, match="expression error"):
+        cli._parse("r*(", ["r", "t"], {})
+    assert parsed == ["r*(", "r*("] and cli._PARSED == {}
+
+
 def test_tensor_job_polar(tmp_path):
     job = _write(tmp_path, "job.json", {
         "op": "polar",

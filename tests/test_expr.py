@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tensorgeom.expr as expr
 from tensorgeom.expr import (MAX_NESTING, ArityMismatch, DomainError, Jet, ParseError,
-                             UnknownIdentifier, _INDEX, _POWERS, _layout, derivatives, jet_atan2,
+                             UnknownIdentifier, _PARTIAL, _layout, derivatives, jet_atan2,
                              parse, unparse)
 
 
@@ -467,7 +468,8 @@ def test_order_aware_compose_matches_cubic_horner(case):
 def _pair_loop_product(a: Jet, b: Jet) -> list:
     """The jet product as nested loops over each slot's exponent pairs, summed
     from 0.0 in the graded order of the first factor's exponents."""
-    powers, index = _POWERS[a.nvars], _INDEX[a.nvars]
+    index = {p: k for p, (k, _) in _PARTIAL[a.nvars].items()}
+    powers = sorted(index, key=index.get)
     out = []
     for target in powers[:len(a.coef)]:
         acc = 0.0
@@ -522,8 +524,8 @@ def test_integer_power_starting_from_the_base_keeps_the_bits():
 
 def test_shared_subtree_is_composed_once_per_call(monkeypatch):
     calls = []
-    compose = Jet.compose
-    monkeypatch.setattr(Jet, "compose", lambda self, *f: calls.append(f) or compose(self, *f))
+    compose = expr._jcompose
+    monkeypatch.setattr(expr, "_jcompose", lambda a, *f: calls.append(f) or compose(a, *f))
     m = parse(["v*cos(u)", "cos(u) + 1", "sin(cos(u))"], ["u", "v"])
     assert m.components[0].right is m.components[1].left
     for _ in range(2):
@@ -588,8 +590,8 @@ def test_compose_equals_parsing_the_substituted_text():
 
 def test_compose_evaluates_a_repeated_component_once(monkeypatch):
     calls = []
-    compose = Jet.compose
-    monkeypatch.setattr(Jet, "compose", lambda self, *f: calls.append(f) or compose(self, *f))
+    compose = expr._jcompose
+    monkeypatch.setattr(expr, "_jcompose", lambda a, *f: calls.append(f) or compose(a, *f))
     m = parse(["r*cos(v)", "r*sin(v)", "h"], ["r", "h", "v"]).compose(
         parse(["3+cos(u)", "sin(u)", "v"], ["u", "v"]))
     assert m.components[0].left is m.components[1].left
@@ -613,3 +615,179 @@ def test_error_in_a_substituted_component_names_its_text():
         with pytest.raises(DomainError) as err:
             m.eval_jet((-1.0, 1.0), order)
         assert (err.value.expression, err.value.offset) == ("ln(u)", 2)
+
+
+# ---------------------------------------------------------------------------
+# compiled programs against the AST walk they replaced
+# ---------------------------------------------------------------------------
+
+def _walk(node, env, memo):
+    """The AST walk that evaluated maps before they were compiled, kept as the
+    reference: floats and jets mixed, each operation node once per call."""
+    if isinstance(node, expr.Var):
+        return env[node.index]
+    if isinstance(node, (expr.Num, expr.ConstRef)):
+        return node.value
+    value = memo.get(id(node))
+    if value is None:
+        value = memo[id(node)] = _walk_operation(node, env, memo)
+    return value
+
+
+def _walk_operation(node, env, memo):
+    try:
+        if isinstance(node, expr.Neg):
+            return -_walk(node.operand, env, memo)
+        if isinstance(node, expr.BinOp):
+            a = _walk(node.left, env, memo)
+            b = _walk(node.right, env, memo)
+            if node.op == "+":
+                return a + b
+            if node.op == "-":
+                return a - b
+            if node.op == "*":
+                return a * b
+            if node.op == "/":
+                if isinstance(a, Jet) or isinstance(b, Jet):
+                    if not isinstance(a, Jet):
+                        return b.__rtruediv__(a)
+                    return a / b
+                return a / expr._check(b == 0.0, lambda: DomainError("division by zero"), b)
+            if isinstance(a, Jet):
+                return a ** b
+            if isinstance(b, Jet):
+                if a <= 0.0:
+                    raise DomainError("jet exponent needs a positive base")
+                return (b * math.log(a)).exp()
+            return expr._map(expr._real_pow, a, b)
+        if isinstance(node, expr.Call):
+            args = [_walk(a, env, memo) for a in node.args]
+            if node.func == "atan2":
+                return jet_atan2(args[0], args[1])
+            a = args[0]
+            if isinstance(a, Jet):
+                return getattr(a, node.func)()
+            return expr._map(expr._FLOAT_FUNCS[node.func], a)
+    except (ArithmeticError, ValueError) as err:
+        if isinstance(err, DomainError) and err.expression is not None:
+            raise
+        reason = err.reason if isinstance(err, DomainError) else (
+            "overflow" if isinstance(err, OverflowError) else str(err))
+        raise DomainError(reason, unparse(node), node.span[0]) from None
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def _walk_finite(value, node):
+    nums = value.coef if isinstance(value, Jet) else [value]
+    if type(nums[0]) is not np.ndarray:
+        if not all(map(math.isfinite, nums)):
+            raise DomainError("non-finite value", unparse(node), node.span[0])
+        return value
+    if not all(math.isfinite(c) for c in nums if type(c) is not np.ndarray):
+        raise DomainError("non-finite value", unparse(node), node.span[0])
+    bad = np.logical_not(np.logical_and.reduce([np.isfinite(c) for c in nums
+                                                if type(c) is np.ndarray]))
+    nums = [expr._check(bad, None, c) for c in nums]
+    return Jet(value.nvars, value.order, nums) if isinstance(value, Jet) else nums[0]
+
+
+def _walked(m, point, order):
+    """``m.eval_jet(point, order)`` by the AST walk."""
+    point = tuple(map(expr._num, point))
+    memo = {}
+    if order == 0:
+        out = [_walk_finite(_walk(c, list(point), memo), c) for c in m.components]
+        return expr._spread(out, point) if np.ndarray in map(type, point) else out
+    env = [Jet.variable(p, k, m.arity, order) for k, p in enumerate(point)]
+    out = []
+    for comp in m.components:
+        value = _walk_finite(_walk(comp, env, memo), comp)
+        if not isinstance(value, Jet):
+            value = Jet.constant(expr._spread([value], point)[0], m.arity, order)
+        out.append(value)
+    return out
+
+
+def _outcome(evaluate):
+    """What an evaluation gives: per component its numbers, each as its type
+    and bits, or the error it raises with its message, expression and offset."""
+    try:
+        with np.errstate(all="ignore"):
+            values = evaluate()
+    except Exception as err:  # noqa: BLE001 - any error must be the same error
+        return (type(err).__name__, str(err), getattr(err, "expression", None),
+                getattr(err, "offset", None))
+    return [[(type(c).__name__, np.asarray(c, dtype=float).view(np.int64).tolist())
+             for c in comp] for comp in _numbers(values)]
+
+
+_EXPONENTS = ("2", "3", "-1", "0", "-2", "7", "0.5", "1.5", "-0.5", "2.25")
+
+
+def _program_source(names, shared):
+    """Expressions over every node kind: the 13 one-argument builtins, atan2,
+    the four operators, ``^`` with integer, real and jet exponents, unary
+    minus, subtrees of constants alone (k, pi and the numbers), and
+    ``shared``, which a map's components then have in common."""
+    leaves = st.one_of(st.sampled_from(names), st.sampled_from(("k", "pi", "0", "1", "2", "0.5")),
+                       st.just(f"({shared})") if shared else st.nothing())
+
+    def extend(children):
+        call = st.tuples(st.sampled_from(_UNARY), children).map(lambda t: f"{t[0]}({t[1]})")
+        atan2 = st.tuples(children, children).map(lambda t: f"atan2({t[0]}, {t[1]})")
+        binop = st.tuples(children, st.sampled_from("+-*/^"), children) \
+            .map(lambda t: f"({t[0]}){t[1]}({t[2]})")
+        power = st.tuples(children, st.sampled_from(_EXPONENTS)) \
+            .map(lambda t: f"({t[0]})^{t[1]}")
+        neg = children.map(lambda s: f"-({s})")
+        return st.one_of(call, atan2, binop, power, neg)
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+@st.composite
+def _program_cases(draw):
+    names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    shared = draw(_program_source(names, None))
+    sources = draw(st.lists(_program_source(names, shared), min_size=1, max_size=3))
+    coordinate = st.one_of(st.sampled_from(_EDGES),
+                           st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))
+    if draw(st.booleans()):
+        point = draw(st.tuples(*[coordinate] * len(names)))
+    else:  # a batch, some of its points marked NaN
+        rows = draw(st.lists(st.tuples(*[st.one_of(coordinate, st.just(math.nan))] * len(names)),
+                             min_size=1, max_size=6))
+        point = tuple(np.array(c) for c in zip(*rows))
+    return names, sources, point, draw(st.integers(0, 3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_program_cases())
+# a jet product's factors in their order; operands and components in theirs,
+# as the first of two failures shows; marked points on a batch
+@example((("x", "y"), ["(sin(x)+y)*(exp(y)*x)"], (0.55, -0.92), 3))
+@example((("x",), ["ln(x-2) + sqrt(x-3)"], (1.0,), 2))
+@example((("x", "y"), ["y", "1/(x-x)", "ln(x)"], (-1.0, 1.0), 0))
+@example((("x",), ["ln(x)*x^0.5", "atan2(x, 0)"], (np.array([1.0, math.nan, -1.0, 0.0]),), 2))
+def test_compiled_program_matches_the_ast_walk(case):
+    names, sources, point, order = case
+    m = parse(sources, list(names), {"k": 1.25})
+    want = _outcome(lambda: _walked(m, point, order))
+    assert _outcome(lambda: m.eval_jet(point, order)) == want, (sources, point, order)
+    if order == 0:
+        assert _outcome(lambda: m(*point)) == want, (sources, point)
+
+
+def test_compiled_program_at_the_nesting_limit_matches_the_ast_walk():
+    wrappers = ("sin({})", "({})*x", "-{}", "atan({})", "({})^2", "cosh({})")  # a level each
+    source = "x"
+    for level in range(MAX_NESTING):
+        source = wrappers[level % len(wrappers)].format(source)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse(f"-{source}", ["x"])
+    m = parse([source, f"{source} - x^2"], ["x"])
+    for point in [(0.7,), (np.array([0.7, -0.4, math.nan, 2.0]),)]:
+        for order in range(4):
+            want = _outcome(lambda: _walked(m, point, order))
+            assert isinstance(want, list)
+            assert _outcome(lambda: m.eval_jet(point, order)) == want, (point, order)

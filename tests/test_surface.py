@@ -9,7 +9,7 @@ import pytest
 
 from tensorgeom import surface as sf
 from tensorgeom.curve import Curve, integrate
-from tensorgeom.expr import derivatives, parse
+from tensorgeom.expr import ExprMap, derivatives, parse
 from tensorgeom.tensor2 import norm, normalize
 
 rng = np.random.default_rng(31)
@@ -396,6 +396,14 @@ def test_gauss_weingarten_residuals(sphere, plane_patch):
     ps = sf.revolution_surface("sin(u)", "cos(u)+ln(tan(u/2))", (0.3, 1.4))
     g_res, w_res = sf.gauss_weingarten_residual(ps, 0.9, 0.5)
     assert g_res < 1e-8 and w_res < 1e-8
+
+
+def test_gauss_weingarten_residual_evaluates_the_map_once(sphere, monkeypatch):
+    calls = []
+    eval_jet = ExprMap.eval_jet
+    monkeypatch.setattr(ExprMap, "eval_jet", lambda self, *a: calls.append(a) or eval_jet(self, *a))
+    sf.gauss_weingarten_residual(sphere, 0.2, 0.3)
+    assert calls == [((0.2, 0.3), 2)]
 
 
 # ---------------------------------------------------------------------------
