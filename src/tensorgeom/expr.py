@@ -6,14 +6,17 @@ to total order 3 in any number of variables.  Every curve, surface and
 coordinate map in this package is defined through this module.
 
 Each value may be a float (one point) or a float array of length N (a batch
-of N points, evaluated in one walk of the AST).  On a float a domain error
-raises ``DomainError``; on an array it marks the failing points with NaN,
-and every point that raises on its own is marked, so a caller re-runs the
-marked points one by one to get the error.  Results at unmarked points are
-bit-identical to those of the single-point evaluation.
+of N points, evaluated in one call).  On a float a domain error raises
+``DomainError``; on an array it marks the failing points with NaN, and every
+point that raises on its own is marked, so a caller re-runs the marked points
+one by one to get the error.  Results at unmarked points are bit-identical to
+those of the single-point evaluation.
 
-``parse`` makes identical subtrees of a map's components one node, and an
-evaluation reuses a node's value, so each is evaluated once per call.
+``parse`` makes identical subtrees of a map's components one node.  A map is
+compiled once per order, on its first evaluation at that order, into one
+generated function with a statement per node (``_compile``), so each node is
+evaluated once per call; its arithmetic is that of ``Jet``, whose methods
+call the same functions on coefficient lists.
 ``ExprMap.compose`` substitutes one map's components for another's variables
 and interns the result: the revolution, ruled and reparameterized surfaces
 and the lift of a planar curve to 3-space are built with it.
@@ -43,7 +46,7 @@ import numpy as np
 
 MAX_ORDER = 3
 # Deepest nesting ``parse`` accepts; it keeps the recursive parser and
-# evaluator far from the interpreter's recursion limit.
+# compiler far from the interpreter's recursion limit.
 MAX_NESTING = 100
 # |cos(x)| below this is a pole of tan: cos(pi/2) rounds to 6.1e-17, not 0.
 _POLE_TOL = 1e-12
@@ -262,11 +265,12 @@ def _stack(values, batch: tuple = ()) -> np.ndarray:
 # coefficient count per order, per exponent multi-index the (position,
 # prod k!) pair that turns its coefficient into the derivative (in graded
 # order: total degree, then the exponents in descending lexicographic order),
-# and per (arity, order) the jet product as a function of the two coefficient
-# lists.  Plain dicts keep ``Jet.__mul__`` at one C-level lookup.
+# and per (arity, order) the ring: the jet product and the composition with a
+# smooth scalar function, each a function of coefficient lists generated as
+# straight-line code.
 _COUNT: dict = {}
 _PARTIAL: dict = {}
-_MUL: dict = {}
+_RING: dict = {}
 _FACT = (1.0, 1.0, 2.0, 6.0)
 
 
@@ -296,21 +300,50 @@ def _layout(nvars: int) -> tuple:
             # mark stays; += adds into an array over a batch in place
             first, *rest = pairs
             per_slot.append(f" s{k} = 0.0 + {first}" + "".join(f"; s{k} += {p}" for p in rest))
-        # straight-line code, so a product walks no pair table
-        namespace: dict = {}
+        namespace: dict = {"_num": _num}
         exec("def product(a, b):\n" + "\n".join(per_slot)
              + f"\n return [{', '.join(f's{k}' for k in range(cnt))}]", namespace)
-        _MUL[(nvars, order)] = namespace["product"]
+        exec(_compose_source(order, cnt), namespace)
+        _RING[(nvars, order)] = (namespace["product"], namespace["compose"])
     _PARTIAL[nvars] = {p: (k, math.prod(_FACT[e] for e in p)) for p, k in index.items()}
     _COUNT[nvars] = counts
     return counts
 
 
+def _compose_source(order: int, count: int) -> str:
+    """The code of ``compose(a, f0, f1, f2, f3)``: f(a) for a jet of this order
+    and coefficient count, where f has value and derivatives f0..f3 at a's
+    value.
+
+    Horner's scheme in h = a - a's value, from the jet's order down:
+    ((c_p h + c_(p-1)) h + ...) h + c_0 with c_k = f_k / k!, so an order-2 jet
+    takes one jet ``product``.  The terms past the order add 0.0 * c_k to
+    c_p: nothing where c_k is finite, and NaN (a mark on a batch) where it is
+    not, as the full cubic scheme has.  c_p h is 0.0 + c_p x per coefficient
+    x of h, as the product of the constant c_p and h has it wherever it is
+    finite; adding c_k to a jet adds it to the value."""
+    def number(k):  # c_k as a float, or an array over a batch
+        return f"(c{k} if type(c{k}) is float else _num(c{k}))"
+
+    h = ", ".join(["0.0"] + [f"a[{i}]" for i in range(1, count)])
+    return "\n".join([
+        "def compose(a, f0, f1, f2, f3):",
+        " c0, c1, c2, c3 = f0, f1, f2 / 2.0, f3 / 6.0",
+        f" top = c{order}" + "".join(f" + 0.0 * c{k}" for k in range(order + 1, MAX_ORDER + 1)),
+        " top = top if type(top) is float else _num(top)",
+        f" h = [{h}]",
+        " out = [" + ", ".join(f"0.0 + top * {x}" for x in h.split(", ")) + "]",
+        *(f" out[0] = out[0] + {number(k)}\n out = product(out, h)"
+          for k in range(order - 1, 0, -1)),
+        f" out[0] = out[0] + {number(0)}",
+        " return out"])
+
+
 # Jet arithmetic on coefficient lists.  ``Jet`` and the compiled programs of
 # ``ExprMap`` both call these, so each operation is written once.  A function
-# that multiplies two jets takes ``mul``, the product ``_MUL[(arity,
-# order)]``, and ``order``; a number operand is a float, or an array over a
-# batch.
+# that multiplies or composes jets takes the ring of their arity and order,
+# ``mul, compose = _RING[(arity, order)]``; a number operand is a float, or an
+# array over a batch.
 
 def _jconstant(value, count: int) -> list:
     coef = [0.0] * count
@@ -368,55 +401,55 @@ def _jdiv_num(a: list, k) -> list:
     return _jscale(a, 1.0 / k)
 
 
-def _jreciprocal(a: list, mul, order: int) -> list:
+def _jreciprocal(a: list, mul, compose) -> list:
     a0 = _check(a[0] == 0.0, _division_by_zero, a[0])
     ia = 1.0 / a0
-    return _jcompose(a, ia, -ia * ia, 2.0 * _pow(ia, 3), -6.0 * _pow(ia, 4), mul, order)
+    return compose(a, ia, -ia * ia, 2.0 * _pow(ia, 3), -6.0 * _pow(ia, 4))
 
 
-def _jdiv(a: list, b: list, mul, order: int) -> list:
-    return mul(a, _jreciprocal(b, mul, order))
+def _jdiv(a: list, b: list, mul, compose) -> list:
+    return mul(a, _jreciprocal(b, mul, compose))
 
 
-def _jrdiv_num(a: list, k, mul, order: int) -> list:
+def _jrdiv_num(a: list, k, mul, compose) -> list:
     """k / a."""
-    return _jscale(_jreciprocal(a, mul, order), _num(k))
+    return _jscale(_jreciprocal(a, mul, compose), _num(k))
 
 
-def _jpow_jet(a: list, b: list, mul, order: int) -> list:
+def _jpow_jet(a: list, b: list, mul, compose) -> list:
     """a ** b for a jet exponent."""
     varying = False
     for c in b[1:]:
         varying = varying | (c != 0.0)
     if np.all(varying):
         # general exponent: x^y = exp(y ln x)
-        return _jexp(mul(b, _jln(a, mul, order)), mul, order)
+        return _jexp(mul(b, _jln(a, mul, compose)), mul, compose)
     if np.any(varying) or isinstance(b[0], np.ndarray):
         # not one rule for the whole batch: its points are re-run one by one
         raise DomainError("an exponent that is constant at some points only")
-    return _jpow_num(a, b[0], mul, order)
+    return _jpow_num(a, b[0], mul, compose)
 
 
-def _jpow_num(a: list, e, mul, order: int) -> list:
+def _jpow_num(a: list, e, mul, compose) -> list:
     """a ** e for a number exponent."""
     e = float(e)
     if e == round(e) and abs(e) <= 64:
-        return _jint_pow(a, int(round(e)), mul, order)
+        return _jint_pow(a, int(round(e)), mul, compose)
     a0 = _check(a[0] <= 0.0, lambda: DomainError("non-integer power of a non-positive base"), a[0])
-    return _jcompose(a, _pow(a0, e), e * _pow(a0, e - 1), e * (e - 1) * _pow(a0, e - 2),
-                     e * (e - 1) * (e - 2) * _pow(a0, e - 3), mul, order)
+    return compose(a, _pow(a0, e), e * _pow(a0, e - 1), e * (e - 1) * _pow(a0, e - 2),
+                     e * (e - 1) * (e - 2) * _pow(a0, e - 3))
 
 
-def _jnum_pow(k: float, b: list, mul, order: int) -> list:
+def _jnum_pow(k: float, b: list, mul, compose) -> list:
     """k ** b for a jet exponent and a float base."""
     if k <= 0.0:
         raise DomainError("jet exponent needs a positive base")
-    return _jexp(_jscale(b, math.log(k)), mul, order)
+    return _jexp(_jscale(b, math.log(k)), mul, compose)
 
 
-def _jint_pow(a: list, n: int, mul, order: int) -> list:
+def _jint_pow(a: list, n: int, mul, compose) -> list:
     if n < 0:
-        return _jint_pow(_jreciprocal(a, mul, order), -n, mul, order)
+        return _jint_pow(_jreciprocal(a, mul, compose), -n, mul, compose)
     if n == 0:
         one = 1.0
         if isinstance(a[0], np.ndarray):
@@ -432,45 +465,22 @@ def _jint_pow(a: list, n: int, mul, order: int) -> list:
     return out
 
 
-def _jcompose(a: list, f0, f1, f2, f3, mul, order: int) -> list:
-    """f(a) where f has value/derivatives f0..f3 at a's value.
+# the builtins: ``_j<name>(a, mul, compose)``
 
-    Horner's scheme in h = a - a's value, from the jet's order down:
-    ((c_p h + c_(p-1)) h + ...) h + c_0, so an order-2 jet takes one jet
-    product; its first step, c_p h, is ``_jscaled``.  The terms past the
-    order add 0.0 * c to c_p: nothing where c is finite, and NaN (a mark on a
-    batch) where it is not, as the full cubic scheme has."""
-    h = a.copy()
-    h[0] = 0.0
-    c = (f0, f1, f2 / 2.0, f3 / 6.0)
-    top = c[order]
-    for k in range(order + 1, MAX_ORDER + 1):
-        top = top + 0.0 * c[k]
-    out = _jscaled(h, top if type(top) is float else _num(top))
-    for k in range(order - 1, -1, -1):
-        # out + c_k, in place: ``out`` is a list made here
-        out[0] = out[0] + (c[k] if type(c[k]) is float else _num(c[k]))
-        if k:
-            out = mul(out, h)
-    return out
-
-
-# the builtins: ``_j<name>(a, mul, order)``
-
-def _jsin(a: list, mul, order: int) -> list:
+def _jsin(a: list, mul, compose) -> list:
     s, c = _map(math.sin, a[0]), _map(math.cos, a[0])
-    return _jcompose(a, s, c, -s, -c, mul, order)
+    return compose(a, s, c, -s, -c)
 
 
-def _jcos(a: list, mul, order: int) -> list:
+def _jcos(a: list, mul, compose) -> list:
     s, c = _map(math.sin, a[0]), _map(math.cos, a[0])
-    return _jcompose(a, c, -s, -c, s, mul, order)
+    return compose(a, c, -s, -c, s)
 
 
-def _jtan(a: list, mul, order: int) -> list:
+def _jtan(a: list, mul, compose) -> list:
     t = _map(_tan, a[0])
     sec2 = 1.0 + t * t
-    return _jcompose(a, t, sec2, 2.0 * t * sec2, 2.0 * sec2 * (1.0 + 3.0 * t * t), mul, order)
+    return compose(a, t, sec2, 2.0 * t * sec2, 2.0 * sec2 * (1.0 + 3.0 * t * t))
 
 
 def _inside_unit(a0, name: str):
@@ -478,65 +488,65 @@ def _inside_unit(a0, name: str):
                   lambda: DomainError(f"{name} outside (-1, 1)"), a0)
 
 
-def _jasin(a: list, mul, order: int) -> list:
+def _jasin(a: list, mul, compose) -> list:
     a0 = _inside_unit(a[0], "asin")
     r = 1.0 - a0 * a0
-    return _jcompose(a, _map(math.asin, a0), _pow(r, -0.5), a0 * _pow(r, -1.5),
-                     (1.0 + 2.0 * a0 * a0) * _pow(r, -2.5), mul, order)
+    return compose(a, _map(math.asin, a0), _pow(r, -0.5), a0 * _pow(r, -1.5),
+                     (1.0 + 2.0 * a0 * a0) * _pow(r, -2.5))
 
 
-def _jacos(a: list, mul, order: int) -> list:
+def _jacos(a: list, mul, compose) -> list:
     a0 = _inside_unit(a[0], "acos")
     r = 1.0 - a0 * a0
-    return _jcompose(a, _map(math.acos, a0), -_pow(r, -0.5), -a0 * _pow(r, -1.5),
-                     -(1.0 + 2.0 * a0 * a0) * _pow(r, -2.5), mul, order)
+    return compose(a, _map(math.acos, a0), -_pow(r, -0.5), -a0 * _pow(r, -1.5),
+                     -(1.0 + 2.0 * a0 * a0) * _pow(r, -2.5))
 
 
-def _jatan(a: list, mul, order: int) -> list:
+def _jatan(a: list, mul, compose) -> list:
     a0 = a[0]
     d = 1.0 + a0 * a0
-    return _jcompose(a, _map(math.atan, a0), 1.0 / d, -2.0 * a0 / _pow(d, 2),
-                     (6.0 * a0 * a0 - 2.0) / _pow(d, 3), mul, order)
+    return compose(a, _map(math.atan, a0), 1.0 / d, -2.0 * a0 / _pow(d, 2),
+                     (6.0 * a0 * a0 - 2.0) / _pow(d, 3))
 
 
-def _jsinh(a: list, mul, order: int) -> list:
+def _jsinh(a: list, mul, compose) -> list:
     s, c = _map(math.sinh, a[0]), _map(math.cosh, a[0])
-    return _jcompose(a, s, c, s, c, mul, order)
+    return compose(a, s, c, s, c)
 
 
-def _jcosh(a: list, mul, order: int) -> list:
+def _jcosh(a: list, mul, compose) -> list:
     s, c = _map(math.sinh, a[0]), _map(math.cosh, a[0])
-    return _jcompose(a, c, s, c, s, mul, order)
+    return compose(a, c, s, c, s)
 
 
-def _jtanh(a: list, mul, order: int) -> list:
+def _jtanh(a: list, mul, compose) -> list:
     t = _map(math.tanh, a[0])
     d = 1.0 - t * t
-    return _jcompose(a, t, d, -2.0 * t * d, d * (6.0 * t * t - 2.0), mul, order)
+    return compose(a, t, d, -2.0 * t * d, d * (6.0 * t * t - 2.0))
 
 
-def _jexp(a: list, mul, order: int) -> list:
+def _jexp(a: list, mul, compose) -> list:
     e = _map(math.exp, a[0])
-    return _jcompose(a, e, e, e, e, mul, order)
+    return compose(a, e, e, e, e)
 
 
 def _positive(a0, message: str):
     return _check(a0 <= 0.0, lambda: DomainError(message), a0)
 
 
-def _jln(a: list, mul, order: int) -> list:
+def _jln(a: list, mul, compose) -> list:
     a0 = _positive(a[0], "log of a non-positive value")
     ia = 1.0 / a0
-    return _jcompose(a, _map(math.log, a0), ia, -ia * ia, 2.0 * _pow(ia, 3), mul, order)
+    return compose(a, _map(math.log, a0), ia, -ia * ia, 2.0 * _pow(ia, 3))
 
 
-def _jsqrt(a: list, mul, order: int) -> list:
+def _jsqrt(a: list, mul, compose) -> list:
     a0 = _positive(a[0], "sqrt of a non-positive value")
-    return _jcompose(a, _map(math.sqrt, a0), 0.5 * _pow(a0, -0.5), -0.25 * _pow(a0, -1.5),
-                     0.375 * _pow(a0, -2.5), mul, order)
+    return compose(a, _map(math.sqrt, a0), 0.5 * _pow(a0, -0.5), -0.25 * _pow(a0, -1.5),
+                     0.375 * _pow(a0, -2.5))
 
 
-def _jabs(a: list, mul, order: int) -> list:
+def _jabs(a: list, mul, compose) -> list:
     a0 = a[0]
     if isinstance(a0, np.ndarray):  # marked at 0, where abs is not differentiable
         return [_check(np.logical_not(a0 != 0.0), None, np.where(a0 < 0.0, -c, c)) for c in a]
@@ -547,13 +557,13 @@ def _jabs(a: list, mul, order: int) -> list:
     raise DomainError("abs is not differentiable at zero")
 
 
-def _jatan2(y: list, x: list, mul, order: int) -> list:
+def _jatan2(y: list, x: list, mul, compose) -> list:
     base = _map(_atan2, y[0], x[0])  # on a batch, NaN marks (0, 0)
     y0, x0 = y[0], x[0]
     # rotate so the varying part sits at angle 0, then add the base angle
     p = _jadd(_jscale(x, x0), _jscale(y, y0))
     q = _jsub(_jscale(y, x0), _jscale(x, y0))
-    return _jadd_num(_jatan(_jdiv(q, p, mul, order), mul, order), base)
+    return _jadd_num(_jatan(_jdiv(q, p, mul, compose), mul, compose), base)
 
 
 Number = Union[int, float]
@@ -617,9 +627,8 @@ class Jet:
         return Jet(self.nvars, self.order, coef)
 
     def _apply(self, f, *args) -> "Jet":
-        """The jet of ``f(coef, *args, mul, order)``."""
-        return Jet(self.nvars, self.order,
-                   f(self.coef, *args, _MUL[(self.nvars, self.order)], self.order))
+        """The jet of ``f(coef, *args, mul, compose)`` in this jet's ring."""
+        return Jet(self.nvars, self.order, f(self.coef, *args, *_RING[(self.nvars, self.order)]))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -641,7 +650,7 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return self._with(_jscale(self.coef, other))
-        return self._with(_MUL[(self.nvars, self.order)](self.coef, o.coef))
+        return self._with(_RING[(self.nvars, self.order)][0](self.coef, o.coef))
 
     __rmul__ = __mul__
 
@@ -660,7 +669,7 @@ class Jet:
 
     def compose(self, f0: float, f1: float, f2: float, f3: float) -> "Jet":
         """f(self) where f has value/derivatives f0..f3 at self.value."""
-        return self._apply(_jcompose, f0, f1, f2, f3)
+        return self._with(_RING[(self.nvars, self.order)][1](self.coef, f0, f1, f2, f3))
 
     # -- builtins -------------------------------------------------------
     def sin(self):
@@ -746,7 +755,7 @@ def jet_atan2(y, x):
     count = len(ref.coef)
     yc = y.coef if yj else _jconstant(y, count)
     xc = ref._coerce(x).coef if xj else _jconstant(x, count)
-    return ref._with(_jatan2(yc, xc, _MUL[(ref.nvars, ref.order)], ref.order))
+    return ref._with(_jatan2(yc, xc, *_RING[(ref.nvars, ref.order)]))
 
 
 _UNARY_FUNCS = ("sin", "cos", "tan", "asin", "acos", "atan", "sinh", "cosh",
@@ -1026,7 +1035,8 @@ def _fdiv(a, b):
 
 # Each operation as one statement of a compiled program: by its operator or
 # function and whether each operand is a jet, the code over the operands'
-# names {0}, {1}, the jet order {p} and the coefficient count {n}.  Numbers
+# names {0}, {1} and the coefficient count {n}; ``mul`` and ``compose`` are the
+# ring of the map's arity and the program's order.  Numbers
 # (every value at order 0, and subtrees of constants) take true division and
 # ``pow``.
 _CODE = {
@@ -1037,20 +1047,20 @@ _CODE = {
     ("-", True, False): "_jsub_num({0}, {1})", ("-", False, True): "_jrsub_num({1}, {0})",
     ("*", False, False): "{0} * {1}", ("*", True, True): "mul({0}, {1})",
     ("*", True, False): "_jscale({0}, {1})", ("*", False, True): "_jscale({1}, {0})",
-    ("/", False, False): "_fdiv({0}, {1})", ("/", True, True): "_jdiv({0}, {1}, mul, {p})",
-    ("/", True, False): "_jdiv_num({0}, {1})", ("/", False, True): "_jrdiv_num({1}, {0}, mul, {p})",
+    ("/", False, False): "_fdiv({0}, {1})", ("/", True, True): "_jdiv({0}, {1}, mul, compose)",
+    ("/", True, False): "_jdiv_num({0}, {1})", ("/", False, True): "_jrdiv_num({1}, {0}, mul, compose)",
     ("^", False, False): "_map(_real_pow, {0}, {1})",
-    ("^", True, True): "_jpow_jet({0}, {1}, mul, {p})",
-    ("^", True, False): "_jpow_num({0}, {1}, mul, {p})",
-    ("^", False, True): "_jnum_pow({0}, {1}, mul, {p})",
+    ("^", True, True): "_jpow_jet({0}, {1}, mul, compose)",
+    ("^", True, False): "_jpow_num({0}, {1}, mul, compose)",
+    ("^", False, True): "_jnum_pow({0}, {1}, mul, compose)",
     ("atan2", False, False): "_map(_atan2, {0}, {1})",
-    ("atan2", True, True): "_jatan2({0}, {1}, mul, {p})",
-    ("atan2", True, False): "_jatan2({0}, _jconstant({1}, {n}), mul, {p})",
-    ("atan2", False, True): "_jatan2(_jconstant({0}, {n}), {1}, mul, {p})",
+    ("atan2", True, True): "_jatan2({0}, {1}, mul, compose)",
+    ("atan2", True, False): "_jatan2({0}, _jconstant({1}, {n}), mul, compose)",
+    ("atan2", False, True): "_jatan2(_jconstant({0}, {n}), {1}, mul, compose)",
 }
 for _name in _UNARY_FUNCS:
     _CODE[(_name, False)] = f"_map(_FLOAT_FUNCS[{_name!r}], {{0}})"
-    _CODE[(_name, True)] = f"_j{_name}({{0}}, mul, {{p}})"
+    _CODE[(_name, True)] = f"_j{_name}({{0}}, mul, compose)"
 
 
 def _compile(em: "ExprMap", order: int) -> tuple:
@@ -1092,7 +1102,7 @@ def _compile(em: "ExprMap", order: int) -> tuple:
                 names, kinds = zip(*map(visit, operands))
                 name = f"t{len(located)}"
                 located[len(body)] = node
-                body.append(f"{name} = " + _CODE[(op, *kinds)].format(*names, p=order, n=count))
+                body.append(f"{name} = " + _CODE[(op, *kinds)].format(*names, n=count))
                 seen[id(node)] = (name, any(kinds))
         return seen[id(node)]
 
@@ -1110,14 +1120,14 @@ def _compile(em: "ExprMap", order: int) -> tuple:
     # jets: each variable seeded as Jet.variable seeds it
     seeds = [f"v{k} = [{', '.join([x] + ['1.0' if j == 1 + k else '0.0' for j in range(1, count)])}]"
              for k, x in enumerate(xs)] if jets else []
-    source = "\n".join([f"def build(mul, {', '.join(free)}):",
+    source = "\n".join([f"def build(mul, compose, {', '.join(free)}):",
                         f" def program({', '.join(xs)}):",
                         *(f"  {line}" for line in seeds + body),
                         f"  return [{', '.join(out)}]",
                         " return program"])
     scope: dict = {}
     exec(compile(source, "<expression program>", "exec"), globals(), scope)
-    program = scope["build"](_MUL.get((em.arity, order)), *bound)
+    program = scope["build"](*_RING.get((em.arity, order), (None, None)), *bound)
     first = 3 + len(seeds)  # the line of body[0]
     return program, {first + k: node for k, node in located.items()}
 

@@ -522,10 +522,17 @@ def test_integer_power_starting_from_the_base_keeps_the_bits():
     assert np.isnan((marked ** 0.0).value[1]) and (marked ** 0.0).value[0] == 1.0
 
 
-def test_shared_subtree_is_composed_once_per_call(monkeypatch):
+def _composed(monkeypatch) -> list:
+    """The calls of the jet sin and cos, each one composition, as they happen."""
     calls = []
-    compose = expr._jcompose
-    monkeypatch.setattr(expr, "_jcompose", lambda a, *f: calls.append(f) or compose(a, *f))
+    for name in ("_jsin", "_jcos"):
+        f = getattr(expr, name)
+        monkeypatch.setattr(expr, name, lambda a, *ring, f=f: calls.append(a) or f(a, *ring))
+    return calls
+
+
+def test_shared_subtree_is_composed_once_per_call(monkeypatch):
+    calls = _composed(monkeypatch)
     m = parse(["v*cos(u)", "cos(u) + 1", "sin(cos(u))"], ["u", "v"])
     assert m.components[0].right is m.components[1].left
     for _ in range(2):
@@ -589,9 +596,7 @@ def test_compose_equals_parsing_the_substituted_text():
 
 
 def test_compose_evaluates_a_repeated_component_once(monkeypatch):
-    calls = []
-    compose = expr._jcompose
-    monkeypatch.setattr(expr, "_jcompose", lambda a, *f: calls.append(f) or compose(a, *f))
+    calls = _composed(monkeypatch)
     m = parse(["r*cos(v)", "r*sin(v)", "h"], ["r", "h", "v"]).compose(
         parse(["3+cos(u)", "sin(u)", "v"], ["u", "v"]))
     assert m.components[0].left is m.components[1].left
