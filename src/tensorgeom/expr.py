@@ -437,7 +437,7 @@ def _jpow_num(a: list, e, mul, compose) -> list:
         return _jint_pow(a, int(round(e)), mul, compose)
     a0 = _check(a[0] <= 0.0, lambda: DomainError("non-integer power of a non-positive base"), a[0])
     return compose(a, _pow(a0, e), e * _pow(a0, e - 1), e * (e - 1) * _pow(a0, e - 2),
-                     e * (e - 1) * (e - 2) * _pow(a0, e - 3))
+                   e * (e - 1) * (e - 2) * _pow(a0, e - 3))
 
 
 def _jnum_pow(k: float, b: list, mul, compose) -> list:
@@ -492,21 +492,21 @@ def _jasin(a: list, mul, compose) -> list:
     a0 = _inside_unit(a[0], "asin")
     r = 1.0 - a0 * a0
     return compose(a, _map(math.asin, a0), _pow(r, -0.5), a0 * _pow(r, -1.5),
-                     (1.0 + 2.0 * a0 * a0) * _pow(r, -2.5))
+                   (1.0 + 2.0 * a0 * a0) * _pow(r, -2.5))
 
 
 def _jacos(a: list, mul, compose) -> list:
     a0 = _inside_unit(a[0], "acos")
     r = 1.0 - a0 * a0
     return compose(a, _map(math.acos, a0), -_pow(r, -0.5), -a0 * _pow(r, -1.5),
-                     -(1.0 + 2.0 * a0 * a0) * _pow(r, -2.5))
+                   -(1.0 + 2.0 * a0 * a0) * _pow(r, -2.5))
 
 
 def _jatan(a: list, mul, compose) -> list:
     a0 = a[0]
     d = 1.0 + a0 * a0
     return compose(a, _map(math.atan, a0), 1.0 / d, -2.0 * a0 / _pow(d, 2),
-                     (6.0 * a0 * a0 - 2.0) / _pow(d, 3))
+                   (6.0 * a0 * a0 - 2.0) / _pow(d, 3))
 
 
 def _jsinh(a: list, mul, compose) -> list:
@@ -543,7 +543,7 @@ def _jln(a: list, mul, compose) -> list:
 def _jsqrt(a: list, mul, compose) -> list:
     a0 = _positive(a[0], "sqrt of a non-positive value")
     return compose(a, _map(math.sqrt, a0), 0.5 * _pow(a0, -0.5), -0.25 * _pow(a0, -1.5),
-                     0.375 * _pow(a0, -2.5))
+                   0.375 * _pow(a0, -2.5))
 
 
 def _jabs(a: list, mul, compose) -> list:
@@ -1048,7 +1048,8 @@ _CODE = {
     ("*", False, False): "{0} * {1}", ("*", True, True): "mul({0}, {1})",
     ("*", True, False): "_jscale({0}, {1})", ("*", False, True): "_jscale({1}, {0})",
     ("/", False, False): "_fdiv({0}, {1})", ("/", True, True): "_jdiv({0}, {1}, mul, compose)",
-    ("/", True, False): "_jdiv_num({0}, {1})", ("/", False, True): "_jrdiv_num({1}, {0}, mul, compose)",
+    ("/", True, False): "_jdiv_num({0}, {1})",
+    ("/", False, True): "_jrdiv_num({1}, {0}, mul, compose)",
     ("^", False, False): "_map(_real_pow, {0}, {1})",
     ("^", True, True): "_jpow_jet({0}, {1}, mul, compose)",
     ("^", True, False): "_jpow_num({0}, {1}, mul, compose)",
@@ -1117,9 +1118,11 @@ def _compile(em: "ExprMap", order: int) -> tuple:
         else:  # a component of constants: a constant jet over the point's batch
             out.append(f"Jet({em.arity}, {order}, "
                        f"_jconstant(_spread([c{i}], ({', '.join(xs)},))[0], {count}))")
-    # jets: each variable seeded as Jet.variable seeds it
-    seeds = [f"v{k} = [{', '.join([x] + ['1.0' if j == 1 + k else '0.0' for j in range(1, count)])}]"
-             for k, x in enumerate(xs)] if jets else []
+    seeds = []
+    for k in range(em.arity if jets else 0):  # the jet of variable k, as Jet.variable seeds it
+        coef = [xs[k]] + ["0.0"] * (count - 1)
+        coef[1 + k] = "1.0"
+        seeds.append(f"v{k} = [{', '.join(coef)}]")
     source = "\n".join([f"def build(mul, compose, {', '.join(free)}):",
                         f" def program({', '.join(xs)}):",
                         *(f"  {line}" for line in seeds + body),
