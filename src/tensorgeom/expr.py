@@ -1110,7 +1110,8 @@ def _compile(em: "ExprMap", order: int) -> tuple:
     out = []
     for i, comp in enumerate(em.components):
         name, jet = visit(comp)
-        body.append(f"c{i} = {'_finite' if jet else '_finite_num'}({name}, {bind(comp)})")
+        check = f"_finite({name}, {bind(comp)})" if jet else f"_finite([{name}], {bind(comp)})[0]"
+        body.append(f"c{i} = {check}")
         if not jets:
             out.append(f"c{i}")
         elif jet:
@@ -1163,10 +1164,6 @@ def _finite(nums: list, node: Node) -> list:
     bad = np.logical_not(np.logical_and.reduce([np.isfinite(c) for c in nums
                                                 if type(c) is np.ndarray]))
     return [_check(bad, None, c) for c in nums]
-
-
-def _finite_num(value, node: Node):
-    return _finite([value], node)[0]
 
 
 @dataclass(frozen=True)
