@@ -325,14 +325,14 @@ def _compose_source(order: int, count: int) -> str:
     def number(k):  # c_k as a float, or an array over a batch
         return f"(c{k} if type(c{k}) is float else _num(c{k}))"
 
-    h = ", ".join(["0.0"] + [f"a[{i}]" for i in range(1, count)])
+    h = ["0.0"] + [f"a[{i}]" for i in range(1, count)]
     return "\n".join([
         "def compose(a, f0, f1, f2, f3):",
         " c0, c1, c2, c3 = f0, f1, f2 / 2.0, f3 / 6.0",
         f" top = c{order}" + "".join(f" + 0.0 * c{k}" for k in range(order + 1, MAX_ORDER + 1)),
         " top = top if type(top) is float else _num(top)",
-        f" h = [{h}]",
-        " out = [" + ", ".join(f"0.0 + top * {x}" for x in h.split(", ")) + "]",
+        f" h = [{', '.join(h)}]",
+        f" out = [{', '.join(f'0.0 + top * {x}' for x in h)}]",
         *(f" out[0] = out[0] + {number(k)}\n out = product(out, h)"
           for k in range(order - 1, 0, -1)),
         f" out[0] = out[0] + {number(0)}",
