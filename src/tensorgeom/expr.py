@@ -577,7 +577,8 @@ class Jet:
     the derivative scaling.  Each coefficient is a float, or a float array
     holding it at each point of a batch (a coefficient that is the same at
     every point may stay a float).  The arithmetic is that of the ``_j*``
-    functions on the coefficient lists.
+    functions and of the ring ``_RING[(nvars, order)]`` on the coefficient
+    lists, which the compiled programs of ``ExprMap`` call too.
     """
 
     __slots__ = ("nvars", "order", "coef")

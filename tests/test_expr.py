@@ -719,7 +719,7 @@ def _outcome(evaluate):
     try:
         with np.errstate(all="ignore"):
             values = evaluate()
-    except Exception as err:  # noqa: BLE001 - any error must be the same error
+    except Exception as err:  # any error, which must be the same on both sides
         return (type(err).__name__, str(err), getattr(err, "expression", None),
                 getattr(err, "offset", None))
     return [[(type(c).__name__, np.asarray(c, dtype=float).view(np.int64).tolist())
@@ -781,6 +781,22 @@ def test_compiled_program_matches_the_ast_walk(case):
     assert _outcome(lambda: m.eval_jet(point, order)) == want, (sources, point, order)
     if order == 0:
         assert _outcome(lambda: m(*point)) == want, (sources, point)
+
+
+def test_each_map_compiles_each_order_once(monkeypatch):
+    compiled = []
+    compile_map = expr._compile
+    monkeypatch.setattr(expr, "_compile",
+                        lambda m, order: compiled.append((m, order)) or compile_map(m, order))
+    a, b = (parse("k*sin(x)", ["x"], {"k": k}) for k in (2.0, 3.0))
+    x = Jet.variable(0.5, 0, 1, 2)
+    for _ in range(2):
+        for m, k in ((a, 2.0), (b, 3.0)):
+            assert m.eval_jet((0.5,), 2)[0].coef == (x.sin() * k).coef
+        assert a(0.5) == a.eval_jet((0.5,), 0) == [2.0 * math.sin(0.5)]
+    # a map of the same shape has its own programs, with its own constants
+    assert compiled == [(a, 2), (b, 2), (a, 0)]
+    assert compiled[0][0] is a and compiled[1][0] is b
 
 
 def test_compiled_program_at_the_nesting_limit_matches_the_ast_walk():
