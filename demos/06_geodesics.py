@@ -38,7 +38,7 @@ print("=" * 64)
 torus = sf.revolution_surface("3+cos(u)", "sin(u)", (-3.3, 3.3),
                               v_domain=(-40.0, 40.0))
 for u0 in (0.0, math.pi, 0.9):
-    _, gamma = sf._metric_and_gamma(torus, u0, 0.0)
+    gamma = sf.jet_at(torus, u0, 0.0).christoffel
     residual = abs(gamma[0, 1, 1])  # parallel: u' = 0, v' = 1
     verdict = "geodesic" if residual < 1e-9 else "not a geodesic"
     print(f"parallel at u0 = {u0:.3f}: |residual| = {residual:.3e}  -> {verdict}")
@@ -49,7 +49,7 @@ print("a torus geodesic conserves its surface speed:")
 traj = sf.geodesic_integrate(torus, sf.GeodesicState(0.5, 0.0, 0.3, 0.3), 8.0, 1e-3)
 drifts = []
 for i in range(0, len(traj.s), 1000):
-    g, _ = sf._metric_and_gamma(torus, traj.u[i], traj.v[i])
+    g = sf.jet_at(torus, traj.u[i], traj.v[i]).first_form
     w = np.array([traj.du[i], traj.dv[i]])
     drifts.append(abs(math.sqrt(w @ g @ w) - 1.0))
 print("max speed drift over s = 8:", max(drifts))

@@ -7,6 +7,11 @@ A surface is an ``ExprMap`` of (u, v) on a parameter rectangle.  Revolution,
 ruled and reparameterized surfaces get theirs from ``ExprMap.compose``, so
 one expression evaluator serves every surface.
 
+Gauss's formula f_ij = Gamma^k_ij f_k + b_ij N gives the connection through
+g^-1 J^T, the left inverse of the 3x2 Jacobian J = (f_u f_v), as the
+"second_derivative" route of ``coords.christoffel`` does: Gamma^h_ij = g^-1 J^T f_ij,
+and a geodesic's parameter acceleration is w' = -g^-1 J^T (w^i w^j f_ij).
+
 ``jet_at``, ``classify_point``, ``egregium_curvature`` and ``surface_area``
 also evaluate a batch of points: given arrays of u and v, each result holds
 one entry per point (vectors and matrices on the trailing axes), and a point
@@ -229,50 +234,30 @@ def _sqrt_2x2_spd(M: np.ndarray) -> np.ndarray:
     return (M + np.asarray(s)[..., None, None] * np.eye(2)) / np.asarray(t)[..., None, None]
 
 
-def _christoffel_2d(g00, g01, g11, det, dg: dict) -> np.ndarray:
-    """Surface connection from the metric, its determinant and its parameter
-    derivatives; dg[a, b, c] = derivative of g_ab by coordinate c."""
-    rhs = {
-        (0, 0): (0.5 * dg[0, 0, 0], dg[0, 1, 0] - 0.5 * dg[0, 0, 1]),
-        (0, 1): (0.5 * dg[0, 0, 1], 0.5 * dg[1, 1, 0]),
-        (1, 1): (dg[0, 1, 1] - 0.5 * dg[1, 1, 0], 0.5 * dg[1, 1, 1]),
-    }
-    first, second = {}, {}
-    for ij, (r1, r2) in rhs.items():
-        first[ij] = (r1 * g11 - r2 * g01) / det
-        second[ij] = (g00 * r2 - g01 * r1) / det
-    gamma = _stack([k[ij] for k in (first, second) for ij in ((0, 0), (0, 1), (0, 1), (1, 1))])
-    return gamma.reshape(gamma.shape[:-1] + (2, 2, 2))
-
-
-# the nine distinct dot products of the metric and its derivatives, as row
-# pairs of _SECOND: fu.fu, fu.fv, fv.fv, then f_uu, f_uv and f_vv
-# each against fu and fv
-_LEFT, _RIGHT = [1, 1, 2, 3, 3, 4, 4, 5, 5], [1, 2, 2, 1, 2, 1, 2, 1, 2]
-
-
-def _metric_and_connection(D: np.ndarray, u, v):
-    """First fundamental form and the surface connection at (u, v) from the
-    parameter derivatives of the map (the rows of _SECOND).  A det g at or below
-    _REG_TOL g11 g22, where rounding may leave no digit of it, raises
-    IrregularPoint naming the point (on a batch it marks the point); at one
-    point, so does a metric that overflows (on a batch that fails the det g
-    test)."""
-    dots = _dot(D[..., _LEFT, :], D[..., _RIGHT, :])
+def _metric(D: np.ndarray, u, v):
+    """g11, g12, g22 and det g from the map's derivatives at (u, v), the rows of
+    _SECOND.  A det g at or below _REG_TOL g11 g22, where rounding may leave no
+    digit of it, raises IrregularPoint naming the point, as at one point does a
+    metric that overflows; on a batch either marks the point."""
+    dots = _dot(D[..., [1, 1, 2], :], D[..., [1, 2, 2], :])
     # at one point Python floats, which round as numpy's scalars do
-    g11, g12, g22, uu_u, uu_v, uv_u, uv_v, vv_u, vv_v = (
-        dots.tolist() if dots.ndim == 1 else _components(dots))
+    g11, g12, g22 = dots.tolist() if dots.ndim == 1 else _components(dots)
     # g12^2 <= g11 g22, so where g11 g22 is finite no power of g below overflows
     if dots.ndim == 1 and not (math.isfinite(g11 * g22) and math.isfinite(g12)):
         raise IrregularPoint(f"the metric overflows at (u, v) = ({u:g}, {v:g})")
     det = g11 * g22 - _pow(g12, 2)
-    g11, g12, g22, det = _check(
-        np.logical_not(det > _REG_TOL * g11 * g22),
-        lambda: IrregularPoint(f"degenerate metric at (u, v) = ({u:g}, {v:g})"), g11, g12, g22, det)
-    # dg[a, b, c] = derivative of g_ab by coordinate c = f_ac . f_b + f_a . f_bc
-    dg = {(0, 0, 0): uu_u + uu_u, (0, 0, 1): uv_u + uv_u, (0, 1, 0): uu_v + uv_u,
-          (0, 1, 1): uv_v + vv_u, (1, 1, 0): uv_v + uv_v, (1, 1, 1): vv_v + vv_v}
-    return _mat2(g11, g12, g12, g22), _christoffel_2d(g11, g12, g22, det, dg)
+    return _check(np.logical_not(det > _REG_TOL * g11 * g22),
+                  lambda: IrregularPoint(f"degenerate metric at (u, v) = ({u:g}, {v:g})"),
+                  g11, g12, g22, det)
+
+
+def _tangential(D: np.ndarray, x: np.ndarray, metric) -> tuple:
+    """g^-1 (x . f_u, x . f_v), the components on (f_u, f_v) of the tangential part
+    of x, from the map's derivatives D (the rows of _SECOND) and their _metric."""
+    g11, g12, g22, det = metric
+    dots = _dot(x[..., None, :], D[..., 1:3, :])
+    a, b = dots.tolist() if dots.ndim == 1 else _components(dots)
+    return (a * g22 - b * g12) / det, (g11 * b - g12 * a) / det
 
 
 def jet_at(surface: Surface, u: float, v: float) -> SurfaceJet:
@@ -288,14 +273,16 @@ def _surface_jet(D: np.ndarray, u, v) -> SurfaceJet:
     _check(n_len <= _REG_TOL * np.maximum(norm(fu) * norm(fv), np.finfo(float).tiny),
            lambda: IrregularPoint(f"degenerate tangent plane at (u, v) = ({u:g}, {v:g})"))
     N = n_raw / np.asarray(n_len)[..., None]
-    g, gamma = _metric_and_connection(D, u, v)
+    metric = g11, g12, g22, det = _metric(D, u, v)
+    g = _mat2(g11, g12, g12, g22)
+    uu, uv, vv = (_tangential(D, x, metric) for x in (fuu, fuv, fvv))
+    gamma = np.stack([_mat2(uu[h], uv[h], uv[h], vv[h]) for h in (0, 1)], -3)  # Gamma^h_ij
     b12 = _dot(N, fuv)
     B = _mat2(_dot(N, fuu), b12, b12, _dot(N, fvv))
     X = np.linalg.solve(g, B)
-    g11, g12, _, g22 = _entries(g)
     b11, b12, _, b22 = _entries(B)
     x11, _, _, x22 = _entries(X)
-    K = (b11 * b22 - _pow(b12, 2)) / (g11 * g22 - _pow(g12, 2))
+    K = (b11 * b22 - _pow(b12, 2)) / det
     H = 0.5 * (x11 + x22)
 
     gs = _sqrt_2x2_spd(g)
@@ -402,10 +389,6 @@ class GeodesicTrajectory:
         return len(self.s)
 
 
-def _metric_and_gamma(surface: Surface, u: float, v: float):
-    return _metric_and_connection(derivatives(surface.map.eval_jet((u, v), 2), _SECOND), u, v)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a metric that overflows raises, naming the point
 def geodesic_integrate(surface: Surface, state0: GeodesicState, s_max: float,
                        step: float) -> GeodesicTrajectory:
@@ -413,22 +396,24 @@ def geodesic_integrate(surface: Surface, state0: GeodesicState, s_max: float,
     state whose parameter velocity is normalized to unit surface speed."""
     if step <= 0.0 or s_max <= 0.0:
         raise ValueError("need positive step and arc-length span")
-    g0, _ = _metric_and_gamma(surface, state0.u, state0.v)
+    D = derivatives(surface.map.eval_jet((state0.u, state0.v), 2), _SECOND)
+    g11, g12, g22, _ = _metric(D, state0.u, state0.v)
     w = np.array([state0.du, state0.dv])
-    speed = math.sqrt(w @ g0 @ w)
+    speed = math.sqrt(w @ _mat2(g11, g12, g12, g22) @ w)
     if speed == 0.0:
         raise ZeroVelocity(f"zero surface speed at ({state0.u:g}, {state0.v:g})")
     y = np.array([state0.u, state0.v, state0.du / speed, state0.dv / speed])
 
     def rhs(_, y_):
-        if not surface.contains(y_[0], y_[1]):
+        u, v, du, dv = y_
+        if not surface.contains(u, v):
             raise LeftDomain(f"trajectory left the parameter rectangle at "
-                             f"(u, v) = ({y_[0]:g}, {y_[1]:g})",
+                             f"(u, v) = ({u:g}, {v:g})",
                              state=GeodesicState(*y_, s=float("nan")))
-        _, gamma = _metric_and_gamma(surface, y_[0], y_[1])
-        w_ = y_[2:]
-        acc = -np.einsum("hij,i,j->h", gamma, w_, w_)
-        return np.array([w_[0], w_[1], acc[0], acc[1]])
+        D = derivatives(surface.map.eval_jet((u, v), 2), _SECOND)
+        a, b = _tangential(D, du * du * D[3] + 2.0 * du * dv * D[4] + dv * dv * D[5],
+                           _metric(D, u, v))
+        return np.array([du, dv, -a, -b])
 
     n = int(round(s_max / step))
     h = s_max / n

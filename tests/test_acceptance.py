@@ -280,11 +280,11 @@ def test_criterion_12_geodesics():
     torus = sf.revolution_surface("3+cos(u)", "sin(u)", (-3.3, 3.3))
     worst_meridian = 0.0
     for u in np.linspace(-2.9, 2.9, 13):
-        _, gamma = sf._metric_and_gamma(torus, u, 0.4)
+        gamma = sf.jet_at(torus, u, 0.4).christoffel
         worst_meridian = max(worst_meridian, abs(gamma[0, 0, 0]), abs(gamma[1, 0, 0]))
-    _, gamma_out = sf._metric_and_gamma(torus, 0.0, 0.4)       # radius stationary
-    _, gamma_in = sf._metric_and_gamma(torus, math.pi, 0.4)    # radius stationary
-    _, gamma_gen = sf._metric_and_gamma(torus, 0.9, 0.4)       # generic parallel
+    gamma_out = sf.jet_at(torus, 0.0, 0.4).christoffel      # radius stationary
+    gamma_in = sf.jet_at(torus, math.pi, 0.4).christoffel   # radius stationary
+    gamma_gen = sf.jet_at(torus, 0.9, 0.4).christoffel      # generic parallel
     parallels_ok = (abs(gamma_out[0, 1, 1]) < 1e-10
                     and abs(gamma_in[0, 1, 1]) < 1e-10
                     and abs(gamma_gen[0, 1, 1]) > 1e-3)

@@ -276,7 +276,7 @@ def test_geodesic_speed_drift(sphere):
     traj = sf.geodesic_integrate(sphere, sf.GeodesicState(0.3, 0.1, 0.2, 0.9),
                                  2.0, 1e-3)
     for i in (0, len(traj.s) // 2, len(traj.s) - 1):
-        g, _ = sf._metric_and_gamma(sphere, traj.u[i], traj.v[i])
+        g = sf.jet_at(sphere, traj.u[i], traj.v[i]).first_form
         w = np.array([traj.du[i], traj.dv[i]])
         assert abs(math.sqrt(w @ g @ w) - 1.0) < 1e-6
 
@@ -289,7 +289,7 @@ def test_geodesic_speed_drift_long_run():
                                  20.0, 1e-3)
     worst = 0.0
     for i in range(0, len(traj.s), 997):
-        g, _ = sf._metric_and_gamma(torus, traj.u[i], traj.v[i])
+        g = sf.jet_at(torus, traj.u[i], traj.v[i]).first_form
         w = np.array([traj.du[i], traj.dv[i]])
         worst = max(worst, abs(math.sqrt(w @ g @ w) - 1.0))
     assert worst < 1e-6
@@ -319,11 +319,69 @@ def test_geodesic_curvature_along_output(sphere):
         assert norm(np.cross(dtau, n)) < 1e-4
 
 
+# the dot products of the metric and its derivatives, as row pairs of
+# sf._SECOND: fu.fu, fu.fv, fv.fv, then f_uu, f_uv and f_vv each against fu and fv
+_LEFT, _RIGHT = [1, 1, 2, 3, 3, 4, 4, 5, 5], [1, 2, 2, 1, 2, 1, 2, 1, 2]
+_POLYNOMIAL = ["u + v^2", "v - u*v", "sin(u)*cos(v) + u*v"]
+
+
+def _christoffel_from_metric_derivatives(surf, u, v):
+    """The reference connection gamma[..., h, i, j], at a point or a batch: the
+    parameter derivatives of the metric, dg[a, b, c] = f_ac . f_b + f_a . f_bc,
+    give the first-kind symbols (dg[k, i, j] + dg[k, j, i] - dg[i, j, k]) / 2,
+    which g^-1 raises."""
+    D = derivatives(surf.map.eval_jet((u, v), 2), sf._SECOND)
+    g11, g12, g22, uu_u, uu_v, uv_u, uv_v, vv_u, vv_v = np.moveaxis(
+        np.vecdot(D[..., _LEFT, :], D[..., _RIGHT, :]), -1, 0)
+    det = g11 * g22 - g12 * g12
+    dg = {(0, 0, 0): uu_u + uu_u, (0, 0, 1): uv_u + uv_u, (0, 1, 0): uu_v + uv_u,
+          (0, 1, 1): uv_v + vv_u, (1, 1, 0): uv_v + uv_v, (1, 1, 1): vv_v + vv_v}
+    first_kind = {
+        (0, 0): (0.5 * dg[0, 0, 0], dg[0, 1, 0] - 0.5 * dg[0, 0, 1]),
+        (0, 1): (0.5 * dg[0, 0, 1], 0.5 * dg[1, 1, 0]),
+        (1, 1): (dg[0, 1, 1] - 0.5 * dg[1, 1, 0], 0.5 * dg[1, 1, 1]),
+    }
+    gamma = np.empty(np.shape(det) + (2, 2, 2))
+    for (i, j), (r1, r2) in first_kind.items():
+        gamma[..., 0, i, j] = gamma[..., 0, j, i] = (r1 * g22 - r2 * g12) / det
+        gamma[..., 1, i, j] = gamma[..., 1, j, i] = (g11 * r2 - g12 * r1) / det
+    return gamma
+
+
+@pytest.mark.parametrize("name", ["sphere", "catenoid", "helicoid", "plane_patch", "torus",
+                                  "polynomial"])
+def test_christoffel_equals_the_metric_derivative_route(name, request):
+    surf = sf.surface_from_expr(_POLYNOMIAL, ((-1.0, 1.0), (-1.0, 1.0))) \
+        if name == "polynomial" else request.getfixturevalue(name)
+    (u0, u1), (v0, v1) = surf.domain
+    us, vs = rng.uniform(u0, u1, 40), rng.uniform(v0, v1, 40)
+    for u, v in ((us, vs), (us[0], vs[0])):  # a batch, then one point
+        want = _christoffel_from_metric_derivatives(surf, u, v)
+        with np.errstate(all="ignore"):  # a batch of umbilics (the plane) divides 0 by 0
+            gamma = sf.jet_at(surf, u, v).christoffel
+        assert np.max(np.abs(gamma - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_geodesic_acceleration_is_minus_the_connection_on_the_velocity(torus, monkeypatch):
+    rhs = []  # the integrator's right-hand side, caught at its one step
+    monkeypatch.setattr(sf, "_rk4", lambda f, y, h: rhs.append(f) or y)
+    sf.geodesic_integrate(torus, sf.GeodesicState(0.5, 0.0, 0.3, 0.3), 1e-3, 1e-3)
+    for y in ([0.5, 0.0, 0.3, 0.3], [-2.0, 1.0, 1.0, -0.2], [3.0, -2.5, -0.4, 0.7],
+              [0.0, 0.3, 0.0, 1.0]):
+        gamma = sf.jet_at(torus, y[0], y[1]).christoffel
+        w = np.array(y[2:])
+        got = rhs[0](0.0, np.array(y))
+        assert _bits(got[:2]) == _bits(w)
+        # to rounding: the torus's gamma is of order one, and vanishes at u = 0
+        assert np.max(np.abs(got[2:] + np.einsum("hij,i,j->h", gamma, w, w))) <= \
+            1e-14 * max(1.0, np.max(np.abs(gamma))) * (w @ w)
+
+
 def test_meridians_are_geodesics(torus):
     # meridian (u = t, v = v0): residual of the geodesic system is
     # Gamma^h_11, which vanishes identically on a revolution surface
     for u in (-1.0, 0.4, 2.0):
-        _, gamma = sf._metric_and_gamma(torus, u, 0.7)
+        gamma = sf.jet_at(torus, u, 0.7).christoffel
         assert abs(gamma[0, 0, 0]) < 1e-10
         assert abs(gamma[1, 0, 0]) < 1e-10
 
@@ -332,7 +390,7 @@ def test_parallel_geodesic_criterion(torus):
     # parallels are geodesic exactly where the profile radius is stationary:
     # u = 0 (outer equator) and u = pi (inner); not elsewhere
     for u0, expect in ((0.0, True), (math.pi, True), (0.7, False)):
-        _, gamma = sf._metric_and_gamma(torus, u0, 0.3)
+        gamma = sf.jet_at(torus, u0, 0.3).christoffel
         residual = abs(gamma[0, 1, 1])  # parallel: u' = 0, v' = 1
         if expect:
             assert residual < 1e-9
@@ -574,7 +632,7 @@ def test_area_in_chunks_equals_node_by_node(torus, catenoid):
 
 
 def test_stacked_vecdot_rounds_as_one_pair_at_a_time():
-    """The rounding ``_metric_and_connection`` relies on: np.vecdot over stacked
+    """The rounding ``_metric`` and ``_tangential`` rely on: np.vecdot over stacked
     3-vectors, with its arguments either way round, gives the bits of np.vecdot
     of each pair alone."""
     scale = 10.0 ** rng.integers(-8, 9, (2, 16000, 9, 1))
@@ -586,16 +644,19 @@ def test_stacked_vecdot_rounds_as_one_pair_at_a_time():
 
 
 @pytest.mark.parametrize("sources", [["(2 + cos(u))*cos(v)", "(2 + cos(u))*sin(v)", "sin(u)"],
-                                     ["u + v^2", "v - u*v", "sin(u)*cos(v) + u*v"]])
+                                     _POLYNOMIAL])
 def test_one_point_metric_and_connection_equals_its_batch_row(sources):
     surf = sf.surface_from_expr(sources, ((-1.0, 1.0), (-1.0, 1.0)))
     us, vs = rng.uniform(-1.0, 1.0, (2, 40))
-    g, gamma = sf._metric_and_connection(
-        derivatives(surf.map.eval_jet((us, vs), 2), sf._SECOND), us, vs)
+    D = derivatives(surf.map.eval_jet((us, vs), 2), sf._SECOND)
+    metric = sf._metric(D, us, vs)
     for k, (u, v) in enumerate(zip(us, vs)):
-        g1, gamma1 = sf._metric_and_connection(
-            derivatives(surf.map.eval_jet((u, v), 2), sf._SECOND), u, v)
-        assert _bits(g[k]) == _bits(g1) and _bits(gamma[k]) == _bits(gamma1)
+        D1 = derivatives(surf.map.eval_jet((u, v), 2), sf._SECOND)
+        metric1 = sf._metric(D1, u, v)
+        assert _bits([m[k] for m in metric]) == _bits(metric1)
+        for r in (0, 3, 4, 5):  # the point itself, then f_uu, f_uv and f_vv
+            batch = sf._tangential(D, D[:, r], metric)
+            assert _bits([t[k] for t in batch]) == _bits(sf._tangential(D1, D1[r], metric1))
 
 
 def test_metric_determinant_lost_to_rounding_is_an_irregular_point():
