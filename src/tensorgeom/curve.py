@@ -248,10 +248,13 @@ def arclength_table(curve: Curve, n: int = 128) -> tuple[np.ndarray, np.ndarray]
     """Cumulative arc length s(t) on an n+1 point grid over the full domain."""
     t0, t1 = curve.domain
     ts = np.linspace(t0, t1, n + 1)
+    # the kinks over the whole domain, as arc_length finds them, each a panel edge
+    kinks = _abs_arguments(curve.map)
+    breaks = _sign_changes(kinks, np.linspace(t0, t1, _SCAN)) if kinks.dimension else ()
     s = np.zeros(n + 1)
     for i in range(n):
         s[i + 1] = s[i] + integrate(lambda t: norm(curve.velocity(t)),
-                                    float(ts[i]), float(ts[i + 1]), 1e-12)
+                                    float(ts[i]), float(ts[i + 1]), 1e-12, breaks)
     if np.any(np.diff(s) <= 0.0):
         raise IrregularCurve("arc length is not strictly increasing")
     return ts, s
