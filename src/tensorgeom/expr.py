@@ -270,6 +270,7 @@ def _stack(values, batch: tuple = ()) -> np.ndarray:
 # straight-line code.
 _COUNT: dict = {}
 _PARTIAL: dict = {}
+_CELLS: dict = {}  # per (arity, powers) the _PARTIAL cells that ``derivatives`` reads
 _RING: dict = {}
 _FACT = (1.0, 1.0, 2.0, 6.0)
 
@@ -721,9 +722,14 @@ def derivatives(jets: Sequence[Jet], powers: Sequence[tuple]) -> np.ndarray:
     shape (..., len(powers), len(jets)): row r holds the derivative of every
     jet with the exponents powers[r] (one per variable; total at most the
     jets' order), as ``Jet.partial`` gives it.  On a batch the leading axes
-    are those of the points."""
-    cells = [_PARTIAL[jets[0].nvars][p] for p in powers]
-    if not any(type(j.value) is np.ndarray for j in jets):
+    are those of the points.  Every jet of a batch has an array value, as
+    ``eval_jet`` gives it, so the first jet's value tells a batch from one
+    point."""
+    key = (jets[0].nvars, tuple(powers))
+    cells = _CELLS.get(key)
+    if cells is None:
+        cells = _CELLS[key] = [_PARTIAL[key[0]][p] for p in powers]
+    if type(jets[0].value) is not np.ndarray:
         # one point: a jet whose value is a float holds only floats
         return np.array([j.coef[k] * s for k, s in cells for j in jets]).reshape(
             len(cells), len(jets))
