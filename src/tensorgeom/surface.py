@@ -276,7 +276,7 @@ def _surface_jet(D: np.ndarray, u, v) -> SurfaceJet:
     metric = g11, g12, g22, det = _metric(D, u, v)
     g = _mat2(g11, g12, g12, g22)
     uu, uv, vv = (_tangential(D, x, metric) for x in (fuu, fuv, fvv))
-    gamma = np.stack([_mat2(uu[h], uv[h], uv[h], vv[h]) for h in (0, 1)], -3)  # Gamma^h_ij
+    gamma = _stack(sum(zip(uu, uv, uv, vv), ())).reshape(g.shape[:-2] + (2, 2, 2))  # Gamma^h_ij
     b12 = _dot(N, fuv)
     B = _mat2(_dot(N, fuu), b12, b12, _dot(N, fvv))
     X = np.linalg.solve(g, B)
