@@ -61,7 +61,7 @@ def _derivative_arrays(em: ExprMap, z, order: int):
     n = em.arity
     units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
     pairs = [tuple(map(sum, zip(u, w))) for u in units for w in units] if order > 1 else []
-    D = derivatives(em.eval_jet(z, order), units + pairs)
+    D = np.array(derivatives(em, z, units + pairs))
     D1 = np.ascontiguousarray(D[:n].T)
     return D1, np.ascontiguousarray(D[n:].T).reshape(-1, n, n) if pairs else None
 

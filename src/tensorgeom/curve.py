@@ -88,12 +88,10 @@ class Curve:
         self._planar = bool(np.max(np.abs(pts[:, 2])) <= _REG_TOL * max(self.scale, 1.0))
 
     # -- evaluation helpers ---------------------------------------------
-    def jets(self, t: float, order: int = 3) -> list:
-        return self.map.eval_jet((t,), order)
-
     def derivatives(self, t: float, order: int = 3) -> list[np.ndarray]:
         """[p, p', p'', ...] up to the requested order."""
-        return list(np.moveaxis(derivatives(self.jets(t, order), _ORDERS[:order + 1]), -2, 0))
+        rows = derivatives(self.map, (t,), _ORDERS[:order + 1])
+        return [_stack(row, np.shape(t)) for row in rows]
 
     def point(self, t: float) -> np.ndarray:
         return _stack(self.map(t), np.shape(t))

@@ -270,7 +270,6 @@ def _stack(values, batch: tuple = ()) -> np.ndarray:
 # straight-line code.
 _COUNT: dict = {}
 _PARTIAL: dict = {}
-_CELLS: dict = {}  # per (arity, powers) the _PARTIAL cells that ``derivatives`` reads
 _RING: dict = {}
 _FACT = (1.0, 1.0, 2.0, 6.0)
 
@@ -717,28 +716,17 @@ class Jet:
         return f"Jet(nvars={self.nvars}, order={self.order}, coef={self.coef})"
 
 
-def derivatives(jets: Sequence[Jet], powers: Sequence[tuple]) -> np.ndarray:
-    """The partial derivatives of several jets of one arity, as an array of
-    shape (..., len(powers), len(jets)): row r holds the derivative of every
-    jet with the exponents powers[r] (one per variable; total at most the
-    jets' order), as ``Jet.partial`` gives it.  On a batch the leading axes
-    are those of the points.  Every jet of a batch has an array value, as
-    ``eval_jet`` gives it, so the first jet's value tells a batch from one
-    point."""
-    key = (jets[0].nvars, tuple(powers))
-    cells = _CELLS.get(key)
-    if cells is None:
-        cells = _CELLS[key] = [_PARTIAL[key[0]][p] for p in powers]
-    if type(jets[0].value) is not np.ndarray:
-        # one point: a jet whose value is a float holds only floats
-        return np.array([j.coef[k] * s for k, s in cells for j in jets]).reshape(
-            len(cells), len(jets))
-    out = np.empty(np.broadcast_shapes(*(np.shape(j.value) for j in jets))
-                   + (len(cells), len(jets)))
-    for c, j in enumerate(jets):
-        for r, (k, s) in enumerate(cells):
-            out[..., r, c] = j.coef[k] * s
-    return out
+def derivatives(em: ExprMap, point, powers: Sequence[tuple]) -> list:
+    """The partial derivatives of ``em``'s components at a point, or at a batch
+    given by an array per coordinate: row r lists the derivative of every
+    component with the exponents powers[r] (one per variable), as
+    ``Jet.partial`` gives it.  The entries are floats at one point; on a batch
+    arrays over the points, or a float where the derivative is the same at
+    every point.  The jets are evaluated to the largest total degree in
+    ``powers``, which must be at least 1."""
+    jets = em.eval_jet(point, max(map(sum, powers)))
+    cells = _PARTIAL[jets[0].nvars]
+    return [[j.coef[k] * s for j in jets] for k, s in map(cells.__getitem__, powers)]
 
 
 def _tan(a: float) -> float:

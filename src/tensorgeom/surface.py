@@ -203,12 +203,26 @@ class SurfaceJet:
         return float(w @ self.second_form @ w) / float(w @ self.first_form @ w)
 
 
-# The grid geometry below takes one point or a batch: vectors are arrays
-# (..., 3), matrices (..., 2, 2).  Its dot products are np.vecdot, and its
-# powers and math functions are _pow and _map: each rounds, per point, as
-# the 1-D ``@``, Python's ``**`` and ``math`` do.
+# The geometry below takes one point or a batch.  The map's derivatives come
+# as rows of components (floats at one point, arrays over a batch), and the
+# metric, the connection, Brioschi's K and the geodesic equation are formed on
+# them with Python's * and +, which round per point as on floats; _surface_jet
+# stacks the rows into arrays (..., 3), with matrices (..., 2, 2), for its
+# normal and shape operator.  Powers and math functions are _pow and _map:
+# each rounds, per point, as Python's ``**`` and ``math`` do.
 
-_dot = np.vecdot
+def _dot(a, b):
+    """a . b for 3-vectors given as component lists, summed left to right."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _fails(ok, u, v):
+    """Where a check fails, from ``ok`` where it passes (False at a NaN): a
+    bool at the point (u, v), an array over a batch.  On a batch where the
+    map's partials are the same at every point ``ok`` is one bool; ``u == u``
+    (True wherever u is a number) spreads it over the batch, so that
+    ``_check`` marks the points rather than raising."""
+    return np.logical_not(ok & (u == u) & (v == v))
 
 
 def _mat2(a, b, c, d) -> np.ndarray:
@@ -223,7 +237,7 @@ def _entries(m: np.ndarray) -> list:
     return list(_components(m.reshape(m.shape[:-2] + (4,))))
 
 
-# the rows p, f_u, f_v, f_uu, f_uv, f_vv that ``derivatives`` takes from a map's jets
+# the rows p, f_u, f_v, f_uu, f_uv, f_vv that ``derivatives`` reads from a map
 _SECOND = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
@@ -234,39 +248,39 @@ def _sqrt_2x2_spd(M: np.ndarray) -> np.ndarray:
     return (M + np.asarray(s)[..., None, None] * np.eye(2)) / np.asarray(t)[..., None, None]
 
 
-def _metric(D: np.ndarray, u, v):
-    """g11, g12, g22 and det g from the map's derivatives at (u, v), the rows of
-    _SECOND.  A det g at or below _REG_TOL g11 g22, where rounding may leave no
-    digit of it, raises IrregularPoint naming the point, as at one point does a
-    metric that overflows; on a batch either marks the point."""
-    dots = _dot(D[..., [1, 1, 2], :], D[..., [1, 2, 2], :])
-    # at one point Python floats, which round as numpy's scalars do
-    g11, g12, g22 = dots.tolist() if dots.ndim == 1 else _components(dots)
+def _metric(D: list, u, v):
+    """g11, g12, g22 and det g from the map's derivative rows at (u, v), those of
+    _SECOND.  A metric that overflows, or a det g at or below _REG_TOL g11 g22,
+    where rounding may leave no digit of it, raises IrregularPoint naming the
+    point; on a batch either marks the point."""
+    fu, fv = D[1], D[2]
+    g11, g12, g22 = _dot(fu, fu), _dot(fu, fv), _dot(fv, fv)
     # g12^2 <= g11 g22, so where g11 g22 is finite no power of g below overflows
-    if dots.ndim == 1 and not (math.isfinite(g11 * g22) and math.isfinite(g12)):
-        raise IrregularPoint(f"the metric overflows at (u, v) = ({u:g}, {v:g})")
+    g11, g12, g22 = _check(
+        _fails((g11 * g22 < math.inf) & (abs(g12) < math.inf), u, v),
+        lambda: IrregularPoint(f"the metric overflows at (u, v) = ({u:g}, {v:g})"), g11, g12, g22)
     det = g11 * g22 - _pow(g12, 2)
-    return _check(np.logical_not(det > _REG_TOL * g11 * g22),
+    return _check(_fails(det > _REG_TOL * g11 * g22, u, v),
                   lambda: IrregularPoint(f"degenerate metric at (u, v) = ({u:g}, {v:g})"),
                   g11, g12, g22, det)
 
 
-def _tangential(D: np.ndarray, x: np.ndarray, metric) -> tuple:
+def _tangential(D: list, x: list, metric) -> tuple:
     """g^-1 (x . f_u, x . f_v), the components on (f_u, f_v) of the tangential part
-    of x, from the map's derivatives D (the rows of _SECOND) and their _metric."""
+    of x, from the map's derivative rows D (those of _SECOND) and their _metric."""
     g11, g12, g22, det = metric
-    dots = _dot(x[..., None, :], D[..., 1:3, :])
-    a, b = dots.tolist() if dots.ndim == 1 else _components(dots)
+    a, b = _dot(x, D[1]), _dot(x, D[2])
     return (a * g22 - b * g12) / det, (g11 * b - g12 * a) / det
 
 
 def jet_at(surface: Surface, u: float, v: float) -> SurfaceJet:
-    return _surface_jet(derivatives(surface.map.eval_jet((u, v), 2), _SECOND), u, v)
+    return _surface_jet(derivatives(surface.map, (u, v), _SECOND), u, v)
 
 
-def _surface_jet(D: np.ndarray, u, v) -> SurfaceJet:
-    """``jet_at`` from the map's derivatives at (u, v), the rows of _SECOND."""
-    p, fu, fv, fuu, fuv, fvv = np.moveaxis(D, -2, 0)
+def _surface_jet(D: list, u, v) -> SurfaceJet:
+    """``jet_at`` from the map's derivative rows at (u, v), those of _SECOND."""
+    batch = np.broadcast_shapes(np.shape(u), np.shape(v))
+    p, fu, fv, fuu, fuv, fvv = (_stack(row, batch) for row in D)
     n_raw = cross(fu, fv)
     n_len = norm(n_raw)
     # on a batch such a point's det g marks it, below
@@ -275,10 +289,10 @@ def _surface_jet(D: np.ndarray, u, v) -> SurfaceJet:
     N = n_raw / np.asarray(n_len)[..., None]
     metric = g11, g12, g22, det = _metric(D, u, v)
     g = _mat2(g11, g12, g12, g22)
-    uu, uv, vv = (_tangential(D, x, metric) for x in (fuu, fuv, fvv))
+    uu, uv, vv = (_tangential(D, x, metric) for x in D[3:])
     gamma = _stack(sum(zip(uu, uv, uv, vv), ())).reshape(g.shape[:-2] + (2, 2, 2))  # Gamma^h_ij
-    b12 = _dot(N, fuv)
-    B = _mat2(_dot(N, fuu), b12, b12, _dot(N, fvv))
+    b12 = np.vecdot(N, fuv)
+    B = _mat2(np.vecdot(N, fuu), b12, b12, np.vecdot(N, fvv))
     X = np.linalg.solve(g, B)
     b11, b12, _, b22 = _entries(B)
     x11, _, _, x22 = _entries(X)
@@ -297,14 +311,16 @@ def _surface_jet(D: np.ndarray, u, v) -> SurfaceJet:
     def rotated():
         y1, alt = _stack([b, k1 - a]), _stack([k1 - c, b])
         y1 = _select(norm(alt) > norm(y1), lambda: alt, lambda: y1)
-        y1 = y1 / np.asarray(norm(y1))[..., None]
+        # on a batch an umbilic, which _select drops, may give y1 = 0: not divided
+        n = np.asarray(norm(y1))[..., None]
+        y1 = np.divide(y1, n, out=np.zeros_like(y1), where=n > 0.0)
         return y1, _stack([-y1[..., 1], y1[..., 0]])
 
     y1, y2 = _select(umbilical, lambda: (np.array([1.0, 0.0]), np.array([0.0, 1.0])), rotated)
     d1 = np.matvec(gis, y1)
     d2 = np.matvec(gis, y2)
-    d1 = d1 / np.asarray(_map(math.sqrt, _dot(np.vecmat(d1, g), d1)))[..., None]
-    d2 = d2 / np.asarray(_map(math.sqrt, _dot(np.vecmat(d2, g), d2)))[..., None]
+    d1 = d1 / np.asarray(_map(math.sqrt, np.vecdot(np.vecmat(d1, g), d1)))[..., None]
+    d2 = d2 / np.asarray(_map(math.sqrt, np.vecdot(np.vecmat(d2, g), d2)))[..., None]
 
     return SurfaceJet(u, v, p, fu, fv, N, g, B, X, k1, k2, d1, d2, K, H,
                       gamma, umbilical)
@@ -396,8 +412,8 @@ def geodesic_integrate(surface: Surface, state0: GeodesicState, s_max: float,
     state whose parameter velocity is normalized to unit surface speed."""
     if step <= 0.0 or s_max <= 0.0:
         raise ValueError("need positive step and arc-length span")
-    D = derivatives(surface.map.eval_jet((state0.u, state0.v), 2), _SECOND)
-    g11, g12, g22, _ = _metric(D, state0.u, state0.v)
+    g11, g12, g22, _ = _metric(derivatives(surface.map, (state0.u, state0.v), _SECOND),
+                               state0.u, state0.v)
     w = np.array([state0.du, state0.dv])
     speed = math.sqrt(w @ _mat2(g11, g12, g12, g22) @ w)
     if speed == 0.0:
@@ -405,14 +421,15 @@ def geodesic_integrate(surface: Surface, state0: GeodesicState, s_max: float,
     y = np.array([state0.u, state0.v, state0.du / speed, state0.dv / speed])
 
     def rhs(_, y_):
-        u, v, du, dv = y_
+        u, v, du, dv = y_.tolist()
         if not surface.contains(u, v):
             raise LeftDomain(f"trajectory left the parameter rectangle at "
                              f"(u, v) = ({u:g}, {v:g})",
                              state=GeodesicState(*y_, s=float("nan")))
-        D = derivatives(surface.map.eval_jet((u, v), 2), _SECOND)
-        a, b = _tangential(D, du * du * D[3] + 2.0 * du * dv * D[4] + dv * dv * D[5],
-                           _metric(D, u, v))
+        D = derivatives(surface.map, (u, v), _SECOND)
+        f_ww = [du * du * xuu + 2.0 * du * dv * xuv + dv * dv * xvv
+                for xuu, xuv, xvv in zip(*D[3:])]
+        a, b = _tangential(D, f_ww, _metric(D, u, v))
         return np.array([du, dv, -a, -b])
 
     n = int(round(s_max / step))
@@ -436,10 +453,6 @@ def geodesic_integrate(surface: Surface, state0: GeodesicState, s_max: float,
 
 # the rows f_u, f_v, f_uu, f_uv, f_vv, f_uuv, f_uvv that Brioschi's formula reads
 _THIRD = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2))
-# its thirteen dot products, as row pairs of _THIRD: E, F, G; E_u/2, E_v/2,
-# G_u/2, G_v/2; then fuu.fv and fvv.fu of F_u and F_v; then fuvv.fu, fuv.fuv,
-# fuuv.fv and fuu.fvv of E_vv/2, F_uv and G_uu/2
-_LEFT3, _RIGHT3 = [0, 0, 1, 2, 3, 3, 4, 2, 4, 6, 3, 5, 2], [0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 3, 1, 4]
 
 
 def egregium_curvature(surface: Surface, u: float, v: float) -> float:
@@ -450,13 +463,15 @@ def egregium_curvature(surface: Surface, u: float, v: float) -> float:
     _REG_TOL (E + G)^2 (a condition number above about 1e10, as at a
     coordinate pole, where the formula keeps no digit) raises IrregularPoint
     naming the point; on a batch it marks the point."""
-    D = derivatives(surface.map.eval_jet((u, v), 3), _THIRD)
-    dots = _dot(D[..., _LEFT3, :], D[..., _RIGHT3, :])
-    # at one point Python floats, which round as numpy's scalars do
-    E, F, G, e_u, e_v, g_u, g_v, uu_v, vv_u, uvv_u, uv_uv, uuv_v, uu_vv = (
-        dots.tolist() if dots.ndim == 1 else _components(dots))
+    fu, fv, fuu, fuv, fvv, fuuv, fuvv = derivatives(surface.map, (u, v), _THIRD)
+    # E, F, G; E_u/2, E_v/2, G_u/2, G_v/2; fuu.fv and fvv.fu of F_u and F_v;
+    # fuvv.fu, fuv.fuv, fuuv.fv and fuu.fvv of E_vv/2, F_uv and G_uu/2
+    E, F, G = _dot(fu, fu), _dot(fu, fv), _dot(fv, fv)
+    e_u, e_v, g_u, g_v = _dot(fuu, fu), _dot(fuv, fu), _dot(fuv, fv), _dot(fvv, fv)
+    uu_v, vv_u = _dot(fuu, fv), _dot(fvv, fu)
+    uvv_u, uv_uv, uuv_v, uu_vv = _dot(fuvv, fu), _dot(fuv, fuv), _dot(fuuv, fv), _dot(fuu, fvv)
     det = E * G - F * F
-    det = _check(np.logical_not(det > _REG_TOL * (E + G) * (E + G)),
+    det = _check(_fails(det > _REG_TOL * (E + G) * (E + G), u, v),
                  lambda: IrregularPoint(f"degenerate metric at (u, v) = ({u:g}, {v:g})"), det)
     F_u, F_v = uu_v + e_v, g_u + vv_u
     # F_uv - E_vv/2 - G_uu/2: the third partials cancel in exact arithmetic
@@ -470,12 +485,12 @@ def gauss_weingarten_residual(surface: Surface, u: float, v: float):
     """Scale-relative residuals of the two moving-frame equations: the
     expansion of f_,ij on (f_u, f_v, N) and of N_,j on (f_u, f_v).  With
     n = f_u x f_v, N_,j = (n_j - N (N . n_j)) / |n| for n_j = f_uj x f_v + f_u x f_vj."""
-    D = derivatives(surface.map.eval_jet((u, v), 2), _SECOND)
+    D = derivatives(surface.map, (u, v), _SECOND)
     data = _surface_jet(D, u, v)
-    _, fu, fv, fuu, fuv, fvv = D
+    _, fu, fv, fuu, fuv, fvv = map(_stack, D)
     gamma, B, X, N = data.christoffel, data.second_form, data.weingarten, data.normal
     n_len = norm(cross(fu, fv))
-    N_u, N_v = ((n_j - _dot(N, n_j) * N) / n_len
+    N_u, N_v = ((n_j - np.vecdot(N, n_j) * N) / n_len
                 for n_j in (cross(fuu, fv) + cross(fu, fuv), cross(fuv, fv) + cross(fu, fvv)))
 
     seconds = {(0, 0): fuu, (0, 1): fuv, (1, 0): fuv, (1, 1): fvv}
@@ -499,10 +514,10 @@ def gauss_weingarten_residual(surface: Surface, u: float, v: float):
 
 def _metric_det(surface: Surface, u, v):
     """det g = |f_u|^2 |f_v|^2 - (f_u . f_v)^2 at a point or a batch."""
-    D = derivatives(surface.map.eval_jet((u, v), 1), ((1, 0), (0, 1)))
-    fu, fv = D[..., 0, :], D[..., 1, :]
+    fu, fv = derivatives(surface.map, (u, v), ((1, 0), (0, 1)))
     det = _dot(fu, fu) * _dot(fv, fv) - _pow(_dot(fu, fv), 2)
-    return _check(det <= 0.0, lambda: IrregularPoint(f"degenerate metric at ({u:g}, {v:g})"), det)
+    return _check(_fails(np.logical_not(det <= 0.0), u, v),
+                  lambda: IrregularPoint(f"degenerate metric at ({u:g}, {v:g})"), det)
 
 
 def surface_area(surface: Surface, u_range=None, v_range=None, order: int = 32) -> float:
@@ -530,13 +545,10 @@ def curve_length_on_surface(surface: Surface, path: ExprMap, t0: float, t1: floa
         raise ValueError("path must map one parameter to (u, v)")
 
     def integrand(t):
-        P = derivatives(path.eval_jet((t,), order=1), _ORDERS[:2])
-        (pu, pv), w = _components(P[..., 0, :]), P[..., 1, :]
-        D = derivatives(surface.map.eval_jet((pu, pv), 1), ((1, 0), (0, 1)))
-        fu, fv = D[..., 0, :], D[..., 1, :]
-        g12 = _dot(fu, fv)
-        g = _mat2(_dot(fu, fu), g12, g12, _dot(fv, fv))  # the metric alone: no connection
-        return _map(math.sqrt, _dot(np.vecmat(w, g), w))
+        (pu, pv), (wu, wv) = derivatives(path, (t,), _ORDERS[:2])
+        fu, fv = derivatives(surface.map, (pu, pv), ((1, 0), (0, 1)))
+        g11, g12, g22 = _dot(fu, fu), _dot(fu, fv), _dot(fv, fv)  # the metric alone
+        return _map(math.sqrt, wu * (wu * g11 + wv * g12) + wv * (wu * g12 + wv * g22))
 
     # the speed may jump where an abs argument of the path, or of the surface
     # along it, changes sign
@@ -559,8 +571,8 @@ def revolution_closed_form(surface: Surface, u: float, v: float) -> dict:
     parameter; the curvature is intrinsic either way)."""
     if not isinstance(surface, RevolutionSurface):
         raise ValueError("closed form applies to revolution surfaces only")
-    (p0, _), (p1, q1), (p2, q2) = derivatives(
-        surface.radius.eval_jet((u,), 2) + surface.height.eval_jet((u,), 2), _ORDERS[:3]).tolist()
+    (p0,), (p1,), (p2,) = derivatives(surface.radius, (u,), _ORDERS[:3])
+    _, (q1,), (q2,) = derivatives(surface.height, (u,), _ORDERS[:3])
     speed2 = p1 * p1 + q1 * q1
     arc_length_param = abs(speed2 - 1.0) <= 1e-9
     if not arc_length_param:
@@ -585,8 +597,8 @@ def developability(surface: Surface, u: float) -> tuple[bool, float]:
     developable at this u; returns the scale-free witness as well."""
     if not isinstance(surface, RuledSurface):
         raise ValueError("developability applies to ruled surfaces only")
-    gamma_p = derivatives(surface.directrix.eval_jet((u,), 3), ((1,),))[0]
-    lam, lam_p = derivatives(surface.director.eval_jet((u,), 3), ((0,), (1,)))
+    gamma_p = _stack(derivatives(surface.directrix, (u,), ((1,),))[0])
+    lam, lam_p = map(_stack, derivatives(surface.director, (u,), ((0,), (1,))))
     if norm(lam) <= 1e-12:
         raise DegenerateDirector(f"null director at u={u:g}")
     witness = float(np.dot(cross(gamma_p, lam), lam_p))

@@ -463,6 +463,6 @@ def test_planar_map_is_lifted_to_the_plane_x3_0():
     c = cv.Curve(written, (0.0, 6.0))
     assert c.map.dimension == 3 and c.map.components[:2] == written.components
     assert c.point(0.5).tolist() == [*written(0.5), 0.0]
-    assert [j.coef for j in c.jets(0.5)] == [j.coef for j in written.eval_jet((0.5,))] + \
-        [[0.0] * 4]
+    assert [j.coef for j in c.map.eval_jet((0.5,))] == \
+        [j.coef for j in written.eval_jet((0.5,))] + [[0.0] * 4]
     assert c.point(np.array([0.5, 1.0]))[:, 2].tolist() == [0.0, 0.0]

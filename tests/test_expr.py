@@ -400,16 +400,34 @@ def _derivative_cases(draw):
     return [jet() for _ in range(draw(st.integers(1, 3)))], powers, size
 
 
+class _GivenJets:
+    """A map whose ``eval_jet`` hands out the given jets and records the order
+    it was asked for."""
+
+    def __init__(self, jets):
+        self.jets, self.orders = jets, []
+
+    def eval_jet(self, point, order):
+        self.orders.append(order)
+        return self.jets
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_derivative_cases())
 def test_derivatives_equal_jet_partial_bit_for_bit(case):
     jets, powers, size = case
-    D = derivatives(jets, powers)
-    assert D.shape == (() if size is None else (size,)) + (len(powers), len(jets))
+    em = _GivenJets(jets)
+    D = derivatives(em, None, powers)
+    assert em.orders == [max(map(sum, powers))]
+    batch = () if size is None else (size,)
+    assert [len(row) for row in D] == [len(jets)] * len(powers)
     for r, p in enumerate(powers):
         for c, j in enumerate(jets):
-            want = np.broadcast_to(np.asarray(j.partial(*p), dtype=float), D.shape[:-2])
-            assert np.array_equal(D[..., r, c].view(np.int64), want.view(np.int64)), (p, j.coef)
+            # a float at one point; on a batch an array, or a float the same everywhere
+            assert type(D[r][c]) is float if size is None else np.shape(D[r][c]) in ((), batch)
+            got = np.broadcast_to(np.asarray(D[r][c], dtype=float), batch)
+            want = np.broadcast_to(np.asarray(j.partial(*p), dtype=float), batch)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (p, j.coef)
 
 
 # ---------------------------------------------------------------------------

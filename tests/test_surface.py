@@ -319,9 +319,6 @@ def test_geodesic_curvature_along_output(sphere):
         assert norm(np.cross(dtau, n)) < 1e-4
 
 
-# the dot products of the metric and its derivatives, as row pairs of
-# sf._SECOND: fu.fu, fu.fv, fv.fv, then f_uu, f_uv and f_vv each against fu and fv
-_LEFT, _RIGHT = [1, 1, 2, 3, 3, 4, 4, 5, 5], [1, 2, 2, 1, 2, 1, 2, 1, 2]
 _POLYNOMIAL = ["u + v^2", "v - u*v", "sin(u)*cos(v) + u*v"]
 
 
@@ -330,9 +327,12 @@ def _christoffel_from_metric_derivatives(surf, u, v):
     parameter derivatives of the metric, dg[a, b, c] = f_ac . f_b + f_a . f_bc,
     give the first-kind symbols (dg[k, i, j] + dg[k, j, i] - dg[i, j, k]) / 2,
     which g^-1 raises."""
-    D = derivatives(surf.map.eval_jet((u, v), 2), sf._SECOND)
-    g11, g12, g22, uu_u, uu_v, uv_u, uv_v, vv_u, vv_v = np.moveaxis(
-        np.vecdot(D[..., _LEFT, :], D[..., _RIGHT, :]), -1, 0)
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    _, fu, fv, fuu, fuv, fvv = derivatives(surf.map, (u, v), sf._SECOND)
+    g11, g12, g22 = dot(fu, fu), dot(fu, fv), dot(fv, fv)
+    uu_u, uu_v, uv_u, uv_v, vv_u, vv_v = (dot(x, y) for x in (fuu, fuv, fvv) for y in (fu, fv))
     det = g11 * g22 - g12 * g12
     dg = {(0, 0, 0): uu_u + uu_u, (0, 0, 1): uv_u + uv_u, (0, 1, 0): uu_v + uv_u,
           (0, 1, 1): uv_v + vv_u, (1, 1, 0): uv_v + uv_v, (1, 1, 1): vv_v + vv_v}
@@ -341,7 +341,7 @@ def _christoffel_from_metric_derivatives(surf, u, v):
         (0, 1): (0.5 * dg[0, 0, 1], 0.5 * dg[1, 1, 0]),
         (1, 1): (dg[0, 1, 1] - 0.5 * dg[1, 1, 0], 0.5 * dg[1, 1, 1]),
     }
-    gamma = np.empty(np.shape(det) + (2, 2, 2))
+    gamma = np.empty(np.shape(u) + (2, 2, 2))
     for (i, j), (r1, r2) in first_kind.items():
         gamma[..., 0, i, j] = gamma[..., 0, j, i] = (r1 * g22 - r2 * g12) / det
         gamma[..., 1, i, j] = gamma[..., 1, j, i] = (g11 * r2 - g12 * r1) / det
@@ -357,8 +357,7 @@ def test_christoffel_equals_the_metric_derivative_route(name, request):
     us, vs = rng.uniform(u0, u1, 40), rng.uniform(v0, v1, 40)
     for u, v in ((us, vs), (us[0], vs[0])):  # a batch, then one point
         want = _christoffel_from_metric_derivatives(surf, u, v)
-        with np.errstate(all="ignore"):  # a batch of umbilics (the plane) divides 0 by 0
-            gamma = sf.jet_at(surf, u, v).christoffel
+        gamma = sf.jet_at(surf, u, v).christoffel
         assert np.max(np.abs(gamma - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -632,9 +631,11 @@ def test_area_in_chunks_equals_node_by_node(torus, catenoid):
 
 
 def test_stacked_vecdot_rounds_as_one_pair_at_a_time():
-    """The rounding ``_metric`` and ``_tangential`` rely on: np.vecdot over stacked
-    3-vectors, with its arguments either way round, gives the bits of np.vecdot
-    of each pair alone."""
+    """The rounding that a batch of ``_surface_jet``'s second form (N . f_ij) and
+    principal directions, of ``gauss_weingarten_residual``'s normal derivatives
+    and of the Frenet frame and dkappa/ds in ``curve`` relies on: np.vecdot over
+    stacked 3-vectors, with its arguments either way round, gives the bits of
+    np.vecdot of each pair alone."""
     scale = 10.0 ** rng.integers(-8, 9, (2, 16000, 9, 1))
     a, b = rng.standard_normal((2, 16000, 9, 3)) * scale
     stacked = np.vecdot(a, b)
@@ -648,15 +649,31 @@ def test_stacked_vecdot_rounds_as_one_pair_at_a_time():
 def test_one_point_metric_and_connection_equals_its_batch_row(sources):
     surf = sf.surface_from_expr(sources, ((-1.0, 1.0), (-1.0, 1.0)))
     us, vs = rng.uniform(-1.0, 1.0, (2, 40))
-    D = derivatives(surf.map.eval_jet((us, vs), 2), sf._SECOND)
+    D = derivatives(surf.map, (us, vs), sf._SECOND)
     metric = sf._metric(D, us, vs)
+    K = sf.egregium_curvature(surf, us, vs)
     for k, (u, v) in enumerate(zip(us, vs)):
-        D1 = derivatives(surf.map.eval_jet((u, v), 2), sf._SECOND)
+        D1 = derivatives(surf.map, (u, v), sf._SECOND)
         metric1 = sf._metric(D1, u, v)
         assert _bits([m[k] for m in metric]) == _bits(metric1)
         for r in (0, 3, 4, 5):  # the point itself, then f_uu, f_uv and f_vv
-            batch = sf._tangential(D, D[:, r], metric)
+            batch = sf._tangential(D, D[r], metric)
             assert _bits([t[k] for t in batch]) == _bits(sf._tangential(D1, D1[r], metric1))
+        assert _bits(K[k]) == _bits(sf.egregium_curvature(surf, u, v))
+
+
+def test_a_batch_of_a_constant_map_is_marked_at_every_point():
+    # its partials are floats, the same at every point of the batch: one det g
+    # for the whole batch, which must mark each point and not raise
+    surf = sf.surface_from_expr(["1", "2", "3"], ((0.0, 1.0), (0.0, 1.0)))
+    us, vs = np.array([0.2, 0.5]), np.array([0.3, 0.6])
+    with pytest.raises(sf.IrregularPoint, match=r"degenerate metric at \(u, v\) = \(0.2, 0.3\)"):
+        sf.egregium_curvature(surf, 0.2, 0.3)
+    with np.errstate(all="ignore"):
+        D = derivatives(surf.map, (us, vs), sf._SECOND)
+        for values in (sf._metric(D, us, vs), [sf.egregium_curvature(surf, us, vs)],
+                       [sf._metric_det(surf, us, vs)], [sf.jet_at(surf, us, vs).gaussian]):
+            assert [np.isnan(x).tolist() for x in values] == [[True, True]] * len(values)
 
 
 def test_metric_determinant_lost_to_rounding_is_an_irregular_point():
