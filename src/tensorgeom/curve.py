@@ -396,35 +396,33 @@ class BonnetResult:
         return np.vstack([self.tangents[i], self.normals[i], self.binormals[i]])
 
 
-def _rk4(f, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical Runge-Kutta step of y' = f(node, y): f is evaluated at the
-    step's start (node 0), twice at its midpoint (node 1) and at its end (node 2)."""
+def _rk4(f, y: list, h: float) -> list:
+    """One classical Runge-Kutta step of y' = f(node, y) on a list of numbers
+    (floats, or arrays of one shape), entry by entry: f is evaluated at the step's
+    start (node 0), twice at its midpoint (node 1) and at its end (node 2)."""
     k1 = f(0, y)
-    k2 = f(1, y + 0.5 * h * k1)
-    k3 = f(1, y + 0.5 * h * k2)
-    k4 = f(2, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(1, [a + 0.5 * h * b for a, b in zip(y, k1)])
+    k3 = f(1, [a + 0.5 * h * b for a, b in zip(y, k2)])
+    k4 = f(2, [a + h * b for a, b in zip(y, k3)])
+    return [a + (h / 6.0) * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
 
 
-def _cartan_rhs(c: float, theta: float, Y: np.ndarray) -> np.ndarray:
-    """p' = T and the Frenet-Serret equations, on the rows (p, T, N, B)."""
-    out = np.empty_like(Y)
-    out[0] = Y[1]
-    out[1] = c * Y[2]
-    out[2] = -c * Y[1] - theta * Y[3]
-    out[3] = theta * Y[2]
-    return out
+def _cartan_rhs(c: float, theta: float, y: list) -> list:
+    """p' = T and the Frenet-Serret equations, on the 12 numbers (p, T, N, B)."""
+    T, N, B = y[3:6], y[6:9], y[9:]
+    return [*T, *(c * x for x in N), *(-c * t - theta * b for t, b in zip(T, B)),
+            *(theta * x for x in N)]
 
 
 def bonnet_reconstruct(profile: CurvatureProfile, p0, frame0, step: float) -> BonnetResult:
     """Integrate the moving-frame system e' = C(s) e together with p' = tangent.
 
-    Fixed-step RK4; after every step one Newton-Schulz step
-    (``tensor2._orthonormal_polish``) returns the frame to the rotations, which
-    RK4 leaves it next to.  ``frame0`` holds the rows (tangent, normal,
-    binormal).  A step that leaves the frame too far from orthonormal for that
-    polish (a step too coarse for the curvature) raises NotNearOrthogonal,
-    naming the arc length it reached.
+    Fixed-step RK4 on the 12 numbers (p, T, N, B); after every step one
+    Newton-Schulz step (``tensor2._orthonormal_polish``, on the frame as a 3x3
+    array) returns the frame to the rotations, which RK4 leaves it next to.
+    ``frame0`` holds the rows (tangent, normal, binormal).  A step that leaves
+    the frame too far from orthonormal for that polish (a step too coarse for
+    the curvature) raises NotNearOrthogonal, naming the arc length it reached.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -447,22 +445,23 @@ def bonnet_reconstruct(profile: CurvatureProfile, p0, frame0, step: float) -> Bo
     # per step, (c, theta) at its start, midpoint and end
     rows = _raising(_chunked(lambda *xs: [f(x) for x in xs for f in (c_of, th_of)],
                              starts, starts + 0.5 * h, starts + h))
-    states = np.empty((n + 1, 4, 3))  # rows (p, T, N, B)
-    states[0, 0], states[0, 1:] = p0, E
+    states = np.empty((n + 1, 12))  # p, T, N, B
+    states[0, :3], states[0, 3:] = p0, E.ravel()
+    y = states[0].tolist()
     # a step that overflows leaves a frame whose defect is not finite: it raises below
     with np.errstate(over="ignore", invalid="ignore"):
         for i, row in zip(range(n), rows):
-            Y = _rk4(lambda j, y: _cartan_rhs(row[2 * j], row[2 * j + 1], y), states[i], h)
+            y = _rk4(lambda j, y: _cartan_rhs(row[2 * j], row[2 * j + 1], y), y, h)
             try:
-                Y[1:] = _orthonormal_polish(Y[1:])
+                y[3:] = _orthonormal_polish(np.array([y[3:6], y[6:9], y[9:]])).ravel().tolist()
             except NotNearOrthogonal as exc:
                 raise NotNearOrthogonal(
                     f"the RK4 step to s = {starts[i] + h:g} leaves the frame {exc.defect:.3g} "
                     f"from orthonormal: the step {h:g} is too coarse for the curvature",
                     exc.defect) from None
-            states[i + 1] = Y
+            states[i + 1] = y
     ss = np.concatenate(([s0], starts + h))
-    return BonnetResult(ss, *states.transpose(1, 0, 2))
+    return BonnetResult(ss, *states.reshape(n + 1, 4, 3).transpose(1, 0, 2))
 
 
 def discrete_frenet(s: np.ndarray, points: np.ndarray):

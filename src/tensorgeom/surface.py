@@ -248,18 +248,23 @@ def _sqrt_2x2_spd(M: np.ndarray) -> np.ndarray:
     return (M + np.asarray(s)[..., None, None] * np.eye(2)) / np.asarray(t)[..., None, None]
 
 
-def _metric(D: list, u, v):
-    """g11, g12, g22 and det g from the map's derivative rows at (u, v), those of
-    _SECOND.  A metric that overflows, or a det g at or below _REG_TOL g11 g22,
-    where rounding may leave no digit of it, raises IrregularPoint naming the
-    point; on a batch either marks the point."""
-    fu, fv = D[1], D[2]
+def _first_form(fu, fv, u, v):
+    """g11, g12, g22 and det g from the rows f_u, f_v at (u, v).  A metric that
+    overflows raises IrregularPoint naming the point; on a batch it marks the point."""
     g11, g12, g22 = _dot(fu, fu), _dot(fu, fv), _dot(fv, fv)
     # g12^2 <= g11 g22, so where g11 g22 is finite no power of g below overflows
     g11, g12, g22 = _check(
         _fails((g11 * g22 < math.inf) & (abs(g12) < math.inf), u, v),
         lambda: IrregularPoint(f"the metric overflows at (u, v) = ({u:g}, {v:g})"), g11, g12, g22)
-    det = g11 * g22 - _pow(g12, 2)
+    return g11, g12, g22, g11 * g22 - _pow(g12, 2)
+
+
+def _metric(D: list, u, v):
+    """g11, g12, g22 and det g (``_first_form``) from the map's derivative rows
+    at (u, v), those of _SECOND.  A det g at or below _REG_TOL g11 g22, where
+    rounding may leave no digit of it, raises IrregularPoint naming the point;
+    on a batch it marks the point."""
+    g11, g12, g22, det = _first_form(D[1], D[2], u, v)
     return _check(_fails(det > _REG_TOL * g11 * g22, u, v),
                   lambda: IrregularPoint(f"degenerate metric at (u, v) = ({u:g}, {v:g})"),
                   g11, g12, g22, det)
@@ -412,27 +417,28 @@ def geodesic_integrate(surface: Surface, state0: GeodesicState, s_max: float,
     state whose parameter velocity is normalized to unit surface speed."""
     if step <= 0.0 or s_max <= 0.0:
         raise ValueError("need positive step and arc-length span")
+    n = int(round(s_max / step))
+    if n < 1:
+        raise ValueError("arc-length span below half a step")
     g11, g12, g22, _ = _metric(derivatives(surface.map, (state0.u, state0.v), _SECOND),
                                state0.u, state0.v)
     w = np.array([state0.du, state0.dv])
     speed = math.sqrt(w @ _mat2(g11, g12, g12, g22) @ w)
     if speed == 0.0:
         raise ZeroVelocity(f"zero surface speed at ({state0.u:g}, {state0.v:g})")
-    y = np.array([state0.u, state0.v, state0.du / speed, state0.dv / speed])
+    y = [float(x) for x in (state0.u, state0.v, state0.du / speed, state0.dv / speed)]
 
     def rhs(_, y_):
-        u, v, du, dv = y_.tolist()
+        u, v, du, dv = y_
         if not surface.contains(u, v):
             raise LeftDomain(f"trajectory left the parameter rectangle at "
-                             f"(u, v) = ({u:g}, {v:g})",
-                             state=GeodesicState(*y_, s=float("nan")))
+                             f"(u, v) = ({u:g}, {v:g})")
         D = derivatives(surface.map, (u, v), _SECOND)
         f_ww = [du * du * xuu + 2.0 * du * dv * xuv + dv * dv * xvv
                 for xuu, xuv, xvv in zip(*D[3:])]
         a, b = _tangential(D, f_ww, _metric(D, u, v))
-        return np.array([du, dv, -a, -b])
+        return [du, dv, -a, -b]
 
-    n = int(round(s_max / step))
     h = s_max / n
     out = np.empty((n + 1, 5))
     out[0] = (0.0, *y)
@@ -440,9 +446,7 @@ def geodesic_integrate(surface: Surface, state0: GeodesicState, s_max: float,
         try:
             y = _rk4(rhs, y, h)
         except LeftDomain as err:
-            raise LeftDomain(str(err),
-                             state=GeodesicState(y[0], y[1], y[2], y[3],
-                                                 s=i * h)) from None
+            raise LeftDomain(str(err), state=GeodesicState(*y, s=i * h)) from None
         out[i + 1] = ((i + 1) * h, *y)
     return GeodesicTrajectory(out[:, 0], out[:, 1], out[:, 2], out[:, 3], out[:, 4])
 
@@ -513,9 +517,10 @@ def gauss_weingarten_residual(surface: Surface, u: float, v: float):
 # ---------------------------------------------------------------------------
 
 def _metric_det(surface: Surface, u, v):
-    """det g = |f_u|^2 |f_v|^2 - (f_u . f_v)^2 at a point or a batch."""
-    fu, fv = derivatives(surface.map, (u, v), ((1, 0), (0, 1)))
-    det = _dot(fu, fu) * _dot(fv, fv) - _pow(_dot(fu, fv), 2)
+    """det g = |f_u|^2 |f_v|^2 - (f_u . f_v)^2 at a point or a batch
+    (``_first_form``); a det g that is not positive raises IrregularPoint
+    naming the point, and on a batch marks it."""
+    *_, det = _first_form(*derivatives(surface.map, (u, v), ((1, 0), (0, 1))), u, v)
     return _check(_fails(np.logical_not(det <= 0.0), u, v),
                   lambda: IrregularPoint(f"degenerate metric at ({u:g}, {v:g})"), det)
 

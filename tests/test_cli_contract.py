@@ -187,6 +187,9 @@ HOSTILE = {
     # fu . fu = 1 + (1e300 v)^2 overflows at the first RK4 stage off (0, 0)
     "geodesic whose metric overflows": ("analyze", _scene(HUGE_SADDLE, requests=[
         {"op": "geodesic", "params": {"u": 0.0, "v": 0.0, "du": 1.0, "dv": 0.5}}])),
+    # det g = inf * inf - inf is NaN, which passed the det g > 0 test as not <= 0
+    "area of z = 1e300 u v": ("analyze", _scene(HUGE_SADDLE, requests=[
+        {"op": "area", "params": {"order": 4}}])),
     # u + v rounds just below 1: the tangent plane passes its test, det g rounds to 0
     "jet where det g rounds to 0": ("analyze", _scene(
         SPHERE, components=["atan2(exp(1), cosh(pi)-v)", "cosh(1)^cos(u/u)", "asin(u+v)"],
@@ -254,6 +257,8 @@ def test_exit_code_classes(tmp_path, capsys):
              "numerical failure in request 'jet': non-finite gaussian = -inf"),
             ("geodesic whose metric overflows", "numerical failure in request 'geodesic': "
              "the metric overflows at (u, v) = (0.000447214, 0.000223607)"),
+            ("area of z = 1e300 u v", "numerical failure in request 'area': "
+             "the metric overflows at (u, v) = (-0.861136, -2.58341)"),
             ("christoffel symbol that overflows",
              "numerical failure in request 'christoffel': a Christoffel symbol overflows"),
             ("laplacian that overflows",

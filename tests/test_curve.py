@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from tensorgeom import curve as cv
-from tensorgeom.expr import DomainError, parse
-from tensorgeom.tensor2 import NotNearOrthogonal, norm, normalize
+from tensorgeom import surface as sf
+from tensorgeom.expr import DomainError, _chunked, _raising, derivatives, parse
+from tensorgeom.tensor2 import NotNearOrthogonal, _orthonormal_polish, norm, normalize
 
 rng = np.random.default_rng(7)
 
@@ -466,3 +467,98 @@ def test_planar_map_is_lifted_to_the_plane_x3_0():
     assert [j.coef for j in c.map.eval_jet((0.5,))] == \
         [j.coef for j in written.eval_jet((0.5,))] + [[0.0] * 4]
     assert c.point(np.array([0.5, 1.0]))[:, 2].tolist() == [0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# the RK4 step on lists against the step on state arrays it replaced
+# ---------------------------------------------------------------------------
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _array_rk4(f, y, h):
+    """The RK4 step on a state array, as both integrators took it before."""
+    k1 = f(0, y)
+    k2 = f(1, y + 0.5 * h * k1)
+    k3 = f(1, y + 0.5 * h * k2)
+    k4 = f(2, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _cartan_rows(c, theta, Y):
+    """p' = T and the Frenet-Serret equations on the (4, 3) rows (p, T, N, B)."""
+    out = np.empty_like(Y)
+    out[0] = Y[1]
+    out[1] = c * Y[2]
+    out[2] = -c * Y[1] - theta * Y[3]
+    out[3] = theta * Y[2]
+    return out
+
+
+def _geodesic_rhs(surface):
+    """The geodesic right-hand side on [u, v, du, dv]: floats, or arrays over a batch."""
+    def rhs(_, y):
+        u, v, du, dv = y
+        D = derivatives(surface.map, (u, v), sf._SECOND)
+        f_ww = [du * du * xuu + 2.0 * du * dv * xuv + dv * dv * xvv
+                for xuu, xuv, xvv in zip(*D[3:])]
+        a, b = sf._tangential(D, f_ww, sf._metric(D, u, v))
+        return [du, dv, -a, -b]
+    return rhs
+
+
+def test_geodesic_table_equals_the_array_step_bit_for_bit():
+    torus = sf.revolution_surface("3+cos(u)", "sin(u)", (-3.3, 3.3), v_domain=(-40.0, 40.0))
+    traj = sf.geodesic_integrate(torus, sf.GeodesicState(0.5, 0.0, 0.3, 0.3), 2.0, 1e-3)
+    g = sf.jet_at(torus, 0.5, 0.0).first_form
+    w = np.array([0.3, 0.3])
+    y = np.array([0.5, 0.0, *(w / math.sqrt(w @ g @ w))])
+    rhs = _geodesic_rhs(torus)
+    want = [(0.0, *y)]
+    for i in range(2000):
+        y = _array_rk4(lambda j, y_: np.array(rhs(j, y_.tolist())), y, 1e-3)
+        want.append(((i + 1) * 1e-3, *y))
+    got = np.stack([traj.s, traj.u, traj.v, traj.du, traj.dv], axis=1)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_bonnet_table_equals_the_array_step_bit_for_bit():
+    profile = cv.CurvatureProfile.build(parse("1+0.5*sin(s)", ["s"]),
+                                        parse("0.3*cos(2*s)", ["s"]), (0.0, 3.0))
+    res = cv.bonnet_reconstruct(profile, [0.1, 0.2, 0.3], np.eye(3), 1e-3)
+    h = 1e-3
+    starts = np.arange(3000) * h
+    rows = _raising(_chunked(lambda *xs: [f(x) for x in xs for f in (profile.curvature,
+                                                                     profile.torsion)],
+                             starts, starts + 0.5 * h, starts + h))
+    states = np.empty((3001, 4, 3))
+    states[0] = [[0.1, 0.2, 0.3], *np.eye(3)]
+    for i, row in enumerate(rows):
+        Y = _array_rk4(lambda j, y: _cartan_rows(row[2 * j], row[2 * j + 1], y), states[i], h)
+        Y[1:] = _orthonormal_polish(Y[1:])
+        states[i + 1] = Y
+    got = np.stack([res.points, res.tangents, res.normals, res.binormals], axis=1)
+    assert np.array_equal(_bits(got), _bits(states))
+
+
+def test_rk4_on_a_list_of_arrays_steps_each_entry_as_alone():
+    """A state of arrays of shape (n,) is n states in one step: the property a
+    fan of geodesics from one RK4 loop relies on."""
+    torus = sf.revolution_surface("3+cos(u)", "sin(u)", (-3.3, 3.3))
+    n = 6
+    angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    fan = [np.full(n, 0.5), np.full(n, 0.2), 0.3 * np.cos(angles), 0.3 * np.sin(angles)]
+    alone = [[float(x[k]) for x in fan] for k in range(n)]
+    c, theta = rng.uniform(0.5, 2.0, n), rng.uniform(-1.0, 1.0, n)
+    frames = [rng.uniform(-1.0, 1.0, n) for _ in range(12)]
+    frames_alone = [[float(x[k]) for x in frames] for k in range(n)]
+    rhs = _geodesic_rhs(torus)
+    for _ in range(20):
+        fan = cv._rk4(rhs, fan, 1e-2)
+        alone = [cv._rk4(rhs, y, 1e-2) for y in alone]
+        frames = cv._rk4(lambda j, y: cv._cartan_rhs(c, theta, y), frames, 1e-2)
+        frames_alone = [cv._rk4(lambda j, y: cv._cartan_rhs(c[k], theta[k], y), y, 1e-2)
+                        for k, y in enumerate(frames_alone)]
+    assert np.array_equal(_bits(np.transpose(fan)), _bits(alone))
+    assert np.array_equal(_bits(np.transpose(frames)), _bits(frames_alone))

@@ -304,6 +304,13 @@ def test_geodesic_names_a_metric_that_overflows_without_a_warning():
             sf.geodesic_integrate(saddle, sf.GeodesicState(0.0, 0.0, 1.0, 0.5), 1.0, 1e-3)
 
 
+def test_geodesic_shorter_than_half_a_step_is_a_value_error(torus):
+    with pytest.raises(ValueError, match="arc-length span below half a step"):
+        sf.geodesic_integrate(torus, sf.GeodesicState(0.5, 0.0, 0.3, 0.3), 1e-4, 1e-3)
+    # s_max / step = 0.6 rounds to one step
+    assert len(sf.geodesic_integrate(torus, sf.GeodesicState(0.5, 0.0, 0.3, 0.3), 6e-4, 1e-3)) == 2
+
+
 def test_geodesic_curvature_along_output(sphere):
     traj = sf.geodesic_integrate(sphere, sf.GeodesicState(0.2, 0.4, 0.7, 0.4),
                                  1.0, 1e-3)
@@ -369,10 +376,10 @@ def test_geodesic_acceleration_is_minus_the_connection_on_the_velocity(torus, mo
               [0.0, 0.3, 0.0, 1.0]):
         gamma = sf.jet_at(torus, y[0], y[1]).christoffel
         w = np.array(y[2:])
-        got = rhs[0](0.0, np.array(y))
+        got = rhs[0](0.0, y)
         assert _bits(got[:2]) == _bits(w)
         # to rounding: the torus's gamma is of order one, and vanishes at u = 0
-        assert np.max(np.abs(got[2:] + np.einsum("hij,i,j->h", gamma, w, w))) <= \
+        assert np.max(np.abs(np.array(got[2:]) + np.einsum("hij,i,j->h", gamma, w, w))) <= \
             1e-14 * max(1.0, np.max(np.abs(gamma))) * (w @ w)
 
 
@@ -476,6 +483,22 @@ def test_unit_sphere_band_area(sphere):
 
 def test_flat_patch_area(plane_patch):
     assert sf.surface_area(plane_patch) == pytest.approx(1.0, rel=1e-13)
+
+
+# z = c u v: f_u . f_v = c^2 u v, so det g overflows (1e300: NaN from inf - inf), or
+# its square does (1e100)
+@pytest.mark.parametrize("c", ["1e300", "1e100"])
+def test_area_names_a_metric_that_overflows(c):
+    saddle = sf.surface_from_expr(["u", "v", f"{c}*u*v"], ((-1.0, 1.0), (-1.0, 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sf.IrregularPoint, match=r"the metric overflows at \(u, v\) = "
+                                                    r"\(-0.861136, -0.861136\)"):
+            sf.surface_area(saddle, order=4)
+    # on a batch such a point is marked; (0, 0) is not
+    with np.errstate(all="ignore"):
+        det = sf._metric_det(saddle, np.array([0.0, 0.5, -0.3]), np.array([0.0, 0.5, 0.9]))
+    assert det[0] == 1.0 and np.isnan(det[1:]).all()
 
 
 def test_parallel_length_at_latitude(sphere):
