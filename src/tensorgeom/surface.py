@@ -552,7 +552,7 @@ def curve_length_on_surface(surface: Surface, path: ExprMap, t0: float, t1: floa
     def integrand(t):
         (pu, pv), (wu, wv) = derivatives(path, (t,), _ORDERS[:2])
         fu, fv = derivatives(surface.map, (pu, pv), ((1, 0), (0, 1)))
-        g11, g12, g22 = _dot(fu, fu), _dot(fu, fv), _dot(fv, fv)  # the metric alone
+        g11, g12, g22, _ = _first_form(fu, fv, pu, pv)  # the metric alone, checked
         return _map(math.sqrt, wu * (wu * g11 + wv * g12) + wv * (wu * g12 + wv * g22))
 
     # the speed may jump where an abs argument of the path, or of the surface

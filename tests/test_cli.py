@@ -283,13 +283,14 @@ def test_chunked_tables_equal_point_by_point(name, tmp_path, monkeypatch, capsys
 
 def test_a_grid_evaluates_its_expressions_once_per_chunk(tmp_path, monkeypatch, capsys):
     calls = []
-    eval_jet = cli.ExprMap.eval_jet
+    run_program = cli.ExprMap._run
 
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return eval_jet(self, *args, **kwargs)
+    def counted(self, key, point):  # the jets and derivative rows, not the values
+        if key != 0:
+            calls.append(point)
+        return run_program(self, key, point)
 
-    monkeypatch.setattr(cli.ExprMap, "eval_jet", counted)
+    monkeypatch.setattr(cli.ExprMap, "_run", counted)
     scene = _write(tmp_path, "ps.json", dict(GRID_SCENES["curvatures"], requests=[
         {"op": "curvatures", "params": {"samples": 64}}]))
     assert run(["--out", tmp_path, "analyze", scene]) == 0

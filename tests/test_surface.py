@@ -464,10 +464,10 @@ def test_gauss_weingarten_residuals(sphere, plane_patch):
 
 def test_gauss_weingarten_residual_evaluates_the_map_once(sphere, monkeypatch):
     calls = []
-    eval_jet = ExprMap.eval_jet
-    monkeypatch.setattr(ExprMap, "eval_jet", lambda self, *a: calls.append(a) or eval_jet(self, *a))
+    run_program = ExprMap._run
+    monkeypatch.setattr(ExprMap, "_run", lambda self, *a: calls.append(a) or run_program(self, *a))
     sf.gauss_weingarten_residual(sphere, 0.2, 0.3)
-    assert calls == [((0.2, 0.3), 2)]
+    assert calls == [(sf._SECOND, (0.2, 0.3))]  # the rows up to order 2, once
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +527,14 @@ def test_length_across_speed_jumps_is_the_sum_over_smooth_pieces(surface, path):
     pieces = math.fsum(integrate(lambda t: norm(plane_curve.velocity(t)), a, b, 1e-12)
                        for a, b in zip(edges, edges[1:]))
     assert abs(length - pieces) <= 1e-12 * pieces, (length, pieces)
+
+
+def test_length_on_a_metric_that_overflows_names_the_node():
+    # g11 = 1 + (1e300 v)^2 overflows; the quadrature re-runs the panel centre alone
+    surf = sf.surface_from_expr(["u", "v", "1e300*u*v"], ((-1, 1), (-1, 1)))
+    with pytest.raises(sf.IrregularPoint,
+                       match=r"the metric overflows at \(u, v\) = \(0\.3, 0\.3\)"):
+        sf.curve_length_on_surface(surf, parse(["t", "t"], ["t"]), 0.1, 0.5)
 
 
 
@@ -638,12 +646,12 @@ class _PointsOnly:
     """An ExprMap that refuses batches, so the area is summed node by node."""
 
     def __init__(self, em):
-        self.em = em
+        self.em, self.arity = em, em.arity
 
-    def eval_jet(self, point, order):
+    def _run(self, key, point):
         if np.ndim(point[0]):
             raise ArithmeticError("one point at a time")
-        return self.em.eval_jet(point, order)
+        return self.em._run(key, point)
 
 
 def test_area_in_chunks_equals_node_by_node(torus, catenoid):
