@@ -818,6 +818,19 @@ def test_each_map_compiles_each_order_once(monkeypatch):
     assert compiled[0][0] is a and compiled[1][0] is b
 
 
+def test_a_map_parsed_again_reuses_its_code_and_names_its_own_nodes():
+    """Maps that write the same program share its code; an error still names
+    the node, and the offset, of the map that raised it."""
+    a, b, c = (parse(text, ["t"]) for text in ("1 + ln(t-2)", "1 + ln(t-2)", "   1 + ln(t-2)"))
+    for m, offset in ((a, 4), (b, 4), (c, 7)):
+        assert m.eval_jet((3.0,), 1)[0].coef == [1.0, 1.0]
+        with pytest.raises(DomainError) as err:
+            m.eval_jet((1.0,), 1)
+        assert (err.value.expression, err.value.offset) == ("ln(t-2.0)", offset)
+    assert a._programs[1] is not b._programs[1]
+    assert a._programs[1][0].__code__ is b._programs[1][0].__code__ is c._programs[1][0].__code__
+
+
 def test_compiled_program_at_the_nesting_limit_matches_the_ast_walk():
     wrappers = ("sin({})", "({})*x", "-{}", "atan({})", "({})^2", "cosh({})")  # a level each
     source = "x"
