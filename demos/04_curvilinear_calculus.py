@@ -55,7 +55,7 @@ print("max |g_np;h| =", np.max(np.abs(D)))
 
 print()
 print("=" * 64)
-print("Differential operators in the three closed-form systems")
+print("Differential operators on the orthonormal frames of the charts")
 print("=" * 64)
 f_cyl = parse("rho^2", ["rho", "t", "z"])
 print("cylindrical laplacian of rho^2 (exact value 4):",
@@ -67,11 +67,11 @@ f_sph = parse("1/r", ["r", "p", "t"])
 print("spherical laplacian of 1/r (harmonic away from 0):",
       co.diff_ops("spherical", "scalar", "laplacian", f_sph, (2.0, 1.1, 0.4)))
 
-print("\nthe general curvilinear Laplacian agrees with the closed forms:")
+print("\nthe general curvilinear Laplacian agrees with the frame operator:")
 f2 = parse("rho^2*sin(t)+z^2*rho", ["rho", "t", "z"])
-closed = co.diff_ops("cylindrical", "scalar", "laplacian", f2, (1.2, 0.5, -0.8))
+framed = co.diff_ops("cylindrical", "scalar", "laplacian", f2, (1.2, 0.5, -0.8))
 general = co.laplacian_curvilinear(f2, co.cylindrical_map(), (1.2, 0.5, -0.8))
-print("  closed form:", closed, "  general:", general)
+print("  frame:", framed, "  general:", general)
 
 print()
 print("=" * 64)

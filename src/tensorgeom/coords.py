@@ -5,11 +5,16 @@ classical integral theorems.
 
 Coordinate maps go from curvilinear coordinates ``z`` to Cartesian ``x`` and
 are given as :class:`~tensorgeom.expr.ExprMap` objects with as many
-components as variables.
+components as variables.  The cylindrical and spherical operators come from
+one engine over the chart: its orthonormal frame E = J / |J| and the frame's
+derivatives carry a field's physical components to Cartesian ones, the
+Cartesian operator acts, and the result turns back to the frame.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,17 +58,19 @@ class CoordMap:
         return _derivative_arrays(self.map, z, 1)[0]
 
 
-def _derivative_arrays(em: ExprMap, z, order: int):
-    """First partials D1[c, k] of each component by z^k and, at order 2,
-    second partials D2[c, k, l] by z^k and z^l (else None), from one
-    evaluation of the jets.  Both are C-contiguous: numpy's det, @ and einsum
-    round differently on other layouts."""
+def _derivative_arrays(em: ExprMap, z, order: int) -> tuple:
+    """The partials of each component to the given order, from one evaluation
+    of the jets: D1[c, k] by z^k, D2[c, k, l] by z^k and z^l, D3[c, k, l, m]
+    and so on.  Each is C-contiguous: numpy's det, @ and einsum round
+    differently on other layouts."""
     n = em.arity
-    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-    pairs = [tuple(map(sum, zip(u, w))) for u in units for w in units] if order > 1 else []
-    D = np.array(derivatives(em, z, units + pairs))
-    D1 = np.ascontiguousarray(D[:n].T)
-    return D1, np.ascontiguousarray(D[n:].T).reshape(-1, n, n) if pairs else None
+    orders = range(1, order + 1)
+    powers = [tuple(ks.count(i) for i in range(n))
+              for j in orders for ks in itertools.product(range(n), repeat=j)]
+    D = np.array(derivatives(em, z, powers))
+    starts = np.cumsum([0] + [n ** j for j in orders])
+    return tuple(np.ascontiguousarray(D[a:b].T).reshape(-1, *(n,) * j)
+                 for j, a, b in zip(orders, starts, starts[1:]))
 
 
 @dataclass(frozen=True)
@@ -108,12 +115,6 @@ def second_partials(chart: CoordMap, z) -> np.ndarray:
     return _derivative_arrays(chart.map, z, 2)[1]
 
 
-def _metric_and_second_partials(chart: CoordMap, z):
-    """Metric and S[m, k, l] from one order-2 evaluation of the chart."""
-    J, S = _derivative_arrays(chart.map, z, 2)
-    return _metric_from_jacobian(J, z), S
-
-
 def christoffel(chart: CoordMap, z, method: str = "second_derivative") -> np.ndarray:
     """Connection coefficients G[h, k, l], symmetric in (k, l).
 
@@ -121,8 +122,8 @@ def christoffel(chart: CoordMap, z, method: str = "second_derivative") -> np.nda
     map's second derivatives; ``method="metric_derivative"`` uses the metric
     and its first derivatives.  Both are exact up to rounding.
     """
-    met, S = _metric_and_second_partials(chart, z)
-    return _finite("a Christoffel symbol", _connection, met, S, method)
+    J, S = _derivative_arrays(chart.map, z, 2)  # one evaluation of the chart
+    return _finite("a Christoffel symbol", _connection, _metric_from_jacobian(J, z), S, method)
 
 
 def _connection(met: Metric, S: np.ndarray, method: str) -> np.ndarray:
@@ -187,10 +188,15 @@ def covariant_derivative(field, chart: CoordMap, z, variance: str) -> np.ndarray
     gamma = christoffel(chart, z)
     z = tuple(float(c) for c in z)
     values, partials = np.array(field(*z)), _derivative_arrays(field, z, 1)[0]
+    return _finite("the covariant derivative", _covariant, gamma, values, partials, variance)
+
+
+def _covariant(gamma, values, partials, variance):
     if variance == "contra":
         return partials + np.einsum("hkl,l->hk", gamma, values)
     if variance == "co":
         return partials - np.einsum("lkh,l->hk", gamma, values)
+    n = len(gamma)
     L = values.reshape(n, n)
     dL = partials.reshape(n, n, n)
     if variance == "tensor_contra":
@@ -207,7 +213,8 @@ def covariant_derivative(field, chart: CoordMap, z, variance: str) -> np.ndarray
 
 def divergence_from_chart(field, chart: CoordMap, z) -> float:
     """Divergence of a contravariant vector field: the trace of v^h_;k."""
-    return float(np.trace(covariant_derivative(field, chart, z, "contra")))
+    D = covariant_derivative(field, chart, z, "contra")
+    return float(_finite("the divergence", np.trace, D))
 
 
 def laplacian_curvilinear(field, chart: CoordMap, z) -> float:
@@ -216,7 +223,8 @@ def laplacian_curvilinear(field, chart: CoordMap, z) -> float:
     z = tuple(float(c) for c in z)
     if not isinstance(field, ExprMap) or field.dimension != 1:
         raise ValueError("needs a scalar ExprMap over the chart variables")
-    met, S = _metric_and_second_partials(chart, z)
+    J, S = _derivative_arrays(chart.map, z, 2)
+    met = _metric_from_jacobian(J, z)
     D1, D2 = _derivative_arrays(field, z, 2)
     d1, d2 = D1[0], D2[0]
 
@@ -227,16 +235,8 @@ def laplacian_curvilinear(field, chart: CoordMap, z) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed-form differential operators
+# differential operators in physical components
 # ---------------------------------------------------------------------------
-
-def _partials_up_to_2(field: ExprMap, point):
-    """Per-component values, first partials d1[c, k] and diagonal second
-    partials d2[c, k]."""
-    point = tuple(float(c) for c in point)
-    d1, d2 = _derivative_arrays(field, point, 2)
-    return np.array(field(*point)), d1, np.einsum("ckk->ck", d2)
-
 
 def _check_kind(field: ExprMap, kind: str):
     want = {"scalar": 1, "vector": 3, "tensor": 9}[kind]
@@ -249,33 +249,46 @@ def _check_kind(field: ExprMap, kind: str):
 def diff_ops(system: str, kind: str, op: str, field: ExprMap, point) -> np.ndarray | float:
     """Differential operators in Cartesian, cylindrical or spherical frames.
 
-    Components are physical (orthonormal local frame).  Cylindrical
-    coordinates are (radius, azimuth, height); spherical are
-    (radius, colatitude, azimuth).
+    Components are physical: on the orthonormal frame of unit tangents to the
+    coordinate lines.  Cylindrical coordinates are (radius, azimuth, height);
+    spherical are (radius, colatitude, azimuth).  A result past the float
+    range raises NumericalFailure.
     """
     _check_kind(field, kind)
     point = tuple(float(c) for c in point)
+    name = f"the {op} of a {kind} field"
     if system == "cartesian":
-        return _cartesian_ops(kind, op, field, point)
+        return _finite(name, _cartesian_at, kind, op, field, point)
     if system == "cylindrical":
         if abs(point[0]) < _SING_GUARD:
             raise CoordinateSingularity("cylindrical operators need radius > 0")
-        return _cylindrical_ops(kind, op, field, point)
-    if system == "spherical":
+    elif system == "spherical":
         if abs(point[0]) < _SING_GUARD or abs(math.sin(point[1])) < _SING_GUARD:
             raise CoordinateSingularity("spherical operators need r > 0 and a "
                                         "colatitude away from the poles")
-        return _spherical_ops(kind, op, field, point)
-    raise ValueError(f"unknown coordinate system {system!r}")
+    else:
+        raise ValueError(f"unknown coordinate system {system!r}")
+    return _finite(name, _frame_ops, _system_chart(system), kind, op, field, point)
 
 
-def _cartesian_ops(kind, op, field, point):
-    values, d1, d2 = _partials_up_to_2(field, point)
+@functools.lru_cache(maxsize=None)
+def _system_chart(system: str) -> CoordMap:
+    """The chart of a curvilinear system, parsed on first use."""
+    return {"cylindrical": cylindrical_map, "spherical": spherical_map}[system]()
+
+
+def _cartesian_at(kind, op, field, point):
+    return _cartesian_ops(kind, op, *_derivative_arrays(field, tuple(float(c) for c in point), 2))
+
+
+def _cartesian_ops(kind, op, d1, d2):
+    """An operator from the Cartesian partials d1[c, a] and d2[c, a, b] of
+    each component c of a field."""
     if kind == "scalar":
         if op == "grad":
             return d1[0].copy()
         if op == "laplacian":
-            return float(d2[0].sum())
+            return float(np.einsum("ckk->ck", d2)[0].sum())
     if kind == "vector":
         if op == "grad":
             return d1.copy()
@@ -286,107 +299,44 @@ def _cartesian_ops(kind, op, field, point):
                              d1[0, 2] - d1[2, 0],
                              d1[1, 0] - d1[0, 1]])
         if op == "laplacian":
-            return d2.sum(axis=1)
+            return np.einsum("ckk->ck", d2).sum(axis=1)
     if kind == "tensor" and op == "div":
         L1 = d1.reshape(3, 3, 3)
         return np.einsum("ijj->i", L1)
     raise ValueError(f"unsupported op {op!r} for {kind} fields")
 
 
-def _cylindrical_ops(kind, op, field, point):
-    rho = point[0]
-    values, d1, d2 = _partials_up_to_2(field, point)
-    if kind == "scalar":
-        f1, f2 = d1[0], d2[0]
-        if op == "grad":
-            return np.array([f1[0], f1[1] / rho, f1[2]])
-        if op == "laplacian":
-            return float(f2[0] + f1[0] / rho + f2[1] / rho ** 2 + f2[2])
-    if kind == "vector":
-        v = values
-        if op == "grad":
-            return np.array([
-                [d1[0, 0], (d1[0, 1] - v[1]) / rho, d1[0, 2]],
-                [d1[1, 0], (d1[1, 1] + v[0]) / rho, d1[1, 2]],
-                [d1[2, 0], d1[2, 1] / rho, d1[2, 2]],
-            ])
-        if op == "div":
-            return float(d1[0, 0] + (d1[1, 1] + v[0]) / rho + d1[2, 2])
-        if op == "curl":
-            return np.array([
-                d1[2, 1] / rho - d1[1, 2],
-                d1[0, 2] - d1[2, 0],
-                d1[1, 0] + v[1] / rho - d1[0, 1] / rho,
-            ])
-        if op == "laplacian":
-            lap = lambda c: (d2[c, 0] + d1[c, 0] / rho + d2[c, 1] / rho ** 2 + d2[c, 2])
-            return np.array([
-                lap(0) - (v[0] + 2.0 * d1[1, 1]) / rho ** 2,
-                lap(1) - (v[1] - 2.0 * d1[0, 1]) / rho ** 2,
-                lap(2),
-            ])
-    if kind == "tensor" and op == "div":
-        L = values.reshape(3, 3)
-        dL = d1.reshape(3, 3, 3)
-        return np.array([
-            dL[0, 0, 0] + (L[0, 0] - L[1, 1] + dL[0, 1, 1]) / rho + dL[0, 2, 2],
-            dL[1, 0, 0] + (dL[1, 1, 1] + L[0, 1] + L[1, 0]) / rho + dL[1, 2, 2],
-            dL[2, 0, 0] + (L[2, 0] + dL[2, 1, 1]) / rho + dL[2, 2, 2],
-        ])
-    raise ValueError(f"unsupported op {op!r} for {kind} fields")
-
-
-def _spherical_ops(kind, op, field, point):
-    r, phi = point[0], point[1]
-    sin_p, cos_p = math.sin(phi), math.cos(phi)
-    cot = cos_p / sin_p
-    values, d1, d2 = _partials_up_to_2(field, point)
-    if kind == "scalar":
-        f1, f2 = d1[0], d2[0]
-        if op == "grad":
-            return np.array([f1[0], f1[1] / r, f1[2] / (r * sin_p)])
-        if op == "laplacian":
-            return float(f2[0] + 2.0 * f1[0] / r + f2[1] / r ** 2
-                         + cot * f1[1] / r ** 2 + f2[2] / (r * sin_p) ** 2)
-    if kind == "vector":
-        v = values
-        if op == "grad":
-            return np.array([
-                [d1[0, 0], (d1[0, 1] - v[1]) / r, (d1[0, 2] / sin_p - v[2]) / r],
-                [d1[1, 0], (d1[1, 1] + v[0]) / r, (d1[1, 2] / sin_p - v[2] * cot) / r],
-                [d1[2, 0], d1[2, 1] / r, (d1[2, 2] / sin_p + v[0] + v[1] * cot) / r],
-            ])
-        if op == "div":
-            return float(d1[0, 0] + 2.0 * v[0] / r + (d1[1, 1] + v[1] * cot) / r
-                         + d1[2, 2] / (r * sin_p))
-        if op == "curl":
-            return np.array([
-                (d1[2, 1] * sin_p + v[2] * cos_p - d1[1, 2]) / (r * sin_p),
-                d1[0, 2] / (r * sin_p) - v[2] / r - d1[2, 0],
-                v[1] / r + d1[1, 0] - d1[0, 1] / r,
-            ])
-        if op == "laplacian":
-            lap = lambda c: (d2[c, 0] + 2.0 * d1[c, 0] / r + d2[c, 1] / r ** 2
-                             + cot * d1[c, 1] / r ** 2 + d2[c, 2] / (r * sin_p) ** 2)
-            return np.array([
-                lap(0) - 2.0 * (v[0] + d1[1, 1] + v[1] * cot + d1[2, 2] / sin_p) / r ** 2,
-                lap(1) + 2.0 * d1[0, 1] / r ** 2 - (v[1] / sin_p ** 2
-                                                    + 2.0 * cot * d1[2, 2] / sin_p) / r ** 2,
-                lap(2) + (2.0 * d1[0, 2] / sin_p + 2.0 * cot * d1[1, 2] / sin_p
-                          - v[2] / sin_p ** 2) / r ** 2,
-            ])
-    if kind == "tensor" and op == "div":
-        L = values.reshape(3, 3)
-        dL = d1.reshape(3, 3, 3)
-        return np.array([
-            dL[0, 0, 0] + 2.0 * L[0, 0] / r + dL[0, 1, 1] / r
-            + dL[0, 2, 2] / (r * sin_p) - (L[1, 1] + L[2, 2]) / r + cot * L[0, 1] / r,
-            dL[1, 0, 0] + 2.0 * L[1, 0] / r + dL[1, 1, 1] / r
-            + dL[1, 2, 2] / (r * sin_p) + L[0, 1] / r + cot * (L[1, 1] - L[2, 2]) / r,
-            dL[2, 0, 0] + 2.0 * L[2, 0] / r + dL[2, 1, 1] / r
-            + dL[2, 2, 2] / (r * sin_p) + L[0, 2] / r + cot * (L[1, 2] + L[2, 1]) / r,
-        ])
-    raise ValueError(f"unsupported op {op!r} for {kind} fields")
+def _frame_ops(chart: CoordMap, kind, op, field, point):
+    """An operator on the orthonormal frame E = J / h of an orthogonal chart
+    (h_k = |J[:, k]|): the field's Cartesian components (f, E v or E t E^T)
+    get Cartesian partials by the chain rule, the Cartesian operator acts,
+    and its result turns back to the frame."""
+    J, S, T = _derivative_arrays(chart.map, point, 3)
+    h = np.linalg.norm(J, axis=0)
+    E = J / h
+    # J_k = h_k E_k differentiated once and twice, with dh[k, l] = d_l h_k = E_k . S_kl
+    dh = np.einsum("ak,akl->kl", E, S)
+    dE = (S - E[:, :, None] * dh) / h[:, None]
+    d2h = np.einsum("akp,akl->klp", dE, S) + np.einsum("ak,aklp->klp", E, T)
+    d2E = (T - E[:, :, None, None] * d2h - np.einsum("kl,akp->aklp", dh, dE)
+           - np.einsum("kp,akl->aklp", dh, dE)) / h[:, None, None]
+    # value and partials of the Cartesian components by the product rule: E
+    # times the transposed rows of 3, once for a vector (E v), twice for a
+    # tensor (E (E t^T)^T); the partials are on the trailing axes
+    G = (np.array(field(*point)), *_derivative_arrays(field, point, 2))
+    for _ in range({"scalar": 0, "vector": 1, "tensor": 2}[kind]):
+        X0, X1, X2 = (np.swapaxes(x.reshape(-1, 3, *x.shape[1:]), 0, 1) for x in G)
+        G = [x.reshape(-1, *x.shape[2:]) for x in (
+            E @ X0,
+            np.einsum("aik,im->amk", dE, X0) + np.einsum("ai,imk->amk", E, X1),
+            np.einsum("aikl,im->amkl", d2E, X0) + np.einsum("aik,iml->amkl", dE, X1)
+            + np.einsum("ail,imk->amkl", dE, X1) + np.einsum("ai,imkl->amkl", E, X2))]
+    # G1 = d1 J and G2 = J^T d2 J + d1 . S, where J^-1 = E^T / h as E is orthogonal
+    Jinv = E.T / h[:, None]
+    d1 = G[1] @ Jinv
+    d2 = np.einsum("ka,ckl,lb->cab", Jinv, G[2] - np.einsum("ca,akl->ckl", d1, S), Jinv)
+    r = _cartesian_ops(kind, op, d1, d2)
+    return r if np.ndim(r) == 0 else E.T @ r @ E if np.ndim(r) == 2 else E.T @ r
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +368,10 @@ def _box_flux(vec_at, box, order):
 
 
 def _box_volume_integral(f_at, box, order):
-    xs, wx = gauss_legendre_nodes(*box[0], order)
-    ys, wy = gauss_legendre_nodes(*box[1], order)
-    zs, wz = gauss_legendre_nodes(*box[2], order)
+    axes = (zip(*gauss_legendre_nodes(*pair, order)) for pair in box)
     total = 0.0
-    for xi, wxi in zip(xs, wx):
-        for yi, wyi in zip(ys, wy):
-            for zi, wzi in zip(zs, wz):
-                total += f_at((xi, yi, zi)) * wxi * wyi * wzi
+    for (xi, wxi), (yi, wyi), (zi, wzi) in itertools.product(*axes):
+        total += f_at((xi, yi, zi)) * wxi * wyi * wzi
     return total
 
 
@@ -439,6 +385,9 @@ def integral_theorem_residual(theorem: str, fields, domain, order: int = 16) -> 
     theorem="stokes": fields is one vector ExprMap, domain a dict with keys
                       "center" (3 floats, plane z = center[2]) and "radius".
     """
+    if theorem in ("gauss", "flux", "stokes"):
+        v = fields if isinstance(fields, ExprMap) else fields[0]
+        _check_kind(v, "vector")
     if theorem in ("gauss", "flux", "green"):
         if theorem == "green":  # Gauss's theorem for the field g grad f - f grad g
             f, g = fields
@@ -446,21 +395,17 @@ def integral_theorem_residual(theorem: str, fields, domain, order: int = 16) -> 
             _check_kind(g, "scalar")
 
             def skew(op):  # g op(f) - f op(g)
-                return lambda p: (g(*p)[0] * _cartesian_ops("scalar", op, f, p)
-                                  - f(*p)[0] * _cartesian_ops("scalar", op, g, p))
+                return lambda p: (g(*p)[0] * _cartesian_at("scalar", op, f, p)
+                                  - f(*p)[0] * _cartesian_at("scalar", op, g, p))
             vec_at, div_at = skew("grad"), skew("laplacian")
         else:
-            v = fields if isinstance(fields, ExprMap) else fields[0]
-            _check_kind(v, "vector")
-            vec_at, div_at = (lambda p: v(*p)), (lambda p: _cartesian_ops("vector", "div", v, p))
+            vec_at, div_at = (lambda p: v(*p)), (lambda p: _cartesian_at("vector", "div", v, p))
         box = tuple(tuple(float(b) for b in pair) for pair in domain)
         flux = _box_flux(vec_at, box, order)
         if theorem == "flux":
             return abs(flux)
         return abs(flux - _box_volume_integral(div_at, box, order))
     if theorem == "stokes":
-        v = fields if isinstance(fields, ExprMap) else fields[0]
-        _check_kind(v, "vector")
         cx, cy, cz = (float(c) for c in domain["center"])
         radius = float(domain["radius"])
         m = max(64, 8 * order)
@@ -476,7 +421,7 @@ def integral_theorem_residual(theorem: str, fields, domain, order: int = 16) -> 
         for r, w in zip(rs, wr):
             for th in thetas:
                 p = (cx + r * math.cos(th), cy + r * math.sin(th), cz)
-                curl_z = _cartesian_ops("vector", "curl", v, p)[2]
+                curl_z = _cartesian_at("vector", "curl", v, p)[2]
                 surf += curl_z * r * w
         surf *= 2.0 * math.pi / m
         return abs(line - surf)

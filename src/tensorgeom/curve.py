@@ -214,13 +214,20 @@ def arc_length(curve: Curve, t0: float, t1: float) -> float:
     """Length of the arc between t0 < t1 by adaptive quadrature of |p'|."""
     if not t0 < t1:
         raise ValueError("need t0 < t1")
+    breaks, top = _speed_scan(curve, t0, t1)
+    return integrate(lambda t: norm(curve.velocity(t)), t0, t1, 1e-10 * (t1 - t0) * top,
+                     breaks)
+
+
+def _speed_scan(curve: Curve, t0: float, t1: float) -> tuple[tuple, float]:
+    """The kinks in [t0, t1], the points where the argument of an abs changes
+    sign (each a panel edge of a length), and the largest speed at _SCAN
+    samples off them.  The speed check also enforces regularity and a finite
+    speed; at a kink the speed's jet is undefined."""
     ts = np.linspace(t0, t1, _SCAN)
     kinks = _abs_arguments(curve.map)
     breaks = _sign_changes(kinks, ts) if kinks.dimension else ()
-    # the speed check also enforces regularity; at a kink the speed's jet is undefined
-    top = max(_pointwise(curve.speed, np.setdiff1d(ts, breaks)), default=0.0)
-    return integrate(lambda t: norm(curve.velocity(t)), t0, t1, 1e-10 * (t1 - t0) * top,
-                     breaks)
+    return breaks, max(_pointwise(curve.speed, np.setdiff1d(ts, breaks)), default=0.0)
 
 
 def _sign_changes(values: Callable, ts: np.ndarray) -> tuple:
@@ -246,9 +253,7 @@ def arclength_table(curve: Curve, n: int = 128) -> tuple[np.ndarray, np.ndarray]
     """Cumulative arc length s(t) on an n+1 point grid over the full domain."""
     t0, t1 = curve.domain
     ts = np.linspace(t0, t1, n + 1)
-    # the kinks over the whole domain, as arc_length finds them, each a panel edge
-    kinks = _abs_arguments(curve.map)
-    breaks = _sign_changes(kinks, np.linspace(t0, t1, _SCAN)) if kinks.dimension else ()
+    breaks = _speed_scan(curve, t0, t1)[0]
     s = np.zeros(n + 1)
     for i in range(n):
         s[i + 1] = s[i] + integrate(lambda t: norm(curve.velocity(t)),

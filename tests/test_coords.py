@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tensorgeom import coords as co
-from tensorgeom.expr import ExprMap, parse
+from tensorgeom.expr import ExprMap, NumericalFailure, derivatives, parse
 
 rng = np.random.default_rng(99)
 
@@ -271,16 +271,34 @@ def test_cross_system_laplacian_consistency():
         assert lap_cyl == pytest.approx(lap_cart, rel=1e-8)
 
 
+def _first_and_second(field, point):
+    """f_k and f_kk of a scalar field by each of its three variables."""
+    rows = derivatives(field, point, [(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                      (2, 0, 0), (0, 2, 0), (0, 0, 2)])
+    return [r[0] for r in rows[:3]], [r[0] for r in rows[3:]]
+
+
 def test_curvilinear_laplacian_matches_closed_forms():
+    # the textbook Laplacians, as the reference for both the frame operators
+    # and the general curvilinear formula
     f_cyl = parse("rho^2*sin(t) + z^2*rho", ["rho", "t", "z"])
     point = (1.2, 0.5, -0.8)
-    closed = co.diff_ops("cylindrical", "scalar", "laplacian", f_cyl, point)
+    (f_r, _, _), (f_rr, f_tt, f_zz) = _first_and_second(f_cyl, point)
+    rho = point[0]
+    closed = f_rr + f_r / rho + f_tt / rho ** 2 + f_zz
+    assert co.diff_ops("cylindrical", "scalar", "laplacian", f_cyl, point) \
+        == pytest.approx(closed, rel=1e-8)
     general = co.laplacian_curvilinear(f_cyl, co.cylindrical_map(), point)
     assert general == pytest.approx(closed, rel=1e-8)
 
     f_sph = parse("r^2*cos(p) + r*sin(p)*cos(t)", ["r", "p", "t"])
     point = (1.4, 0.9, 0.3)
-    closed = co.diff_ops("spherical", "scalar", "laplacian", f_sph, point)
+    (f_r, f_p, _), (f_rr, f_pp, f_tt) = _first_and_second(f_sph, point)
+    r, p = point[:2]
+    closed = (f_rr + 2.0 * f_r / r + (f_pp + f_p * math.cos(p) / math.sin(p)) / r ** 2
+              + f_tt / (r * math.sin(p)) ** 2)
+    assert co.diff_ops("spherical", "scalar", "laplacian", f_sph, point) \
+        == pytest.approx(closed, rel=1e-8)
     general = co.laplacian_curvilinear(f_sph, co.spherical_map(), point)
     assert general == pytest.approx(closed, rel=1e-8)
 
@@ -373,7 +391,11 @@ _OPS = [(kind, op) for kind, ops in (("scalar", ("grad", "laplacian")),
 
 
 @pytest.mark.parametrize("system, point", [("cylindrical", (1.3, 0.4, -0.7)),
-                                           ("spherical", (1.7, 0.9, -0.6))])
+                                           ("spherical", (1.7, 0.9, -0.6)),
+                                           ("cylindrical", (0.2, 2.4, 3.0)),
+                                           ("cylindrical", (4.0, -2.9, 0.5)),
+                                           ("spherical", (0.4, 0.1, 2.9)),
+                                           ("spherical", (5.0, 3.0, -2.0))])
 @pytest.mark.parametrize("kind, op", _OPS)
 def test_closed_form_operators_match_the_cartesian_ones(system, point, kind, op):
     # in physical components: e_i . V for a vector, e_i . T . e_j for a tensor
@@ -394,6 +416,34 @@ def test_closed_form_operators_match_the_cartesian_ones(system, point, kind, op)
                        parse(x, names)(*point))
     want = E @ want @ E.T if np.ndim(want) == 2 else E @ want if np.ndim(want) else want
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13), (got, want)
+
+
+def test_each_system_chart_is_parsed_once(monkeypatch):
+    parsed = []
+    monkeypatch.setattr(co, "parse", lambda *args: parsed.append(args) or parse(*args))
+    co._system_chart.cache_clear()
+    for system, names in (("cylindrical", ["rho", "t", "z"]), ("spherical", ["r", "p", "t"])):
+        field = parse(f"{names[0]}^2", names)
+        for point in ((1.1, 0.4, 0.3), (0.7, 1.2, -0.5)):
+            co.diff_ops(system, "scalar", "laplacian", field, point)
+    assert [args[1] for args in parsed] == [["rho", "t", "z"], ["r", "p", "t"]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("operator", [
+    lambda: co.diff_ops("cylindrical", "vector", "div",
+                        parse(["1e308*t", "0*t", "0*t"], ["rho", "t", "z"]), (1e-5, 0.1, 0.2)),
+    lambda: co.diff_ops("spherical", "scalar", "grad",
+                        parse("1e308*t", ["r", "p", "t"]), (1e-5, 0.01, 0.2)),
+    lambda: co.diff_ops("cartesian", "vector", "div",
+                        parse(["1e308*x1", "1e308*x2", "0*x3"], ["x1", "x2", "x3"]),
+                        (1.0, 1.0, 1.0)),
+    lambda: co.divergence_from_chart(parse(["1e308*t", "1e308*t", "0*t"], ["rho", "t", "z"]),
+                                     co.cylindrical_map(), (0.06, 0.1, 0.2)),
+], ids=["cylindrical_div", "spherical_grad", "cartesian_div", "divergence_from_chart"])
+def test_an_overflowing_operator_is_named(operator):
+    with pytest.raises(NumericalFailure, match="overflows"):
+        operator()
 
 
 @pytest.mark.parametrize("chart_factory, z, metric", [

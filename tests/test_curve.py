@@ -69,6 +69,14 @@ def test_arclength_table_monotone_across_abs_kinks():
     assert s[-1] == pytest.approx(cv.arc_length(c, *c.domain), rel=1e-10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_speed_stops_a_length_and_a_table():
+    c = make_curve(["1e300*t", "t", "0"], (0.0, 1.0))
+    for length in (lambda: cv.arclength_table(c, 4), lambda: cv.arc_length(c, 0.0, 1.0)):
+        with pytest.raises(cv.IrregularCurve, match=r"\|p'\| overflows at t = 0"):
+            length()
+
+
 @pytest.mark.parametrize("sources, domain, exact", [
     (["t - sin(t)", "1 - cos(t)"], (0.1, 2.0 * math.pi - 0.1), 8.0 * math.cos(0.05)),
     (["t", "cosh(t)"], (0.0, 2.0), math.sinh(2.0)),
