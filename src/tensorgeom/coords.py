@@ -26,7 +26,7 @@ from .tensor2 import _finite
 
 __all__ = [
     "DegenerateJacobian", "CoordinateSingularity",
-    "CoordMap", "Metric", "metric_at", "second_partials", "christoffel",
+    "CoordMap", "Metric", "metric_at", "christoffel",
     "raise_lower", "covariant_derivative", "divergence_from_chart",
     "laplacian_curvilinear", "diff_ops", "integral_theorem_residual",
     "cartesian_map", "polar_map", "cylindrical_map", "spherical_map",
@@ -65,12 +65,17 @@ def _derivative_arrays(em: ExprMap, z, order: int) -> tuple:
     differently on other layouts."""
     n = em.arity
     orders = range(1, order + 1)
-    powers = [tuple(ks.count(i) for i in range(n))
-              for j in orders for ks in itertools.product(range(n), repeat=j)]
-    D = np.array(derivatives(em, z, powers))
+    D = np.array(derivatives(em, z, _powers(n, order)))
     starts = np.cumsum([0] + [n ** j for j in orders])
     return tuple(np.ascontiguousarray(D[a:b].T).reshape(-1, *(n,) * j)
                  for j, a, b in zip(orders, starts, starts[1:]))
+
+
+@functools.lru_cache(maxsize=None)
+def _powers(n: int, order: int) -> tuple:
+    """The rows of ``_derivative_arrays``: per order j, the exponents of each j-tuple of indices."""
+    return tuple(tuple(ks.count(i) for i in range(n))
+                 for j in range(1, order + 1) for ks in itertools.product(range(n), repeat=j))
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,7 @@ class Metric:
 
     def line_element_sq(self, dz) -> float:
         dz = np.asarray(dz, float)
-        return float(dz @ self.cov @ dz)
+        return float(_finite("the squared line element", lambda: dz @ self.cov @ dz))
 
 
 def _metric_from_jacobian(J: np.ndarray, z) -> Metric:
@@ -108,11 +113,6 @@ def _metric_from_jacobian(J: np.ndarray, z) -> Metric:
 
 def metric_at(chart: CoordMap, z) -> Metric:
     return _metric_from_jacobian(chart.jacobian(z), z)
-
-
-def second_partials(chart: CoordMap, z) -> np.ndarray:
-    """S[m, k, l] = second derivative of x_m by z^k and z^l."""
-    return _derivative_arrays(chart.map, z, 2)[1]
 
 
 def christoffel(chart: CoordMap, z, method: str = "second_derivative") -> np.ndarray:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .expr import (ExprMap, NumericalFailure, _check, _chunked, _pointwise, _pow, _raising,
                    _stack, _abs_arguments, derivatives, parse)
-from .tensor2 import NotNearOrthogonal, _orthonormal_polish, cross, mixed, norm, normalize
+from .tensor2 import (NotNearOrthogonal, _finite, _orthonormal_polish, cross, mixed, norm,
+                      normalize)
 from .tensor2 import sqrt_spd  # noqa: F401 -- unused; bench/'s tracer test looks it up
 
 __all__ = [
@@ -482,7 +483,8 @@ def discrete_frenet(s: np.ndarray, points: np.ndarray):
     pc = p[2:-2]
     d1 = (pm2 - 8.0 * pm1 + 8.0 * pp1 - pp2) / (12.0 * h)
     d2 = (-pm2 + 16.0 * pm1 - 30.0 * pc + 16.0 * pp1 - pp2) / (12.0 * h * h)
-    d3 = (-pm2 + 2.0 * pm1 - 2.0 * pp1 + pp2) / (2.0 * h ** 3)
+    # past h ~ 1e102, h^3 overflows and d3, so the torsion, would read 0
+    d3 = (-pm2 + 2.0 * pm1 - 2.0 * pp1 + pp2) / _finite("h^3", lambda: 2.0 * h ** 3)
     w = np.cross(d1, d2)
     nw = np.linalg.norm(w, axis=1)
     speed = np.linalg.norm(d1, axis=1)

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import _ORDERS, _SCAN, _rk4, _sign_changes, integrate
-from .expr import (ExprMap, NumericalFailure, _check, _map, _merged, _pointwise, _pow, _select,
-                   _stack, _abs_arguments, derivatives, parse)
-from .tensor2 import _components, cross, norm
+from .expr import (ExprMap, NumericalFailure, _check, _map, _merged, _pointwise, _pow, _stack,
+                   _abs_arguments, derivatives, parse)
+from .tensor2 import _components, _finite, _unit_scaled, cross, norm
 
 __all__ = [
     "IrregularPoint", "NonPositiveRadius", "DegenerateDirector", "PlanarPoint",
@@ -206,10 +206,10 @@ class SurfaceJet:
 # The geometry below takes one point or a batch.  The map's derivatives come
 # as rows of components (floats at one point, arrays over a batch), and the
 # metric, the connection, Brioschi's K and the geodesic equation are formed on
-# them with Python's * and +, which round per point as on floats; _surface_jet
-# stacks the rows into arrays (..., 3), with matrices (..., 2, 2), for its
-# normal and shape operator.  Powers and math functions are _pow and _map:
-# each rounds, per point, as Python's ``**`` and ``math`` do.
+# them with Python's * and +, which round per point as on floats, as are the
+# shape operator and principal frame; _surface_jet stacks the rows into arrays
+# (..., 3) for its normal.  Powers and math functions are _pow and _map: each
+# rounds, per point, as Python's ``**`` and ``math`` do.
 
 def _dot(a, b):
     """a . b for 3-vectors given as component lists, summed left to right."""
@@ -241,13 +241,6 @@ def _entries(m: np.ndarray) -> list:
 _SECOND = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-def _sqrt_2x2_spd(M: np.ndarray) -> np.ndarray:
-    m11, m12, m21, m22 = _entries(M)
-    s = _map(math.sqrt, m11 * m22 - m12 * m21)
-    t = _map(math.sqrt, m11 + m22 + 2.0 * s)
-    return (M + np.asarray(s)[..., None, None] * np.eye(2)) / np.asarray(t)[..., None, None]
-
-
 def _first_form(fu, fv, u, v):
     """g11, g12, g22 and det g from the rows f_u, f_v at (u, v).  A metric that
     overflows raises IrregularPoint naming the point; on a batch it marks the point."""
@@ -261,21 +254,30 @@ def _first_form(fu, fv, u, v):
 
 def _metric(D: list, u, v):
     """g11, g12, g22 and det g (``_first_form``) from the map's derivative rows
-    at (u, v), those of _SECOND.  A det g at or below _REG_TOL g11 g22, where
-    rounding may leave no digit of it, raises IrregularPoint naming the point;
-    on a batch it marks the point."""
-    g11, g12, g22, det = _first_form(D[1], D[2], u, v)
+    at (u, v), those of _SECOND, checked by ``_nondegenerate``."""
+    return _nondegenerate(_first_form(D[1], D[2], u, v), u, v)
+
+
+def _nondegenerate(metric, u, v):
+    """The metric at (u, v).  A det g at or below _REG_TOL g11 g22, where rounding
+    may leave no digit of it, raises IrregularPoint naming the point; on a batch
+    it marks the point."""
+    g11, g12, g22, det = metric
     return _check(_fails(det > _REG_TOL * g11 * g22, u, v),
                   lambda: IrregularPoint(f"degenerate metric at (u, v) = ({u:g}, {v:g})"),
                   g11, g12, g22, det)
 
 
+def _solve(metric, a, b) -> tuple:
+    """g^-1 (a, b) by the adjugate, for a ``_metric`` g11, g12, g22, det g."""
+    g11, g12, g22, det = metric
+    return (a * g22 - b * g12) / det, (g11 * b - g12 * a) / det
+
+
 def _tangential(D: list, x: list, metric) -> tuple:
     """g^-1 (x . f_u, x . f_v), the components on (f_u, f_v) of the tangential part
     of x, from the map's derivative rows D (those of _SECOND) and their _metric."""
-    g11, g12, g22, det = metric
-    a, b = _dot(x, D[1]), _dot(x, D[2])
-    return (a * g22 - b * g12) / det, (g11 * b - g12 * a) / det
+    return _solve(metric, _dot(x, D[1]), _dot(x, D[2]))
 
 
 def jet_at(surface: Surface, u: float, v: float) -> SurfaceJet:
@@ -286,49 +288,43 @@ def _surface_jet(D: list, u, v) -> SurfaceJet:
     """``jet_at`` from the map's derivative rows at (u, v), those of _SECOND."""
     batch = np.broadcast_shapes(np.shape(u), np.shape(v))
     p, fu, fv, fuu, fuv, fvv = (_stack(row, batch) for row in D)
+    form = _first_form(D[1], D[2], u, v)
     n_raw = cross(fu, fv)
     n_len = norm(n_raw)
     # on a batch such a point's det g marks it, below
     _check(n_len <= _REG_TOL * np.maximum(norm(fu) * norm(fv), np.finfo(float).tiny),
            lambda: IrregularPoint(f"degenerate tangent plane at (u, v) = ({u:g}, {v:g})"))
     N = n_raw / np.asarray(n_len)[..., None]
-    metric = g11, g12, g22, det = _metric(D, u, v)
-    g = _mat2(g11, g12, g12, g22)
+    metric = g11, g12, g22, det = _nondegenerate(form, u, v)
     uu, uv, vv = (_tangential(D, x, metric) for x in D[3:])
-    gamma = _stack(sum(zip(uu, uv, uv, vv), ())).reshape(g.shape[:-2] + (2, 2, 2))  # Gamma^h_ij
-    b12 = np.vecdot(N, fuv)
-    B = _mat2(np.vecdot(N, fuu), b12, b12, np.vecdot(N, fvv))
-    X = np.linalg.solve(g, B)
-    b11, b12, _, b22 = _entries(B)
-    x11, _, _, x22 = _entries(X)
+    gamma = _stack(sum(zip(uu, uv, uv, vv), ()), batch).reshape(batch + (2, 2, 2))  # Gamma^h_ij
+    b11, b12, b22 = (np.vecdot(N, x) for x in (fuu, fuv, fvv))
+    (x11, x21), (x12, x22) = _solve(metric, b11, b12), _solve(metric, b12, b22)  # X = g^-1 B
     K = (b11 * b22 - _pow(b12, 2)) / det
     H = 0.5 * (x11 + x22)
 
-    gs = _sqrt_2x2_spd(g)
-    gis = np.linalg.inv(gs)
-    s11, s12, s21, s22 = _entries(gs @ X @ gis)
-    a, b, c = s11, 0.5 * (s12 + s21), s22
+    # s = sqrt(det g), t = sqrt(g11 + g22 + 2 s): g^1/2 = (g + s I) / t, and m = g^-1/2 =
+    # [[g22 + s, -g12], [-g12, g11 + s]] / (t s).  X is similar to the symmetric S = m B m,
+    # whose eigenvalues are k1 and k2; d = m y, for its unit eigenvectors y, are g-unit.
+    s = _map(math.sqrt, det)
+    ts = _map(math.sqrt, g11 + g22 + 2.0 * s) * s
+    m1, m2 = ((g22 + s) / ts, -g12 / ts), (-g12 / ts, (g11 + s) / ts)  # the columns of m
+    def b_form(x, y):
+        return x[0] * (b11 * y[0] + b12 * y[1]) + x[1] * (b12 * y[0] + b22 * y[1])
+    a, b, c = b_form(m1, m1), b_form(m1, m2), b_form(m2, m2)
     mean = 0.5 * (a + c)
     disc = _map(math.hypot, 0.5 * (a - c), b)
     k1, k2 = mean + disc, mean - disc
     umbilical = abs(k1 - k2) < 1e-8 * (abs(k1) + abs(k2) + 1e-30)
+    # y1 = (cos theta, sin theta) and y2 = (-sin theta, cos theta), theta = 0 at an umbilic
+    theta = _map(lambda y, x, umbilic: 0.0 if umbilic else 0.5 * math.atan2(y, x),
+                 2.0 * b, a - c, umbilical)
+    cos, sin = _map(math.cos, theta), _map(math.sin, theta)
+    d1 = _stack([cos * m1[0] + sin * m2[0], cos * m1[1] + sin * m2[1]], batch)
+    d2 = _stack([cos * m2[0] - sin * m1[0], cos * m2[1] - sin * m1[1]], batch)
 
-    def rotated():
-        y1, alt = _stack([b, k1 - a]), _stack([k1 - c, b])
-        y1 = _select(norm(alt) > norm(y1), lambda: alt, lambda: y1)
-        # on a batch an umbilic, which _select drops, may give y1 = 0: not divided
-        n = np.asarray(norm(y1))[..., None]
-        y1 = np.divide(y1, n, out=np.zeros_like(y1), where=n > 0.0)
-        return y1, _stack([-y1[..., 1], y1[..., 0]])
-
-    y1, y2 = _select(umbilical, lambda: (np.array([1.0, 0.0]), np.array([0.0, 1.0])), rotated)
-    d1 = np.matvec(gis, y1)
-    d2 = np.matvec(gis, y2)
-    d1 = d1 / np.asarray(_map(math.sqrt, np.vecdot(np.vecmat(d1, g), d1)))[..., None]
-    d2 = d2 / np.asarray(_map(math.sqrt, np.vecdot(np.vecmat(d2, g), d2)))[..., None]
-
-    return SurfaceJet(u, v, p, fu, fv, N, g, B, X, k1, k2, d1, d2, K, H,
-                      gamma, umbilical)
+    return SurfaceJet(u, v, p, fu, fv, N, _mat2(g11, g12, g12, g22), _mat2(b11, b12, b12, b22),
+                      _mat2(x11, x12, x21, x22), k1, k2, d1, d2, K, H, gamma, umbilical)
 
 
 def classify_point(jet: SurfaceJet) -> str:
@@ -468,12 +464,13 @@ def egregium_curvature(surface: Surface, u: float, v: float) -> float:
     coordinate pole, where the formula keeps no digit) raises IrregularPoint
     naming the point; on a batch it marks the point."""
     fu, fv, fuu, fuv, fvv, fuuv, fuvv = derivatives(surface.map, (u, v), _THIRD)
-    # E, F, G; E_u/2, E_v/2, G_u/2, G_v/2; fuu.fv and fvv.fu of F_u and F_v;
-    # fuvv.fu, fuv.fuv, fuuv.fv and fuu.fvv of E_vv/2, F_uv and G_uu/2
-    E, F, G = _dot(fu, fu), _dot(fu, fv), _dot(fv, fv)
+    # E, F, G (checked for overflow); E_u/2, E_v/2, G_u/2, G_v/2; fuu.fv and fvv.fu
+    # of F_u and F_v; fuvv.fu, fuv.fuv, fuuv.fv and fuu.fvv of E_vv/2, F_uv and G_uu/2
+    E, F, G, _ = _first_form(fu, fv, u, v)
     e_u, e_v, g_u, g_v = _dot(fuu, fu), _dot(fuv, fu), _dot(fuv, fv), _dot(fvv, fv)
     uu_v, vv_u = _dot(fuu, fv), _dot(fvv, fu)
     uvv_u, uv_uv, uuv_v, uu_vv = _dot(fuvv, fu), _dot(fuv, fuv), _dot(fuuv, fv), _dot(fuu, fvv)
+    # F * F, not _first_form's F ** 2: Python's pow(x, 2) is not always x * x rounded
     det = E * G - F * F
     det = _check(_fails(det > _REG_TOL * (E + G) * (E + G), u, v),
                  lambda: IrregularPoint(f"degenerate metric at (u, v) = ({u:g}, {v:g})"), det)
@@ -586,12 +583,12 @@ def revolution_closed_form(surface: Surface, u: float, v: float) -> dict:
         u_s, u_ss = speed2 ** -0.5, -(p1 * p2 + q1 * q2) / (speed2 * speed2)
         p1, p2, q1, q2 = p1 * u_s, p2 / speed2 + p1 * u_ss, q1 * u_s, q2 / speed2 + q1 * u_ss
     c = p1 * q2 - q1 * p2
-    g = np.array([[1.0, 0.0], [0.0, p0 * p0]])
-    B = np.array([[c, 0.0], [0.0, p0 * q1]])
+    g = _finite("the first form", lambda: np.array([[1.0, 0.0], [0.0, p0 * p0]]))
+    B = _finite("the second form", lambda: np.array([[c, 0.0], [0.0, p0 * q1]]))
     return {
         "first_form": g,
         "second_form": B,
-        "gaussian": c * q1 / p0,
+        "gaussian": _finite("the Gaussian curvature", lambda: c * q1 / p0),
         "profile_curvature": c,
         "arc_length_param": arc_length_param,
     }
@@ -604,9 +601,10 @@ def developability(surface: Surface, u: float) -> tuple[bool, float]:
         raise ValueError("developability applies to ruled surfaces only")
     gamma_p = _stack(derivatives(surface.directrix, (u,), ((1,),))[0])
     lam, lam_p = map(_stack, derivatives(surface.director, (u,), ((0,), (1,))))
-    if norm(lam) <= 1e-12:
+    if math.hypot(*lam) <= 1e-12:
         raise DegenerateDirector(f"null director at u={u:g}")
-    witness = float(np.dot(cross(gamma_p, lam), lam_p))
-    scale = norm(gamma_p) * norm(lam) * norm(lam_p) + np.finfo(float).tiny
-    witness /= scale
+    # the witness is scale-free: scaled by powers of two (exact), no product overflows
+    gamma_p, lam, lam_p = map(_unit_scaled, (gamma_p, lam, lam_p))
+    witness = float(np.dot(cross(gamma_p, lam), lam_p)) / (
+        norm(gamma_p) * norm(lam) * norm(lam_p) + np.finfo(float).tiny)
     return abs(witness) <= _REG_TOL, witness

@@ -440,10 +440,22 @@ def test_each_system_chart_is_parsed_once(monkeypatch):
                         (1.0, 1.0, 1.0)),
     lambda: co.divergence_from_chart(parse(["1e308*t", "1e308*t", "0*t"], ["rho", "t", "z"]),
                                      co.cylindrical_map(), (0.06, 0.1, 0.2)),
-], ids=["cylindrical_div", "spherical_grad", "cartesian_div", "divergence_from_chart"])
+    lambda: co.metric_at(co.polar_map(), (2.0, 0.3)).line_element_sq([1e200, 1e200]),
+], ids=["cylindrical_div", "spherical_grad", "cartesian_div", "divergence_from_chart",
+        "line_element_sq"])
 def test_an_overflowing_operator_is_named(operator):
     with pytest.raises(NumericalFailure, match="overflows"):
         operator()
+
+
+def test_partial_rows_are_built_once_per_arity_and_order():
+    powers = co._powers(2, 3)
+    assert co._powers(2, 3) is powers and len(powers) == 2 + 4 + 8
+    # one row per tuple of variable indices: (0, 1) and (1, 0) both ask for d^2/dz0 dz1
+    assert powers[:6] == ((1, 0), (0, 1), (2, 0), (1, 1), (1, 1), (0, 2))
+    J, S, T = co._derivative_arrays(co.polar_map().map, (2.0, 0.3), 3)
+    assert (J.shape, S.shape, T.shape) == ((2, 2), (2, 2, 2), (2, 2, 2, 2))
+    assert S[0, 0, 1] == S[0, 1, 0] == -math.sin(0.3)
 
 
 @pytest.mark.parametrize("chart_factory, z, metric", [

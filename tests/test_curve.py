@@ -9,7 +9,8 @@ import pytest
 
 from tensorgeom import curve as cv
 from tensorgeom import surface as sf
-from tensorgeom.expr import DomainError, _chunked, _raising, derivatives, parse
+from tensorgeom.expr import (DomainError, NumericalFailure, _chunked, _raising, derivatives,
+                             parse)
 from tensorgeom.tensor2 import NotNearOrthogonal, _orthonormal_polish, norm, normalize
 
 rng = np.random.default_rng(7)
@@ -75,6 +76,19 @@ def test_an_overflowing_speed_stops_a_length_and_a_table():
     for length in (lambda: cv.arclength_table(c, 4), lambda: cv.arc_length(c, 0.0, 1.0)):
         with pytest.raises(cv.IrregularCurve, match=r"\|p'\| overflows at t = 0"):
             length()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_discrete_frenet_names_an_overflowing_step():
+    # a unit-speed helix of curvature 1/2, whose torsion reads -1/2 in the sign convention here
+    s = np.linspace(0.0, 2.0, 201)
+    t = s / math.sqrt(2.0)
+    points = np.column_stack([np.cos(t), np.sin(t), t])
+    _, kappa, tau = cv.discrete_frenet(s, points)
+    assert np.allclose(kappa, 0.5, rtol=1e-6) and np.allclose(tau, -0.5, rtol=1e-4)
+    # scaled by 1e110 the torsion is about 5e-111, but h^3 is past the float range
+    with pytest.raises(NumericalFailure, match=r"h\^3 overflows"):
+        cv.discrete_frenet(1e110 * s, 1e110 * points)
 
 
 @pytest.mark.parametrize("sources, domain, exact", [

@@ -9,7 +9,7 @@ import pytest
 
 from tensorgeom import surface as sf
 from tensorgeom.curve import Curve, integrate
-from tensorgeom.expr import ExprMap, derivatives, parse
+from tensorgeom.expr import ExprMap, NumericalFailure, derivatives, parse
 from tensorgeom.tensor2 import norm, normalize
 
 rng = np.random.default_rng(31)
@@ -98,7 +98,8 @@ def test_principal_direction_extremality():
                                ((-1.0, 1.0), (-1.0, 1.0)))
     jd = sf.jet_at(ell, 0.2, -0.3)
     angles = np.linspace(0.0, math.pi, 360, endpoint=False)
-    gis = np.linalg.inv(sf._sqrt_2x2_spd(jd.first_form))
+    lam, V = np.linalg.eigh(jd.first_form)
+    gis = V @ np.diag(lam ** -0.5) @ V.T  # g^-1/2: the w below are g-unit
     kappas = []
     for a in angles:
         w = gis @ np.array([math.cos(a), math.sin(a)])
@@ -107,6 +108,21 @@ def test_principal_direction_extremality():
     assert min(kappas) == pytest.approx(jd.k2, abs=1e-4 + 1e-3 * abs(jd.k2))
     assert jd.normal_curvature(jd.d1) == pytest.approx(jd.k1, rel=1e-10)
     assert jd.normal_curvature(jd.d2) == pytest.approx(jd.k2, rel=1e-10)
+
+
+def test_principal_frame_of_an_ill_conditioned_chart(torus):
+    # the torus sheared by u -> u + 100 v: cond g is about 1e7, the curvatures
+    # are still 1/r and cos u / (R + r cos u), along the unsheared f_u and f_v
+    sheared = sf.reparameterized(torus, ["u+100*v", "v"], ((-3.0, 3.0), (-0.01, 0.01)))
+    for u in (-2.5, -0.4, 0.0, 1.1, 2.9):
+        for v in (-0.007, 0.004):
+            jd, plain = sf.jet_at(sheared, u - 100.0 * v, v), sf.jet_at(torus, u, v)
+            assert np.linalg.cond(jd.first_form) > 1e6
+            assert jd.k1 == pytest.approx(1.0, rel=1e-10)
+            assert jd.k2 == pytest.approx(math.cos(u) / (3.0 + math.cos(u)), rel=1e-10)
+            for d, f in ((jd.d1, plain.f_u), (jd.d2, plain.f_v)):
+                a = jd.ambient(d)
+                assert norm(np.cross(a, f)) <= 1e-10 * norm(a) * norm(f)
 
 
 def test_irregular_point_detected():
@@ -141,6 +157,13 @@ def test_revolution_closed_form_reparameterizes(catenoid):
         assert not cf["arc_length_param"]
         assert cf["gaussian"] == pytest.approx(sf.jet_at(catenoid, u, 1.0).gaussian,
                                                rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_revolution_closed_form_names_an_overflowing_form():
+    wide = sf.revolution_surface("1e200+0*u", "u", (0.0, 1.0))  # r^2 = 1e400
+    with pytest.raises(NumericalFailure, match="the first form overflows"):
+        sf.revolution_closed_form(wide, 0.5, 0.1)
 
 
 def test_catenoid_minimal_and_hyperbolic(catenoid):
@@ -191,6 +214,21 @@ def test_cone_developable_away_from_apex():
         ok, witness = sf.developability(cone, u)
         assert ok
         assert abs(sf.jet_at(cone, u, 1.0).gaussian) < 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_developability_witness_is_scale_free():
+    def witness(scale):
+        ruled = sf.ruled_surface(["u", "0", "0"], [scale, f"{scale}*u", f"{scale}*u^2"],
+                                 (0.1, 1.0))
+        return sf.developability(ruled, 0.5)
+
+    ok, w = witness("1")
+    assert not ok and w == pytest.approx(0.25 / math.sqrt(1.3125 * 2.0), rel=1e-14)
+    # a power of two keeps the bits; 1e200, whose products overflow, the value
+    assert witness("2^600") == (ok, w) and _bits(witness("2^600")[1]) == _bits(w)
+    ok_big, w_big = witness("1e200")
+    assert not ok_big and w_big == pytest.approx(w, rel=1e-14)
 
 
 def test_degenerate_director():
@@ -449,6 +487,28 @@ def test_egregium_names_a_degenerate_metric(sphere):
     with np.errstate(all="ignore"):
         batch = sf.egregium_curvature(sphere, np.array([math.pi / 2, 0.3]), np.array([0.3, 0.3]))
     assert math.isnan(batch[0]) and batch[1] == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_metric_that_overflows_is_named_by_the_jet_and_by_brioschi():
+    # the tangent plane is fine; g11 = 1e320 is past the float range
+    plane = sf.surface_from_expr(["1e160*u", "1e160*v", "0"], ((-1.0, 1.0), (-1.0, 1.0)))
+    for at in (sf.jet_at, sf.gauss_weingarten_residual, sf.egregium_curvature):
+        with pytest.raises(sf.IrregularPoint,
+                           match=r"^the metric overflows at \(u, v\) = \(0.5, 0.5\)$"):
+            at(plane, 0.5, 0.5)
+    # on a batch such a point is marked: here f_u = (1, 0, 800 e^800u) at u = 0.5, not at 0
+    wall = sf.surface_from_expr(["u", "v", "exp(800*u)"], ((-1.0, 1.0), (-1.0, 1.0)))
+    with pytest.raises(sf.IrregularPoint, match=r"^the metric overflows at \(u, v\) = \(0.5, 0"):
+        sf.jet_at(wall, 0.5, 0.0)
+    us, vs = np.array([0.5, 0.0]), np.array([0.0, 0.0])
+    with np.errstate(all="ignore"):
+        jet, K = sf.jet_at(wall, us, vs), sf.egregium_curvature(wall, us, vs)
+    one = sf.jet_at(wall, 0.0, 0.0)
+    for field in ("first_form", "gaussian", "mean", "k1", "k2", "d1"):
+        assert np.isnan(getattr(jet, field)[0]).all(), field
+        assert _bits(getattr(jet, field)[1]) == _bits(getattr(one, field)), field
+    assert math.isnan(K[0]) and _bits(K[1]) == _bits(sf.egregium_curvature(wall, 0.0, 0.0))
 
 
 def test_gauss_weingarten_residuals(sphere, plane_patch):
