@@ -478,16 +478,24 @@ def discrete_frenet(s: np.ndarray, points: np.ndarray):
     h = s[1] - s[0]
     if np.max(np.abs(np.diff(s) - h)) > 1e-12 * max(abs(h), 1.0):
         raise ValueError("samples must be uniform in arc length")
+    # past h ~ 1e102, h^3 overflows and d3, so the torsion, would read 0;
+    # below h ~ 1e-108 it underflows, and d3 would divide by 0
+    h3 = _finite("h^3", lambda: 2.0 * h ** 3)
+    if h3 == 0.0:
+        raise NumericalFailure("h^3 underflows")
     p = np.asarray(points, float)
     pm2, pm1, pp1, pp2 = p[:-4], p[1:-3], p[3:-1], p[4:]
     pc = p[2:-2]
     d1 = (pm2 - 8.0 * pm1 + 8.0 * pp1 - pp2) / (12.0 * h)
     d2 = (-pm2 + 16.0 * pm1 - 30.0 * pc + 16.0 * pp1 - pp2) / (12.0 * h * h)
-    # past h ~ 1e102, h^3 overflows and d3, so the torsion, would read 0
-    d3 = (-pm2 + 2.0 * pm1 - 2.0 * pp1 + pp2) / _finite("h^3", lambda: 2.0 * h ** 3)
+    d3 = (-pm2 + 2.0 * pm1 - 2.0 * pp1 + pp2) / h3
     w = np.cross(d1, d2)
     nw = np.linalg.norm(w, axis=1)
+    nw2 = nw ** 2
+    if not nw2.all():
+        raise UndefinedNormal(f"|p' x p''| is 0 at s = {s[2 + np.argmin(nw2 != 0.0)]:g}: "
+                              "the principal normal is undefined")
     speed = np.linalg.norm(d1, axis=1)
     curvature = nw / speed ** 3
-    torsion = -np.einsum("ij,ij->i", w, d3) / nw ** 2
+    torsion = -np.einsum("ij,ij->i", w, d3) / nw2
     return s[2:-2], curvature, torsion

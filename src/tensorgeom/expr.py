@@ -44,7 +44,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -179,17 +179,6 @@ def _check(bad, error, *values):
     return values[0] if len(values) == 1 else values
 
 
-def _select(cond, then, otherwise):
-    """``then()`` or ``otherwise()`` (a value or a tuple of them) at one point;
-    on a batch both, chosen per point."""
-    if np.ndim(cond) == 0:
-        return then() if cond else otherwise()
-    a, b = then(), otherwise()
-    if isinstance(a, tuple):
-        return tuple(_where(cond, x, y) for x, y in zip(a, b))
-    return _where(cond, a, b)
-
-
 def _chunked(f, *columns):
     """Per point, the list of ``f``'s results there.  The points are given by
     their coordinate columns; ``f`` takes the coordinates of a chunk of CHUNK
@@ -303,13 +292,11 @@ def _layout(nvars: int) -> tuple:
 class _C(NamedTuple):
     """A coefficient in generated code: a Python expression (a local's name or
     a literal); whether it is a structural zero, one that no operation can
-    make nonzero (0.0 or -0.0 wherever nothing non-finite reached it); the
-    coordinates whose arrays make it an array in the list code of ``Jet``;
-    and, for a number, its value where that is known before the code runs."""
+    make nonzero (0.0 or -0.0 wherever nothing non-finite reached it); and,
+    for a number, its value where that is known before the code runs."""
 
     code: str
     zero: bool = False
-    arrays: frozenset = frozenset()
     value: float | None = None
 
 
@@ -334,7 +321,8 @@ class _Writer:
     code gives the bits of the dense code wherever those are finite, and a
     non-finite coefficient, which the product with the other operand's value
     (never a structural zero) carries to its own slot, still reaches the
-    component, on a batch as a mark."""
+    component, on a batch as a mark.  Neither records which coefficients are
+    arrays over a batch: the component's check (``_finite``) makes each one."""
 
     def __init__(self, nvars: int, order: int, count: int, sparse: bool):
         self.nvars, self.order, self.count, self.sparse = nvars, order, count, sparse
@@ -346,10 +334,10 @@ class _Writer:
     def line(self, text: str):
         self.lines.append((self.indent + text, self.node))
 
-    def let(self, code: str, zero: bool = False, arrays: frozenset = frozenset()) -> _C:
+    def let(self, code: str, zero: bool = False) -> _C:
         name = f"t{len(self.lines)}"
         self.line(f"{name} = {code}")
-        return _C(name, zero, arrays)
+        return _C(name, zero)
 
     def function(self, signature: str, out: list) -> str:
         return "\n".join([f"def {signature}:", *(f" {text}" for text, _ in self.lines),
@@ -357,31 +345,29 @@ class _Writer:
 
     def call(self, f, *args, n: int = 1):
         """f(*args), one of this module's functions: one number, or a list of n."""
-        arrays = frozenset().union(*(x.arrays for x in args if isinstance(x, _C)))
         names = [f"t{len(self.lines)}_{k}" for k in range(n)]
         codes = (x.code if isinstance(x, _C) else repr(x) for x in args)
         self.line(f"{', '.join(names)} = {f.__name__}({', '.join(codes)})")
-        out = [_C(name, False, arrays) for name in names]
+        out = [_C(name) for name in names]
         return out if n > 1 else out[0]
 
     # -- linear operations ------------------------------------------------
     def _sum(self, x: _C, op: str, y: _C) -> _C:
         """x + y or x - y."""
-        arrays = x.arrays | y.arrays
         lx, ly = _literal(x), _literal(y)
         if lx is not None and ly is not None:
             v = lx + ly if op == "+" else lx - ly
             if math.isfinite(v):
-                return _C(repr(v), v == 0.0, arrays)
+                return _C(repr(v), v == 0.0)
         if ly == 0.0 and (math.copysign(1.0, ly) < 0.0) == (op == "+"):  # x + -0.0, x - 0.0
-            return x._replace(arrays=arrays)
+            return x
         if lx == 0.0 and op == "+" and math.copysign(1.0, lx) < 0.0:  # -0.0 + y
-            return y._replace(arrays=arrays)
-        return self.let(f"{x.code} {op} {y.code}", x.zero and y.zero, arrays)
+            return y
+        return self.let(f"{x.code} {op} {y.code}", x.zero and y.zero)
 
     def neg(self, a: list) -> list:
-        return [_C(repr(-v), x.zero, x.arrays) if (v := _literal(x)) is not None
-                else self.let(f"-{x.code}", x.zero, x.arrays) for x in a]
+        return [_C(repr(-v), x.zero) if (v := _literal(x)) is not None
+                else self.let(f"-{x.code}", x.zero) for x in a]
 
     def add(self, a: list, b: list) -> list:
         return [self._sum(x, "+", y) for x, y in zip(a, b)]
@@ -399,14 +385,13 @@ class _Writer:
         """x * k for each coefficient x of a (a literal x by a known k here)."""
         out = []
         for x in a:
-            code, arrays = _term(x, k), x.arrays | k.arrays
-            lx = _literal(x)
+            code, lx = _term(x, k), _literal(x)
             if lx is not None and k.value is not None and math.isfinite(lx * k.value):
-                out.append(_C(repr(lx * k.value), x.zero, arrays))
+                out.append(_C(repr(lx * k.value), x.zero))
             elif code in (x.code, k.code):
-                out.append(_C(code, x.zero, arrays))
+                out.append(_C(code, x.zero))
             else:
-                out.append(self.let(code, x.zero, arrays))
+                out.append(self.let(code, x.zero))
         return out
 
     def constant(self, k: _C) -> list:
@@ -415,25 +400,24 @@ class _Writer:
     def one(self, a: list) -> list:
         """x^0: the constant jet 1, whose value keeps the marks of x on a batch."""
         x = a[0].code
-        return [self.let(f"1.0 + 0.0 * {x} if isinstance({x}, np.ndarray) else 1.0", False,
-                         a[0].arrays), *[_ZERO] * (self.count - 1)]
+        return [self.let(f"1.0 + 0.0 * {x} if isinstance({x}, np.ndarray) else 1.0"),
+                *[_ZERO] * (self.count - 1)]
 
     # -- products ---------------------------------------------------------
     def _dot(self, terms: list) -> _C:
         """0.0 plus the products of the coefficient pairs ``terms``, in order;
         sparse, those with a structural-zero factor are left out: they add 0.0
         or -0.0 to a sum that is never -0.0."""
-        arrays, zero, parts = frozenset(), True, []
+        zero, parts = True, []
         for x, y in terms:
-            arrays = arrays.union(x.arrays, y.arrays)
             if not (x.zero or y.zero):
                 zero = False
             elif self.sparse:
                 continue
             parts.append(_term(x, y))
         if not parts:
-            return _C("0.0", True, arrays)
-        return self.let("0.0 + " + " + ".join(parts), zero, arrays)
+            return _ZERO
+        return self.let("0.0 + " + " + ".join(parts), zero)
 
     def product(self, a: list, b: list) -> list:
         """The jet product: per position 0.0 plus its pair products."""
@@ -457,12 +441,10 @@ class _Writer:
         value.  h's value 0.0 is no structural zero here: c_p x may overflow,
         and the NaN of inf * 0.0 is how that reaches the result, as it does
         in the list code."""
-        c = [*fs[:2], *(self.let(f"{f.code} / {d}", False, f.arrays)
-                        for f, d in zip(fs[2:], ("2.0", "6.0")))]
+        c = [*fs[:2], *(self.let(f"{f.code} / {d}") for f, d in zip(fs[2:], ("2.0", "6.0")))]
         top = c[self.order]
         if self.order < MAX_ORDER:
-            top = self.let(top.code + "".join(f" + 0.0 * {x.code}" for x in c[self.order + 1:]),
-                           False, frozenset().union(*(x.arrays for x in c)))
+            top = self.let(top.code + "".join(f" + 0.0 * {x.code}" for x in c[self.order + 1:]))
         h = [_C("0.0"), *a[1:]]
         out = self.scaled(h, top)
         for k in range(self.order - 1, 0, -1):
@@ -488,7 +470,7 @@ class _Writer:
                                              if _literal(x) != 0.0))
         self.line(f"if np.all({varying.code}):")
         self.indent += " "
-        out = [self.let(x.code, False, x.arrays) for x in _exp_log(self, a, b)]
+        out = [self.let(x.code) for x in _exp_log(self, a, b)]
         self.indent = self.indent[:-1]
         self.line("else:")
         self.line(f" {', '.join(x.code for x in out)}, = _pow_constant({varying.code}, "
@@ -749,9 +731,6 @@ _JET_OPS = {
 }
 for _name in _RULES:
     _JET_OPS[(_name, True)] = lambda alg, a, name=_name: _unary(alg, name, a)
-
-
-Number = Union[int, float]
 
 
 class Jet:
@@ -1213,8 +1192,9 @@ def _compile(em: "ExprMap", key) -> tuple:
     coefficient (``_Writer``), and each component is checked for finiteness
     right after its nodes.  A node is a jet when it depends on a variable and
     the order is above 0, else a number; the code does no type dispatch.  On
-    a batch each coefficient the list code would hold as an array is made
-    one (``_as_dense``) before the check."""
+    a batch the check returns each coefficient of a jet component as an
+    array, also one that a left-out term would have made one in the list
+    code of ``Jet``."""
     rows = type(key) is tuple
     order = max(map(sum, key)) if rows else key
     count = _layout(em.arity)[order] if order else 1
@@ -1236,10 +1216,9 @@ def _compile(em: "ExprMap", key) -> tuple:
     def visit(node: Node) -> tuple:
         if id(node) not in seen:
             if isinstance(node, Var):  # the jet of variable k, as Jet.variable seeds it
-                x = xs[node.index]
-                seen[id(node)] = ([_C(x, False, frozenset((node.index,)))]
-                                  + [_C("1.0") if i == 1 + node.index else _ZERO
-                                     for i in range(1, count)], True) if order else (_C(x), False)
+                x = _C(xs[node.index])
+                seen[id(node)] = ([x] + [_C("1.0") if i == 1 + node.index else _ZERO
+                                         for i in range(1, count)], True) if order else (x, False)
             elif isinstance(node, (Num, ConstRef)):
                 seen[id(node)] = (bind(node.value, node.value), False)
             else:
@@ -1272,8 +1251,7 @@ def _compile(em: "ExprMap", key) -> tuple:
                 w.line(f"if batch: c{i} = _jconstant(_spread([c{i}], {point})[0], {count})")
             continue
         codes = ", ".join(c.code for c in value)
-        sets = bind(tuple(c.arrays for c in value)).code
-        w.line(f"if batch: c{i} = _finite(_as_dense([{codes}], {sets}, {point}), {name})")
+        w.line(f"if batch: c{i} = _finite([{codes}], {name})")
         # at a point the sum is finite where every coefficient is, unless it overflows
         w.line(f"elif not math.isfinite({' + '.join(c.code for c in value if _literal(c) is None)}):"
                f" _finite([{codes}], {name})")
@@ -1326,17 +1304,6 @@ def _rows(coefs: list, cells: list) -> list:
     return [[c[k] * s for c in coefs] for k, s in cells]
 
 
-def _as_dense(coefs: list, sets: tuple, point: tuple) -> list:
-    """A component's coefficients on a batch, each that the list code of
-    ``Jet`` holds as an array (one whose ``sets`` entry names a coordinate
-    that is an array) made an array over the batch: the generated code
-    leaves out the terms that would have made it one."""
-    arrays = {k for k, x in enumerate(point) if type(x) is np.ndarray}
-    shape = np.broadcast_shapes(*map(np.shape, point))
-    return [c if type(c) is np.ndarray or arrays.isdisjoint(s) else np.full(shape, c)
-            for c, s in zip(coefs, sets)]
-
-
 def _located(err: Exception, program, located: dict) -> DomainError:
     """An error a compiled program raised, as the DomainError that names the
     innermost node that failed: the node of the program line it came from,
@@ -1355,7 +1322,9 @@ def _located(err: Exception, program, located: dict) -> DomainError:
 def _finite(nums: list, node: Node) -> list:
     """A component's numbers (its value, or its jet's coefficients), rejected
     when any of them is not finite (on a batch: marked at the points where
-    one is not)."""
+    one is not).  On a batch every number comes back as an array over the
+    batch, so a coefficient that a compiled program leaves a float, by
+    leaving out a structural-zero term, becomes the array ``Jet`` holds."""
     if type(nums[0]) is not np.ndarray:  # a value the same at every point: so is each number
         if not all(map(math.isfinite, nums)):
             raise DomainError("non-finite value", unparse(node), node.span[0])

@@ -584,6 +584,7 @@ def revolution_closed_form(surface: Surface, u: float, v: float) -> dict:
         p1, p2, q1, q2 = p1 * u_s, p2 / speed2 + p1 * u_ss, q1 * u_s, q2 / speed2 + q1 * u_ss
     c = p1 * q2 - q1 * p2
     g = _finite("the first form", lambda: np.array([[1.0, 0.0], [0.0, p0 * p0]]))
+    _nondegenerate((1.0, 0.0, g[1, 1], g[1, 1]), u, v)  # r^2 may underflow to 0
     B = _finite("the second form", lambda: np.array([[c, 0.0], [0.0, p0 * q1]]))
     return {
         "first_form": g,

@@ -86,9 +86,14 @@ def test_discrete_frenet_names_an_overflowing_step():
     points = np.column_stack([np.cos(t), np.sin(t), t])
     _, kappa, tau = cv.discrete_frenet(s, points)
     assert np.allclose(kappa, 0.5, rtol=1e-6) and np.allclose(tau, -0.5, rtol=1e-4)
-    # scaled by 1e110 the torsion is about 5e-111, but h^3 is past the float range
-    with pytest.raises(NumericalFailure, match=r"h\^3 overflows"):
-        cv.discrete_frenet(1e110 * s, 1e110 * points)
+    # scaled by 1e110 the torsion is about 5e-111, but h^3 is past the float range;
+    # scaled by 1e-110, h^3 underflows to 0; on a straight line p' x p'' is 0
+    line = np.column_stack([s, 2.0 * s, -s])
+    for scale, curve, error, message in [(1e110, points, NumericalFailure, r"h\^3 overflows"),
+                                         (1e-110, points, NumericalFailure, r"h\^3 underflows"),
+                                         (1.0, line, cv.UndefinedNormal, r"\| is 0 at s = 0\.02:")]:
+        with pytest.raises(error, match=message):
+            cv.discrete_frenet(scale * s, scale * curve)
 
 
 @pytest.mark.parametrize("sources, domain, exact", [

@@ -771,6 +771,8 @@ def _program_cases(draw):
         rows = draw(st.lists(st.tuples(*[st.one_of(coordinate, st.just(math.nan))] * len(names)),
                              min_size=1, max_size=6))
         point = tuple(np.array(c) for c in zip(*rows))
+        if draw(st.booleans()):  # a batch that mixes float and array coordinates
+            point = tuple(draw(coordinate) if draw(st.booleans()) else c for c in point)
     return names, sources, point, draw(st.integers(0, 3))
 
 
@@ -791,6 +793,9 @@ def _program_cases(draw):
 # a Horner step of the composition overflows (c_3 h^3 of sqrt near 0): only
 # the term with h's value 0.0 carries that to the result
 @example((("x",), ["-(((sqrt(x)))^0.5)"], (np.array([4.13096977e-113]),), 3))
+# a batch of float and array coordinates: the program leaves the x slot's
+# 0.0 * x out, so only the component's check makes that slot an array
+@example((("x", "y"), ["cos(y)*x"], (np.array([0.5, 1.0]), 0.3), 3))
 def test_compiled_program_matches_the_ast_walk(case):
     names, sources, point, order = case
     m = parse(sources, list(names), {"k": 1.25})

@@ -164,6 +164,9 @@ def test_revolution_closed_form_names_an_overflowing_form():
     wide = sf.revolution_surface("1e200+0*u", "u", (0.0, 1.0))  # r^2 = 1e400
     with pytest.raises(NumericalFailure, match="the first form overflows"):
         sf.revolution_closed_form(wide, 0.5, 0.1)
+    thin = sf.revolution_surface("1e-200+0*u", "u", (0.0, 1.0))  # r^2 underflows to 0
+    with pytest.raises(sf.IrregularPoint, match=r"degenerate metric at \(u, v\) = \(0\.5, 0\.1\)"):
+        sf.revolution_closed_form(thin, 0.5, 0.1)
 
 
 def test_catenoid_minimal_and_hyperbolic(catenoid):
