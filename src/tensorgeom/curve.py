@@ -91,11 +91,10 @@ class Curve:
     # -- evaluation helpers ---------------------------------------------
     def derivatives(self, t: float, order: int = 3) -> list[np.ndarray]:
         """[p, p', p'', ...] up to the requested order."""
-        rows = derivatives(self.map, (t,), _ORDERS[:order + 1])
-        return [_stack(row, np.shape(t)) for row in rows]
+        return list(map(_stack, derivatives(self.map, (t,), _ORDERS[:order + 1])))
 
     def point(self, t: float) -> np.ndarray:
-        return _stack(self.map(t), np.shape(t))
+        return _stack(self.map(t))
 
     def velocity(self, t: float) -> np.ndarray:
         return self.derivatives(t, 1)[1]

@@ -5,12 +5,13 @@ floats or as truncated Taylor jets carrying all mixed partial derivatives up
 to total order 3 in any number of variables.  Every curve, surface and
 coordinate map in this package is defined through this module.
 
-Each value may be a float (one point) or a float array of length N (a batch
-of N points, evaluated in one call).  On a float a domain error raises
-``DomainError``; on an array it marks the failing points with NaN, and every
-point that raises on its own is marked, so a caller re-runs the marked points
-one by one to get the error.  Results at unmarked points are bit-identical to
-those of the single-point evaluation.
+Each coordinate may be a float (one point) or a float array (a batch of
+points, evaluated in one call, broadcast to one shape: every number evaluated
+on it, a constant's too, is an array of that shape).  On a float a domain
+error raises ``DomainError``; on an array it marks the failing points with
+NaN, and every point that raises on its own is marked, so a caller re-runs
+the marked points one by one to get the error.  Results at unmarked points
+are bit-identical to those of the single-point evaluation.
 
 ``parse`` makes identical subtrees of a map's components one node.  A map is
 compiled once per order, on its first evaluation at that order, or per tuple
@@ -227,27 +228,12 @@ def _pointwise(f, *columns) -> list:
     return [values[0] for values in _raising(_chunked(lambda *chunk: [f(*chunk)], *columns))]
 
 
-def _spread(values: list, point) -> list:
-    """Results at a batch of points, each float (the same at every point) as
-    an array over the batch; at a single point, the results as they are."""
-    shape = np.broadcast_shapes(*map(np.shape, point))
-    return [v if type(v) is np.ndarray or not shape else np.full(shape, v) for v in values]
-
-
-def _stack(values, batch: tuple = ()) -> np.ndarray:
-    """Components (floats, or arrays over a batch) as one array with the
-    components on its last axis, over at least the ``batch`` shape (the
-    derivatives of a component that does not vary are floats)."""
-    for v in values:
-        if type(v) is np.ndarray:
-            break
-    else:
-        if not batch:
-            return np.array(values, dtype=float)
-    out = np.empty(np.broadcast_shapes(batch, *map(np.shape, values)) + (len(values),))
-    for k, v in enumerate(values):
-        out[..., k] = v
-    return out
+def _stack(values) -> np.ndarray:
+    """Components (floats at one point, arrays of one shape on a batch) as one
+    array with the components on its last axis."""
+    if type(values[0]) is not np.ndarray:
+        return np.array(values, dtype=float)
+    return np.stack(values, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +467,6 @@ class _Writer:
 def _term(x: _C, y: _C) -> str:
     """The code of x * y; by a factor 1.0, the other (1.0 * y is y to the bit)."""
     return y.code if x.code == "1.0" else x.code if y.code == "1.0" else f"{x.code} * {y.code}"
-
-
-def _jconstant(value, count: int) -> list:
-    coef = [0.0] * count
-    coef[0] = value if type(value) is float else _num(value)
-    return coef
 
 
 @functools.lru_cache(maxsize=1024)
@@ -757,7 +737,9 @@ class Jet:
     # -- constructors -------------------------------------------------
     @classmethod
     def constant(cls, value: float, nvars: int, order: int) -> "Jet":
-        return cls(nvars, order, _jconstant(value, (_COUNT.get(nvars) or _layout(nvars))[order]))
+        coef = [0.0] * (_COUNT.get(nvars) or _layout(nvars))[order]
+        coef[0] = value if type(value) is float else _num(value)
+        return cls(nvars, order, coef)
 
     @classmethod
     def variable(cls, value: float, which: int, nvars: int, order: int) -> "Jet":
@@ -857,12 +839,12 @@ for _name in _RULES:
 def derivatives(em: ExprMap, point, powers: Sequence[tuple]) -> list:
     """The partial derivatives of ``em``'s components at a point, or at a batch
     given by an array per coordinate: row r lists the derivative of every
-    component with the exponents powers[r] (one per variable), as
-    ``Jet.partial`` gives it.  The entries are floats at one point; on a batch
-    arrays over the points, or a float where the derivative is the same at
-    every point.  The rows come straight from a program compiled for these
-    powers, whose jets have the largest total degree in ``powers``, which
-    must be at least 1."""
+    component with the exponents powers[r] (one non-negative integer per
+    variable, at most MAX_ORDER in all), as ``Jet.partial`` gives it: floats
+    at one point, and on a batch arrays of the coordinates' broadcast shape.
+    A derivative that overflows raises ``DomainError`` at a point and marks
+    the point on a batch.  The rows come straight from a program compiled for
+    these powers, whose jets have the largest total degree in ``powers``."""
     point = point if type(point) is tuple else tuple(point)
     if len(point) != em.arity:
         raise ValueError(f"expected {em.arity} coordinates, got {len(point)}")
@@ -1194,19 +1176,24 @@ def _compile(em: "ExprMap", key) -> tuple:
     the order is above 0, else a number; the code does no type dispatch.  On
     a batch the check returns each coefficient of a jet component as an
     array, also one that a left-out term would have made one in the list
-    code of ``Jet``."""
+    code of ``Jet``.  The coordinates are broadcast to one shape first, and a
+    component of constants is spread over it, so every number returned is an
+    array of that shape.  A row of ``derivatives`` (coefficient times prod k!)
+    that overflows raises at a point and is marked on a batch (``_rows``)."""
     rows = type(key) is tuple
-    order = max(map(sum, key)) if rows else key
+    _check_key(em, key, rows)
+    order = int(max(map(sum, key)) if rows else key)  # a whole float as its int
     count = _layout(em.arity)[order] if order else 1
     w = _Writer(em.arity, order, count, sparse=True)
     xs = [f"x{k}" for k in range(em.arity)]
     point = f"({', '.join(xs)},)"
     free, bound = [], []  # the names the code closes over, and their values
-    seen: dict = {}  # per node id, its value (a _C, or a list of them for a jet) and whether a jet
-    if order or rows:  # coordinates as floats, or arrays over a batch
-        batch = " or ".join(f"type({x}) is not float" for x in xs)
-        w.line(f"batch = {batch}")
+    seen: dict = {}  # per node id: its value (a _C, or a jet's list of them), whether it varies
+    batch = " or ".join(f"type({x}) is not float" for x in xs) or "False"
+    w.line(f"batch = {batch}")
+    if xs:  # coordinates as floats, or on a batch arrays of one shape
         w.line(f"if batch: {', '.join(xs)}, = map(_num, {point}); batch = {batch}")
+        w.line(f"if batch: {', '.join(xs)}, = np.broadcast_arrays(*{point})")
 
     def bind(value, known=None) -> _C:
         free.append(f"k{len(free)}")
@@ -1218,7 +1205,7 @@ def _compile(em: "ExprMap", key) -> tuple:
             if isinstance(node, Var):  # the jet of variable k, as Jet.variable seeds it
                 x = _C(xs[node.index])
                 seen[id(node)] = ([x] + [_C("1.0") if i == 1 + node.index else _ZERO
-                                         for i in range(1, count)], True) if order else (x, False)
+                                         for i in range(1, count)] if order else x, True)
             elif isinstance(node, (Num, ConstRef)):
                 seen[id(node)] = (bind(node.value, node.value), False)
             else:
@@ -1230,7 +1217,7 @@ def _compile(em: "ExprMap", key) -> tuple:
                     op, operands = node.func, node.args
                 args, kinds = zip(*map(visit, operands))
                 w.node = node
-                if not any(kinds):
+                if not (order and any(kinds)):
                     value = w.let(_CODE[op].format(*(x.code for x in args)))
                 else:
                     if op == "^" and not kinds[1] and args[1].value is None:
@@ -1239,29 +1226,34 @@ def _compile(em: "ExprMap", key) -> tuple:
                 seen[id(node)] = (value, any(kinds))
         return seen[id(node)]
 
-    cells = []  # per component, its coefficients' code at a point
+    # per row of ``derivatives``, the (position, prod k!) of its coefficient
+    cells_at = [_PARTIAL[em.arity][p] if order else (0, 1.0) for p in key] if rows else []
+    scale = {k: s for k, s in cells_at if s != 1.0}
+    cells = []  # per component, at a point its numbers' code: the rows' derivatives where read
     for i, comp in enumerate(em.components):
-        value, jet = visit(comp)
+        value, varies = visit(comp)
         w.node = None
         name = bind(comp).code
-        if not jet:
+        if not (order and varies):
             w.line(f"c{i} = _finite([{value.code}], {name})[0]")
             cells.append([f"c{i}"] + ["0.0"] * (count - 1))
-            if order:  # a component of constants: a constant jet over the point's batch
-                w.line(f"if batch: c{i} = _jconstant(_spread([c{i}], {point})[0], {count})")
+            if not varies:  # a component of constants: on a batch, its numbers as arrays
+                full = ", ".join(f"np.full(x0.shape, {c})" for c in cells[-1])
+                w.line(f"if batch: c{i} = " + (f"[{full}]" if order else full))
             continue
-        codes = ", ".join(c.code for c in value)
-        w.line(f"if batch: c{i} = _finite([{codes}], {name})")
-        # at a point the sum is finite where every coefficient is, unless it overflows
-        w.line(f"elif not math.isfinite({' + '.join(c.code for c in value if _literal(c) is None)}):"
-               f" _finite([{codes}], {name})")
-        cells.append([c.code for c in value])
+        w.line(f"if batch: c{i} = _finite([{', '.join(c.code for c in value)}], {name})")
+        # at a point, the numbers (a row's derivative where one reads it) checked by their
+        # sum, which is finite where every number is, unless it overflows
+        at = [f"r{i}_{k}" if k in scale else c.code for k, c in enumerate(value)]
+        total = " + ".join(f"({a} := {c.code} * {scale[k]!r})" if k in scale else a
+                           for k, (a, c) in enumerate(zip(at, value))
+                           if k in scale or _literal(c) is None)
+        w.line(f"elif not math.isfinite({total}): _finite([{', '.join(at)}], {name})")
+        cells.append(at)
     # on a batch, c0, c1, ... hold the components' coefficient lists
     batched = f"[{', '.join(f'c{i}' for i in range(em.dimension))}]"
     if rows:
-        cells_at = [_PARTIAL[em.arity][p] if order else (0, 1.0) for p in key]
-        out = "[" + ", ".join("[" + ", ".join(c[k] if s == 1.0 else f"{c[k]} * {s!r}" for c in cells)
-                              + "]" for k, s in cells_at) + "]"
+        out = "[" + ", ".join("[" + ", ".join(c[k] for c in cells) + "]" for k, _ in cells_at) + "]"
         tail = f"_rows({batched}, {bind(cells_at).code}) if batch else {out}" if order else out
     elif order:
         tail = (f"[Jet({em.arity}, {order}, c) for c in {batched}] if batch else ["
@@ -1297,11 +1289,31 @@ def _value(em: "ExprMap", node: Node):
         return None
 
 
+def _check_key(em: "ExprMap", key, rows: bool):
+    """A ValueError naming the jet order, or the powers of ``derivatives``,
+    that ``em`` has no program for."""
+    if not rows and key not in range(MAX_ORDER + 1):
+        raise ValueError(f"jet order {key!r} is not one of 0 to {MAX_ORDER}")
+    if rows and not key:
+        raise ValueError("no powers asked for")
+    for p in key if rows and _layout(em.arity) else ():  # the layout holds every valid tuple
+        if p not in _PARTIAL[em.arity]:
+            raise ValueError(f"powers {p!r} are not {em.arity} non-negative integers "
+                             f"with a sum of at most {MAX_ORDER}")
+
+
 def _rows(coefs: list, cells: list) -> list:
-    """The rows of ``derivatives`` from the components' coefficient lists: per
-    (position, prod k!) in ``cells``, each component's coefficient times it,
-    as ``Jet.partial`` gives it."""
-    return [[c[k] * s for c in coefs] for k, s in cells]
+    """The rows of ``derivatives`` on a batch from the components' coefficient
+    lists: per (position, prod k!) in ``cells``, each component's coefficient
+    times it, as ``Jet.partial`` gives it.  Where a derivative overflows, its
+    component is marked, as ``_finite`` marks a non-finite coefficient."""
+    with np.errstate(over="ignore"):
+        rows = [[c[k] * s for c in coefs] for k, s in cells]
+    # only a prod k! above 1 makes a derivative overflow where its coefficient did not
+    bad = np.logical_or.reduce([np.isinf(row) for row, (_, s) in zip(rows, cells) if s != 1.0])
+    if np.any(bad):
+        rows = [[np.where(b, math.nan, x) for b, x in zip(bad, row)] for row in rows]
+    return rows
 
 
 def _located(err: Exception, program, located: dict) -> DomainError:
@@ -1325,7 +1337,7 @@ def _finite(nums: list, node: Node) -> list:
     one is not).  On a batch every number comes back as an array over the
     batch, so a coefficient that a compiled program leaves a float, by
     leaving out a structural-zero term, becomes the array ``Jet`` holds."""
-    if type(nums[0]) is not np.ndarray:  # a value the same at every point: so is each number
+    if type(nums[0]) is not np.ndarray:  # at one point, or a component of constants
         if not all(map(math.isfinite, nums)):
             raise DomainError("non-finite value", unparse(node), node.span[0])
         return nums
@@ -1379,15 +1391,13 @@ class ExprMap:
             point = tuple(point[0])
         if len(point) != self.arity:
             raise ValueError(f"expected {self.arity} coordinates, got {len(point)}")
-        values = list(map(_num, point))
-        out = self._run(0, values)
-        return _spread(out, values) if np.ndarray in map(type, values) else out
+        return self._run(0, point)
 
     def eval_jet(self, point: Sequence[float], order: int = MAX_ORDER):
         """Evaluate all components as jets of the given order in all the
         variables.  With ``order=0`` plain floats are returned.  With an
         array per coordinate the jets hold a batch of points."""
-        point = tuple(map(_num, point))
+        point = tuple(point)
         if len(point) != self.arity:
             raise ValueError(f"expected {self.arity} coordinates, got {len(point)}")
         if order == 0:

@@ -216,15 +216,6 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _fails(ok, u, v):
-    """Where a check fails, from ``ok`` where it passes (False at a NaN): a
-    bool at the point (u, v), an array over a batch.  On a batch where the
-    map's partials are the same at every point ``ok`` is one bool; ``u == u``
-    (True wherever u is a number) spreads it over the batch, so that
-    ``_check`` marks the points rather than raising."""
-    return np.logical_not(ok & (u == u) & (v == v))
-
-
 def _mat2(a, b, c, d) -> np.ndarray:
     """[[a, b], [c, d]] at each point."""
     m = _stack([a, b, c, d])
@@ -247,7 +238,7 @@ def _first_form(fu, fv, u, v):
     g11, g12, g22 = _dot(fu, fu), _dot(fu, fv), _dot(fv, fv)
     # g12^2 <= g11 g22, so where g11 g22 is finite no power of g below overflows
     g11, g12, g22 = _check(
-        _fails((g11 * g22 < math.inf) & (abs(g12) < math.inf), u, v),
+        np.logical_not((g11 * g22 < math.inf) & (abs(g12) < math.inf)),
         lambda: IrregularPoint(f"the metric overflows at (u, v) = ({u:g}, {v:g})"), g11, g12, g22)
     return g11, g12, g22, g11 * g22 - _pow(g12, 2)
 
@@ -263,7 +254,7 @@ def _nondegenerate(metric, u, v):
     may leave no digit of it, raises IrregularPoint naming the point; on a batch
     it marks the point."""
     g11, g12, g22, det = metric
-    return _check(_fails(det > _REG_TOL * g11 * g22, u, v),
+    return _check(np.logical_not(det > _REG_TOL * g11 * g22),
                   lambda: IrregularPoint(f"degenerate metric at (u, v) = ({u:g}, {v:g})"),
                   g11, g12, g22, det)
 
@@ -286,8 +277,7 @@ def jet_at(surface: Surface, u: float, v: float) -> SurfaceJet:
 
 def _surface_jet(D: list, u, v) -> SurfaceJet:
     """``jet_at`` from the map's derivative rows at (u, v), those of _SECOND."""
-    batch = np.broadcast_shapes(np.shape(u), np.shape(v))
-    p, fu, fv, fuu, fuv, fvv = (_stack(row, batch) for row in D)
+    p, fu, fv, fuu, fuv, fvv = map(_stack, D)
     form = _first_form(D[1], D[2], u, v)
     n_raw = cross(fu, fv)
     n_len = norm(n_raw)
@@ -297,7 +287,7 @@ def _surface_jet(D: list, u, v) -> SurfaceJet:
     N = n_raw / np.asarray(n_len)[..., None]
     metric = g11, g12, g22, det = _nondegenerate(form, u, v)
     uu, uv, vv = (_tangential(D, x, metric) for x in D[3:])
-    gamma = _stack(sum(zip(uu, uv, uv, vv), ()), batch).reshape(batch + (2, 2, 2))  # Gamma^h_ij
+    gamma = _stack(sum(zip(uu, uv, uv, vv), ())).reshape(fu.shape[:-1] + (2, 2, 2))  # Gamma^h_ij
     b11, b12, b22 = (np.vecdot(N, x) for x in (fuu, fuv, fvv))
     (x11, x21), (x12, x22) = _solve(metric, b11, b12), _solve(metric, b12, b22)  # X = g^-1 B
     K = (b11 * b22 - _pow(b12, 2)) / det
@@ -320,8 +310,8 @@ def _surface_jet(D: list, u, v) -> SurfaceJet:
     theta = _map(lambda y, x, umbilic: 0.0 if umbilic else 0.5 * math.atan2(y, x),
                  2.0 * b, a - c, umbilical)
     cos, sin = _map(math.cos, theta), _map(math.sin, theta)
-    d1 = _stack([cos * m1[0] + sin * m2[0], cos * m1[1] + sin * m2[1]], batch)
-    d2 = _stack([cos * m2[0] - sin * m1[0], cos * m2[1] - sin * m1[1]], batch)
+    d1 = _stack([cos * m1[0] + sin * m2[0], cos * m1[1] + sin * m2[1]])
+    d2 = _stack([cos * m2[0] - sin * m1[0], cos * m2[1] - sin * m1[1]])
 
     return SurfaceJet(u, v, p, fu, fv, N, _mat2(g11, g12, g12, g22), _mat2(b11, b12, b12, b22),
                       _mat2(x11, x12, x21, x22), k1, k2, d1, d2, K, H, gamma, umbilical)
@@ -472,7 +462,7 @@ def egregium_curvature(surface: Surface, u: float, v: float) -> float:
     uvv_u, uv_uv, uuv_v, uu_vv = _dot(fuvv, fu), _dot(fuv, fuv), _dot(fuuv, fv), _dot(fuu, fvv)
     # F * F, not _first_form's F ** 2: Python's pow(x, 2) is not always x * x rounded
     det = E * G - F * F
-    det = _check(_fails(det > _REG_TOL * (E + G) * (E + G), u, v),
+    det = _check(np.logical_not(det > _REG_TOL * (E + G) * (E + G)),
                  lambda: IrregularPoint(f"degenerate metric at (u, v) = ({u:g}, {v:g})"), det)
     F_u, F_v = uu_v + e_v, g_u + vv_u
     # F_uv - E_vv/2 - G_uu/2: the third partials cancel in exact arithmetic
@@ -518,8 +508,7 @@ def _metric_det(surface: Surface, u, v):
     (``_first_form``); a det g that is not positive raises IrregularPoint
     naming the point, and on a batch marks it."""
     *_, det = _first_form(*derivatives(surface.map, (u, v), ((1, 0), (0, 1))), u, v)
-    return _check(_fails(np.logical_not(det <= 0.0), u, v),
-                  lambda: IrregularPoint(f"degenerate metric at ({u:g}, {v:g})"), det)
+    return _check(det <= 0.0, lambda: IrregularPoint(f"degenerate metric at ({u:g}, {v:g})"), det)
 
 
 def surface_area(surface: Surface, u_range=None, v_range=None, order: int = 32) -> float:

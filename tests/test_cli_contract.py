@@ -184,6 +184,10 @@ HOSTILE = {
     "jet of z = 1e300 u v after a grid": ("analyze", _scene(HUGE_SADDLE, requests=[
         {"op": "gauss_curvature", "params": {"samples": 3}},
         {"op": "jet", "params": {"u": 0.0, "v": 0.0}}])),
+    # f_uu = 2e308 overflows, although its Taylor coefficient 1e308 does not
+    "jet whose second derivative overflows": ("analyze", _scene(
+        SPHERE, components=["u", "v", "1e308*u^2"],
+        requests=[{"op": "jet", "params": {"u": 1e-160, "v": 0.5}}])),
     # fu . fu = 1 + (1e300 v)^2 overflows at the first RK4 stage off (0, 0)
     "geodesic whose metric overflows": ("analyze", _scene(HUGE_SADDLE, requests=[
         {"op": "geodesic", "params": {"u": 0.0, "v": 0.0, "du": 1.0, "dv": 0.5}}])),
@@ -255,6 +259,8 @@ def test_exit_code_classes(tmp_path, capsys):
              "numerical failure in request 'metric': the Jacobian determinant overflows (inf)"),
             ("jet of z = 1e300 u v after a grid",
              "numerical failure in request 'jet': non-finite gaussian = -inf"),
+            ("jet whose second derivative overflows",
+             "numerical failure in request 'jet': non-finite value in '1e+308*u^2.0' (offset 0)"),
             ("geodesic whose metric overflows", "numerical failure in request 'geodesic': "
              "the metric overflows at (u, v) = (0.000447214, 0.000223607)"),
             ("area of z = 1e300 u v", "numerical failure in request 'area': "

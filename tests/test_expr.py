@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tensorgeom.expr as expr
+from tensorgeom.curve import Curve
 from tensorgeom.expr import (MAX_NESTING, ArityMismatch, DomainError, Jet, ParseError,
                              UnknownIdentifier, _PARTIAL, _layout, derivatives, jet_atan2,
                              parse, unparse)
@@ -395,28 +396,74 @@ def _typed_bits(x):
     return type(x).__name__, np.asarray(x, dtype=float).view(np.int64).tolist()
 
 
+def _derived(m, point, powers):
+    """``derivatives(m, point, powers)`` by the AST walk: row r lists each
+    component's ``Jet.partial(*powers[r])``.  A component with a derivative
+    that overflows raises at a point, and on a batch is marked where it does."""
+    columns = []
+    for comp, jet in zip(m.components, _walked_each(m, point, max(map(sum, powers)))):
+        column = [jet.partial(*p) for p in powers]
+        bad = np.isinf(column).any(axis=0)
+        if np.ndim(bad) == 0 and bad:
+            raise DomainError("non-finite value", unparse(comp), comp.span[0])
+        columns.append([np.where(bad, math.nan, x) for x in column] if bad.any() else column)
+    return [list(row) for row in zip(*columns)]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_derivative_cases())
+# a derivative that overflows where its Taylor coefficient does not (2 x 1e308):
+# at a point its component raises; on a batch it is marked where it overflows
+@example((("x",), ["1e308*x^2"], (0.5,), [(2,)]))
+@example((("x",), ["x", "1e308*x^3"], (np.array([0.5, 0.1]),), [(1,), (2,)]))
 def test_derivatives_equal_jet_partial_bit_for_bit(case):
     names, sources, point, powers = case
     m = parse(sources, list(names), {"k": 1.25})
     batch = np.broadcast_shapes(*map(np.shape, point))
     with np.errstate(all="ignore"):
-        want = _outcome(lambda: _walked(m, point, max(map(sum, powers))))
+        want = _outcome(lambda: _derived(m, point, powers))
         try:
             D = derivatives(m, point, powers)
         except DomainError as err:  # the walk's error, with its message, expression and offset
             assert want == (type(err).__name__, str(err), err.expression, err.offset), sources
             return
-        jets = _walked(m, point, max(map(sum, powers)))
+        rows = _derived(m, point, powers)
     # one program, compiled for these powers at their largest total degree
     assert list(m._programs) == [tuple(powers)]
-    assert [len(row) for row in D] == [len(jets)] * len(powers)
+    assert [len(row) for row in D] == [m.dimension] * len(powers)
     for r, p in enumerate(powers):
-        for c, j in enumerate(jets):
-            # a float at one point; on a batch an array, or a float the same everywhere
-            assert type(D[r][c]) is float if not batch else np.shape(D[r][c]) in ((), batch)
-            assert _typed_bits(D[r][c]) == _typed_bits(j.partial(*p)), (sources, point, p)
+        for c in range(m.dimension):
+            # a float at one point; on a batch an array of the batch's shape
+            assert type(D[r][c]) is float if not batch else np.shape(D[r][c]) == batch
+            assert _typed_bits(D[r][c]) == _typed_bits(rows[r][c]), (sources, point, p)
+
+
+@pytest.mark.parametrize("m, point", [
+    (parse(["x", "2", "y"], ["x", "y"]), (np.array([0.5, 1.0, -2.0]), 0.25)),
+    (parse(["x", "2", "y"], ["x", "y"]), (np.array([[0.5], [1.0]]), np.array([0.1, 0.2, 0.3]))),
+    (Curve(parse(["cos(t)", "2*sin(t)"], ["t"]), (0.0, 6.0)).map, (np.array([0.1, 0.7]),)),
+], ids=["constant component", "broadcast batch", "planar curve"])
+def test_a_batch_gives_arrays_of_its_shape_and_a_point_floats(m, point):
+    powers = [p for p in itertools.product(range(4), repeat=m.arity) if sum(p) <= 3]
+    shape = np.broadcast_shapes(*map(np.shape, point))
+    for values in (m(*point), *derivatives(m, point, powers)):
+        assert [(type(x), np.shape(x)) for x in values] == [(np.ndarray, shape)] * m.dimension
+    one = tuple(float(np.ravel(x)[0]) for x in point)
+    for values in (m(*one), *derivatives(m, one, powers)):
+        assert [type(x) for x in values] == [float] * m.dimension
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: m.eval_jet((0.5,), -1), "jet order -1 is not"),
+    (lambda m: m.eval_jet((0.5,), 4), "jet order 4 is not"),
+    (lambda m: derivatives(m, (0.5,), [(4,)]), r"powers \(4,\) are not"),
+    (lambda m: derivatives(m, (0.5,), [(1, 0)]), r"powers \(1, 0\) are not"),
+    (lambda m: derivatives(m, (0.5,), [(1.5,)]), r"powers \(1.5,\) are not"),
+    (lambda m: derivatives(m, (0.5,), []), "no powers asked for"),
+], ids=["order -1", "order 4", "power 4", "two powers", "power 1.5", "no powers"])
+def test_a_bad_order_or_power_raises_value_error_naming_it(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(parse("x^2", ["x"]))
 
 
 # ---------------------------------------------------------------------------
@@ -706,19 +753,31 @@ def _walk_finite(value, node):
 
 def _walked(m, point, order):
     """``m.eval_jet(point, order)`` by the AST walk."""
+    return list(_walked_each(m, point, order))
+
+
+def _walked_each(m, point, order):
+    """Each component of ``m.eval_jet(point, order)`` by the AST walk, in turn.
+    A batch's coordinates are broadcast to one shape, and a component of
+    constants is spread over it."""
     point = tuple(map(expr._num, point))
+    shape = np.broadcast_shapes(*map(np.shape, point)) if np.ndarray in map(type, point) else None
+    if shape is not None:
+        point = tuple(np.broadcast_arrays(*point))
+
+    def spread(x):
+        return x if shape is None or type(x) is np.ndarray else np.full(shape, x)
+
     memo = {}
-    if order == 0:
-        out = [_walk_finite(_walk(c, list(point), memo), c) for c in m.components]
-        return expr._spread(out, point) if np.ndarray in map(type, point) else out
-    env = [Jet.variable(p, k, m.arity, order) for k, p in enumerate(point)]
-    out = []
+    env = [Jet.variable(p, k, m.arity, order) for k, p in enumerate(point)] if order else point
     for comp in m.components:
         value = _walk_finite(_walk(comp, env, memo), comp)
-        if not isinstance(value, Jet):
-            value = Jet.constant(expr._spread([value], point)[0], m.arity, order)
-        out.append(value)
-    return out
+        if not order:
+            yield spread(value)
+        elif not isinstance(value, Jet):
+            yield Jet(m.arity, order, list(map(spread, Jet.constant(value, m.arity, order).coef)))
+        else:
+            yield value
 
 
 def _outcome(evaluate):

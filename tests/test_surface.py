@@ -9,7 +9,7 @@ import pytest
 
 from tensorgeom import surface as sf
 from tensorgeom.curve import Curve, integrate
-from tensorgeom.expr import ExprMap, NumericalFailure, derivatives, parse
+from tensorgeom.expr import DomainError, ExprMap, NumericalFailure, derivatives, parse
 from tensorgeom.tensor2 import norm, normalize
 
 rng = np.random.default_rng(31)
@@ -757,8 +757,8 @@ def test_one_point_metric_and_connection_equals_its_batch_row(sources):
 
 
 def test_a_batch_of_a_constant_map_is_marked_at_every_point():
-    # its partials are floats, the same at every point of the batch: one det g
-    # for the whole batch, which must mark each point and not raise
+    # its partials are the same at every point of the batch, and det g is 0 at
+    # each: it must mark each point and not raise
     surf = sf.surface_from_expr(["1", "2", "3"], ((0.0, 1.0), (0.0, 1.0)))
     us, vs = np.array([0.2, 0.5]), np.array([0.3, 0.6])
     with pytest.raises(sf.IrregularPoint, match=r"degenerate metric at \(u, v\) = \(0.2, 0.3\)"):
@@ -768,6 +768,19 @@ def test_a_batch_of_a_constant_map_is_marked_at_every_point():
         for values in (sf._metric(D, us, vs), [sf.egregium_curvature(surf, us, vs)],
                        [sf._metric_det(surf, us, vs)], [sf.jet_at(surf, us, vs).gaussian]):
             assert [np.isnan(x).tolist() for x in values] == [[True, True]] * len(values)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_second_derivative_that_overflows_is_named_and_marked():
+    # f_uu = 6e308 u overflows at u = 0.5, where its Taylor coefficient 3e308 u does not
+    cubic = sf.surface_from_expr(["u", "v", "1e308*u^3"], ((-1.0, 1.0), (-1.0, 1.0)))
+    with pytest.raises(DomainError, match=r"^non-finite value in '1e\+308\*u\^3\.0' \(offset 0\)$"):
+        sf.jet_at(cubic, 0.5, 0.5)
+    jet = sf.jet_at(cubic, np.array([0.5, 1e-160]), np.array([0.5, 0.5]))
+    one = sf.jet_at(cubic, 1e-160, 0.5)
+    for field in ("second_form", "weingarten", "gaussian", "mean", "k1", "k2", "d1"):
+        assert np.isnan(getattr(jet, field)[0]).all(), field
+        assert _bits(getattr(jet, field)[1]) == _bits(getattr(one, field)), field
 
 
 def test_metric_determinant_lost_to_rounding_is_an_irregular_point():
