@@ -403,7 +403,9 @@ def _table(columns: list[str], points: list, row: Callable, skipped: list) -> di
     rows = []
     for point, values in zip(points, _chunked(checked, *zip(*points))):
         if isinstance(values, ArithmeticError):
-            skipped.append({"point": list(point), "error": str(values)})
+            # the record names the point, so a DomainError's message need not
+            error = values.detail if isinstance(values, DomainError) else str(values)
+            skipped.append({"point": list(point), "error": error})
         else:
             rows.append(values)
     return {"table": Table(columns, rows)}

@@ -102,7 +102,7 @@ class Curve:
     def speed(self, t: float) -> float:
         with np.errstate(over="ignore"):  # an overflow is reported below, naming t
             v = _overflow_checked(norm(self.velocity(t)), t)
-        return _check(v <= _REG_TOL * max(self.scale, 1.0), lambda: IrregularCurve(
+        return _check(v > _REG_TOL * max(self.scale, 1.0), lambda: IrregularCurve(
             f"|p'({t:g})| = {v:g} below regularity tolerance", t=t), v)
 
     @property
@@ -270,7 +270,7 @@ def arclength_table(curve: Curve, n: int = 128) -> tuple[np.ndarray, np.ndarray]
 def _overflow_checked(v, t):
     """|p'| at t (a float, or an array over a chunk of points), which must not
     overflow."""
-    return _check(v == math.inf, lambda: IrregularCurve(f"|p'| overflows at t = {t:g}", t=t), v)
+    return _check(v != math.inf, lambda: IrregularCurve(f"|p'| overflows at t = {t:g}", t=t), v)
 
 
 def _frenet_core(t: float, p0: np.ndarray, p1: np.ndarray, p2: np.ndarray, p3: np.ndarray,
@@ -280,14 +280,15 @@ def _frenet_core(t: float, p0: np.ndarray, p1: np.ndarray, p2: np.ndarray, p3: n
         w = cross(p1, p2)
         nw = norm(w)
     v = _overflow_checked(v, t)
-    v = _check(v <= _REG_TOL * max(scale, 1.0),
+    v = _check(v > _REG_TOL * max(scale, 1.0),
                lambda: IrregularCurve(f"|p'({t:g})| below regularity tolerance", t=t), v)
-    nw = _check(nw <= _REG_TOL * v * v, lambda: UndefinedNormal(
+    # a NaN |p' x p''| passes, for the overflow check below to name
+    nw = _check((nw > _REG_TOL * v * v) | (nw != nw), lambda: UndefinedNormal(
         "p' and p'' are parallel; the principal normal is undefined (straight-line point)"), nw)
     # from the marked v and nw, so that every result of a marked point is NaN
     with np.errstate(over="ignore"):
         v3, nw2 = (_pow(np.float64(x), k) for x, k in ((v, 3), (nw, 2)))
-    v3, nw2 = _check(np.logical_not(np.isfinite(v3) & np.isfinite(nw2)), lambda: IrregularCurve(
+    v3, nw2 = _check(np.isfinite(v3) & np.isfinite(nw2), lambda: IrregularCurve(
         f"|p'|^3 or |p' x p''|^2 overflows at t = {t:g}", t=t), v3, nw2)
     tangent = p1 / np.asarray(v)[..., None]
     curvature = nw / v3
@@ -414,17 +415,19 @@ def _rk4(f, y: list, h: float) -> list:
 
 def _cartan_rhs(c: float, theta: float, y: list) -> list:
     """p' = T and the Frenet-Serret equations, on the 12 numbers (p, T, N, B)."""
-    T, N, B = y[3:6], y[6:9], y[9:]
-    return [*T, *(c * x for x in N), *(-c * t - theta * b for t, b in zip(T, B)),
-            *(theta * x for x in N)]
+    _, _, _, t0, t1, t2, n0, n1, n2, b0, b1, b2 = y
+    return [t0, t1, t2, c * n0, c * n1, c * n2,
+            -c * t0 - theta * b0, -c * t1 - theta * b1, -c * t2 - theta * b2,
+            theta * n0, theta * n1, theta * n2]
 
 
 def bonnet_reconstruct(profile: CurvatureProfile, p0, frame0, step: float) -> BonnetResult:
     """Integrate the moving-frame system e' = C(s) e together with p' = tangent.
 
-    Fixed-step RK4 on the 12 numbers (p, T, N, B); after every step one
-    Newton-Schulz step (``tensor2._orthonormal_polish``, on the frame as a 3x3
-    array) returns the frame to the rotations, which RK4 leaves it next to.
+    Fixed-step RK4 on the 12 numbers (p, T, N, B), all plain floats; after
+    every step one Newton-Schulz step (``tensor2._orthonormal_polish``, on the
+    frame's 9 numbers) returns the frame to the rotations, which RK4 leaves it
+    next to.
     ``frame0`` holds the rows (tangent, normal, binormal).  A step that leaves
     the frame too far from orthonormal for that polish (a step too coarse for
     the curvature) raises NotNearOrthogonal, naming the arc length it reached.
@@ -458,7 +461,7 @@ def bonnet_reconstruct(profile: CurvatureProfile, p0, frame0, step: float) -> Bo
         for i, row in zip(range(n), rows):
             y = _rk4(lambda j, y: _cartan_rhs(row[2 * j], row[2 * j + 1], y), y, h)
             try:
-                y[3:] = _orthonormal_polish(np.array([y[3:6], y[6:9], y[9:]])).ravel().tolist()
+                y[3:] = _orthonormal_polish(y[3:])
             except NotNearOrthogonal as exc:
                 raise NotNearOrthogonal(
                     f"the RK4 step to s = {starts[i] + h:g} leaves the frame {exc.defect:.3g} "

@@ -97,9 +97,11 @@ class ArityMismatch(ParseError):
 class DomainError(NumericalFailure):
     """A builtin was evaluated outside its domain (log of non-positive,
     division by zero, sqrt of a negative, a pole of tan, overflow, a
-    non-finite result, ...)."""
+    non-finite result, ...).  ``point`` names the coordinates where it was
+    raised, as "(u, v) = (0.5, 0.1)"; ``detail`` is the message without it."""
 
-    def __init__(self, message: str, expression: str | None = None, offset: int | None = None):
+    def __init__(self, message: str, expression: str | None = None, offset: int | None = None,
+                 point: str | None = None):
         self.reason = message
         self.expression = expression
         self.offset = offset
@@ -108,7 +110,8 @@ class DomainError(NumericalFailure):
             text += f" in '{expression}'"
         if offset is not None:
             text += f" (offset {offset})"
-        super().__init__(text)
+        self.detail = text
+        super().__init__(text if point is None else f"{text} at {point}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +171,16 @@ def _where(cond, a, b):
                     a, b)
 
 
-def _check(bad, error, *values):
-    """One domain or regularity check.  At one point (``bad`` a plain bool)
-    raise ``error()`` when it holds; on a batch return ``values`` with the
-    points where it holds set to NaN.  Returns the values (one, or a tuple)."""
-    if not isinstance(bad, np.ndarray) or bad.ndim == 0:
-        if bad:
+def _check(ok, error, *values):
+    """One domain or regularity check; ``ok`` is the condition that must hold.
+    At one point (``ok`` a plain bool) raise ``error()`` where it fails; on a
+    batch return ``values`` with the points where it fails set to NaN.
+    Returns the values (one, or a tuple)."""
+    if not isinstance(ok, np.ndarray) or ok.ndim == 0:
+        if not ok:
             raise error()
     else:
-        values = tuple(_where(bad, math.nan, v) for v in values)
+        values = tuple(_where(np.logical_not(ok), math.nan, v) for v in values)
     return values[0] if len(values) == 1 else values
 
 
@@ -517,8 +521,7 @@ def _dtan(a0):
 
 
 def _inside_unit(a0, name: str):
-    return _check(np.logical_not((-1.0 < a0) & (a0 < 1.0)),
-                  lambda: DomainError(f"{name} outside (-1, 1)"), a0)
+    return _check((-1.0 < a0) & (a0 < 1.0), lambda: DomainError(f"{name} outside (-1, 1)"), a0)
 
 
 def _dasin(a0):
@@ -562,7 +565,8 @@ def _dexp(a0):
 
 
 def _positive(a0, message: str):
-    return _check(a0 <= 0.0, lambda: DomainError(message), a0)
+    # a NaN passes: the component's finiteness check names it
+    return _check((a0 > 0.0) | (a0 != a0), lambda: DomainError(message), a0)
 
 
 def _dln(a0):
@@ -581,13 +585,13 @@ def _division_by_zero() -> DomainError:
 
 
 def _drecip(a0):
-    a0 = _check(a0 == 0.0, _division_by_zero, a0)
+    a0 = _check(a0 != 0.0, _division_by_zero, a0)
     ia = 1.0 / a0
     return ia, -ia * ia, 2.0 * _pow(ia, 3), -6.0 * _pow(ia, 4)
 
 
 def _dpow(a0, e: float):
-    a0 = _check(a0 <= 0.0, lambda: DomainError("non-integer power of a non-positive base"), a0)
+    a0 = _positive(a0, "non-integer power of a non-positive base")
     return (_pow(a0, e), e * _pow(a0, e - 1), e * (e - 1) * _pow(a0, e - 2),
             e * (e - 1) * (e - 2) * _pow(a0, e - 3))
 
@@ -601,7 +605,7 @@ def _dabs(a0):
     """The sign by which abs multiplies a jet: at one point 1.0 or -1.0, and
     at 0, where abs is not differentiable, an error; on a batch marked there."""
     if isinstance(a0, np.ndarray):
-        return _check(np.logical_not(a0 != 0.0), None, np.where(a0 < 0.0, -1.0, 1.0))
+        return _check(a0 != 0.0, None, np.where(a0 < 0.0, -1.0, 1.0))
     if a0 > 0.0:
         return 1.0
     if a0 < 0.0:
@@ -610,7 +614,7 @@ def _dabs(a0):
 
 
 def _inverse(k):
-    return 1.0 / _check(k == 0.0, _division_by_zero, _num(k))
+    return 1.0 / _check(k != 0.0, _division_by_zero, _num(k))
 
 
 def _log_base(k: float) -> float:
@@ -762,7 +766,11 @@ class Jet:
         if sum(orders) > self.order:
             raise ValueError("derivative order exceeds jet order")
         k, scale = _PARTIAL[self.nvars][orders]
-        return self.coef[k] * scale
+        with np.errstate(over="ignore"):
+            d = self.coef[k] * scale
+        # a finite coefficient times prod k! may overflow: at a point that raises,
+        # and on a batch it marks the point, as in ``derivatives``
+        return _check(abs(d) < math.inf, lambda: DomainError("non-finite value"), d)
 
     # -- arithmetic ----------------------------------------------------
     def _coerce(self, other):
@@ -1147,7 +1155,7 @@ def unparse(node: Node) -> str:
 
 def _fdiv(a, b):
     """a / b on numbers: true division, as on floats."""
-    return a / _check(b == 0.0, _division_by_zero, b)
+    return a / _check(b != 0.0, _division_by_zero, b)
 
 
 # Each operation on numbers as one statement of a compiled program: by its
@@ -1343,9 +1351,8 @@ def _finite(nums: list, node: Node) -> list:
         return nums
     if not all(math.isfinite(c) for c in nums if type(c) is not np.ndarray):
         raise DomainError("non-finite value", unparse(node), node.span[0])
-    bad = np.logical_not(np.logical_and.reduce([np.isfinite(c) for c in nums
-                                                if type(c) is np.ndarray]))
-    return [_check(bad, None, c) for c in nums]
+    ok = np.logical_and.reduce([np.isfinite(c) for c in nums if type(c) is np.ndarray])
+    return [_check(ok, None, c) for c in nums]
 
 
 @dataclass(frozen=True)
@@ -1382,7 +1389,11 @@ class ExprMap:
         try:
             return program(*point)
         except (ArithmeticError, ValueError) as err:
-            raise _located(err, program, located) from None
+            err = _located(err, program, located)
+            if point and not any(map(_is_batch, point)):  # at a point, name it
+                err = DomainError(err.reason, err.expression, err.offset,
+                                  _named(self.variables, point))
+            raise err from None
 
     def __call__(self, *point: float) -> list[float]:
         """Component values at a point; with an array per coordinate, at a
@@ -1418,6 +1429,14 @@ class ExprMap:
         table: dict = {}
         return ExprMap(inner.variables, _merged(inner.constants, self.constants),
                        tuple(_intern(substitute(c), table) for c in self.components))
+
+
+def _named(variables: tuple, point: tuple) -> str:
+    """The coordinates of a point by their names: "t = 0.5", "(u, v) = (0.5, 0.1)"."""
+    values = [f"{float(x):g}" for x in point]
+    if len(values) == 1:
+        return f"{variables[0]} = {values[0]}"
+    return f"({', '.join(variables)}) = ({', '.join(values)})"
 
 
 def _merged(*constants: tuple) -> tuple:

@@ -238,7 +238,7 @@ def _first_form(fu, fv, u, v):
     g11, g12, g22 = _dot(fu, fu), _dot(fu, fv), _dot(fv, fv)
     # g12^2 <= g11 g22, so where g11 g22 is finite no power of g below overflows
     g11, g12, g22 = _check(
-        np.logical_not((g11 * g22 < math.inf) & (abs(g12) < math.inf)),
+        (g11 * g22 < math.inf) & (abs(g12) < math.inf),
         lambda: IrregularPoint(f"the metric overflows at (u, v) = ({u:g}, {v:g})"), g11, g12, g22)
     return g11, g12, g22, g11 * g22 - _pow(g12, 2)
 
@@ -254,7 +254,7 @@ def _nondegenerate(metric, u, v):
     may leave no digit of it, raises IrregularPoint naming the point; on a batch
     it marks the point."""
     g11, g12, g22, det = metric
-    return _check(np.logical_not(det > _REG_TOL * g11 * g22),
+    return _check(det > _REG_TOL * g11 * g22,
                   lambda: IrregularPoint(f"degenerate metric at (u, v) = ({u:g}, {v:g})"),
                   g11, g12, g22, det)
 
@@ -282,7 +282,7 @@ def _surface_jet(D: list, u, v) -> SurfaceJet:
     n_raw = cross(fu, fv)
     n_len = norm(n_raw)
     # on a batch such a point's det g marks it, below
-    _check(n_len <= _REG_TOL * np.maximum(norm(fu) * norm(fv), np.finfo(float).tiny),
+    _check(n_len > _REG_TOL * np.maximum(norm(fu) * norm(fv), np.finfo(float).tiny),
            lambda: IrregularPoint(f"degenerate tangent plane at (u, v) = ({u:g}, {v:g})"))
     N = n_raw / np.asarray(n_len)[..., None]
     metric = g11, g12, g22, det = _nondegenerate(form, u, v)
@@ -462,7 +462,7 @@ def egregium_curvature(surface: Surface, u: float, v: float) -> float:
     uvv_u, uv_uv, uuv_v, uu_vv = _dot(fuvv, fu), _dot(fuv, fuv), _dot(fuuv, fv), _dot(fuu, fvv)
     # F * F, not _first_form's F ** 2: Python's pow(x, 2) is not always x * x rounded
     det = E * G - F * F
-    det = _check(np.logical_not(det > _REG_TOL * (E + G) * (E + G)),
+    det = _check(det > _REG_TOL * (E + G) * (E + G),
                  lambda: IrregularPoint(f"degenerate metric at (u, v) = ({u:g}, {v:g})"), det)
     F_u, F_v = uu_v + e_v, g_u + vv_u
     # F_uv - E_vv/2 - G_uu/2: the third partials cancel in exact arithmetic
@@ -508,7 +508,7 @@ def _metric_det(surface: Surface, u, v):
     (``_first_form``); a det g that is not positive raises IrregularPoint
     naming the point, and on a batch marks it."""
     *_, det = _first_form(*derivatives(surface.map, (u, v), ((1, 0), (0, 1))), u, v)
-    return _check(det <= 0.0, lambda: IrregularPoint(f"degenerate metric at ({u:g}, {v:g})"), det)
+    return _check(det > 0.0, lambda: IrregularPoint(f"degenerate metric at ({u:g}, {v:g})"), det)
 
 
 def surface_area(surface: Surface, u_range=None, v_range=None, order: int = 32) -> float:

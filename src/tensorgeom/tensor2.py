@@ -354,23 +354,42 @@ class PolarDecomp:
     left_stretch: np.ndarray
 
 
-def _orthonormal_polish(R: np.ndarray) -> np.ndarray:
-    """The nearest orthogonal matrix to a nearly orthogonal R, by Newton-Schulz
-    steps R (1.5 I - 0.5 R^T R) (Bjorck & Bowie, SIAM J. Numer. Anal. 8, 1971;
+def _orthonormal_polish(r: list) -> list:
+    """The nearest orthogonal matrix to a nearly orthogonal R, given and
+    returned as its 9 entries in row order (floats), by Newton-Schulz steps
+    R (1.5 I - 0.5 R^T R) (Bjorck & Bowie, SIAM J. Numer. Anal. 8, 1971;
     Higham, SIAM J. Sci. Stat. Comput. 7, 1986).  Each step about squares the
     defect max|R^T R - I|: one step is taken, and another while the defect
     before it was above _POLISH_TOL.  A defect not below _POLISH_LIMIT (NaN
-    included) is outside the fast convergence and raises NotNearOrthogonal;
-    where R^T R overflows numpy warns, unless the caller's np.errstate ignores it."""
+    included) is outside the fast convergence and raises NotNearOrthogonal.
+    The products are Python's * and +, each sum taken left to right, so the
+    step rounds the same on every machine."""
     for _ in range(_POLISH_STEPS):
-        G = R.T @ R
-        defect = float(abs(G - I3).max())
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+        # G = R^T R, which is symmetric
+        g00 = r00 * r00 + r10 * r10 + r20 * r20
+        g01 = r00 * r01 + r10 * r11 + r20 * r21
+        g02 = r00 * r02 + r10 * r12 + r20 * r22
+        g11 = r01 * r01 + r11 * r11 + r21 * r21
+        g12 = r01 * r02 + r11 * r12 + r21 * r22
+        g22 = r02 * r02 + r12 * r12 + r22 * r22
+        dev = (abs(g00 - 1.0), abs(g01), abs(g02), abs(g11 - 1.0), abs(g12), abs(g22 - 1.0))
+        # max skips a NaN that is not its first argument; the sum keeps every NaN
+        defect = math.nan if math.isnan(sum(dev)) else max(dev)
         if not defect < _POLISH_LIMIT:
             raise NotNearOrthogonal(f"max|R^T R - I| = {defect:.3g} is not below 1/6", defect)
-        R = R @ (1.5 * I3 - 0.5 * G)
+        # M = 1.5 I - 0.5 G; 0.0 - x, not -x, keeps an exact zero positive
+        m00, m11, m22 = 1.5 - 0.5 * g00, 1.5 - 0.5 * g11, 1.5 - 0.5 * g22
+        m01, m02, m12 = 0.0 - 0.5 * g01, 0.0 - 0.5 * g02, 0.0 - 0.5 * g12
+        r = [r00 * m00 + r01 * m01 + r02 * m02, r00 * m01 + r01 * m11 + r02 * m12,
+             r00 * m02 + r01 * m12 + r02 * m22,
+             r10 * m00 + r11 * m01 + r12 * m02, r10 * m01 + r11 * m11 + r12 * m12,
+             r10 * m02 + r11 * m12 + r12 * m22,
+             r20 * m00 + r21 * m01 + r22 * m02, r20 * m01 + r21 * m11 + r22 * m12,
+             r20 * m02 + r21 * m12 + r22 * m22]
         if defect <= _POLISH_TOL:
             break
-    return R
+    return r
 
 
 def polar(F) -> PolarDecomp:
@@ -380,7 +399,7 @@ def polar(F) -> PolarDecomp:
         raise NonPositiveDeterminant(f"det F / |F|^3 = {rel:.3g} is not above 1e-12")
     U = sqrt_spd(F.T @ F)
     # the polish kills the rounding drift of U^-1
-    R = _orthonormal_polish(F @ inverse(U))
+    R = np.reshape(_orthonormal_polish((F @ inverse(U)).ravel().tolist()), (3, 3))
     V = R @ U @ R.T
     return PolarDecomp(R, U, V)
 

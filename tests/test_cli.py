@@ -12,7 +12,7 @@ import pytest
 
 import tensorgeom
 from tensorgeom import cli
-from tensorgeom.expr import CHUNK
+from tensorgeom.expr import CHUNK, DomainError
 
 
 def run(argv):
@@ -261,7 +261,8 @@ def _point_by_point_table(columns, points, row, skipped):
         try:
             rows.append(row(*point))
         except ArithmeticError as exc:
-            skipped.append({"point": list(point), "error": str(exc)})
+            error = exc.detail if isinstance(exc, DomainError) else str(exc)
+            skipped.append({"point": list(point), "error": error})
     return {"table": cli.Table(columns, rows)}
 
 

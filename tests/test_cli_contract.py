@@ -260,7 +260,8 @@ def test_exit_code_classes(tmp_path, capsys):
             ("jet of z = 1e300 u v after a grid",
              "numerical failure in request 'jet': non-finite gaussian = -inf"),
             ("jet whose second derivative overflows",
-             "numerical failure in request 'jet': non-finite value in '1e+308*u^2.0' (offset 0)"),
+             "numerical failure in request 'jet': non-finite value in '1e+308*u^2.0' (offset 0) "
+             "at (u, v) = (1e-160, 0.5)"),
             ("geodesic whose metric overflows", "numerical failure in request 'geodesic': "
              "the metric overflows at (u, v) = (0.000447214, 0.000223607)"),
             ("area of z = 1e300 u v", "numerical failure in request 'area': "
@@ -286,6 +287,31 @@ def test_a_non_finite_result_fails_its_request_and_keeps_the_report_before_it(tm
     assert [entry["op"] for entry in report["results"]] == ["gauss_curvature"]
     assert report["diagnostics"]["failure"] == {"request": "jet",
                                                 "error": "non-finite gaussian = -inf"}
+
+
+def test_an_error_inside_a_program_names_the_point_by_its_variables(tmp_path, capsys):
+    """A DomainError raised inside a compiled program at a point names the
+    point's coordinates by the scene's variable names, in the CLI message and
+    in the report.  A grid's skipped record holds its point already, so its
+    error keeps the message without it."""
+    text = "non-finite value in '1e+308*u^2.0' (offset 0) at (u, v) = (1e-160, 0.5)"
+    assert _run(tmp_path, "analyze", HOSTILE["jet whose second derivative overflows"][1]) == 3
+    assert capsys.readouterr().err == f"numerical failure in request 'jet': {text}\n"
+    report = json.loads((tmp_path / "out" / "input_report.json").read_text())
+    assert report["diagnostics"]["failure"] == {"request": "jet", "error": text}
+
+    curve_of_t = _request(dict(CURVE_OF_T, components=["cos(t)", "sin(t)", "1/(t-0.3)"]),
+                          "osculating", {"t": 0.3})
+    assert _run(tmp_path, "analyze", curve_of_t) == 3
+    assert capsys.readouterr().err.endswith("(offset 0) at t = 0.3\n")
+
+    grid = _request(dict(SPHERE, components=["u", "v", "ln(u)"]), "curvatures", {"samples": 2})
+    assert _run(tmp_path, "analyze", grid) == 0
+    report = json.loads((tmp_path / "out" / "input_report.json").read_text())
+    skipped = report["diagnostics"]["skipped"]
+    assert skipped and all(entry["point"][0] <= 0.0 for entry in skipped)
+    assert {entry["error"] for entry in skipped} == {
+        "log of a non-positive value in 'ln(u)' (offset 0)"}
 
 
 # Inputs whose results are well defined although an intermediate of the

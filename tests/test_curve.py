@@ -563,7 +563,7 @@ def test_bonnet_table_equals_the_array_step_bit_for_bit():
     states[0] = [[0.1, 0.2, 0.3], *np.eye(3)]
     for i, row in enumerate(rows):
         Y = _array_rk4(lambda j, y: _cartan_rows(row[2 * j], row[2 * j + 1], y), states[i], h)
-        Y[1:] = _orthonormal_polish(Y[1:])
+        Y[1:] = np.reshape(_orthonormal_polish(Y[1:].ravel().tolist()), (3, 3))
         states[i + 1] = Y
     got = np.stack([res.points, res.tangents, res.normals, res.binormals], axis=1)
     assert np.array_equal(_bits(got), _bits(states))

@@ -399,15 +399,35 @@ def _typed_bits(x):
 def _derived(m, point, powers):
     """``derivatives(m, point, powers)`` by the AST walk: row r lists each
     component's ``Jet.partial(*powers[r])``.  A component with a derivative
-    that overflows raises at a point, and on a batch is marked where it does."""
+    that overflows raises at a point, naming the component and the point, and
+    on a batch is marked, in every row, where it does."""
+    return _named_at_a_point(m, point, lambda: _derived_rows(m, point, powers))
+
+
+def _derived_rows(m, point, powers):
     columns = []
     for comp, jet in zip(m.components, _walked_each(m, point, max(map(sum, powers)))):
-        column = [jet.partial(*p) for p in powers]
-        bad = np.isinf(column).any(axis=0)
-        if np.ndim(bad) == 0 and bad:
-            raise DomainError("non-finite value", unparse(comp), comp.span[0])
+        try:
+            column = [jet.partial(*p) for p in powers]
+        except DomainError:  # the derivative overflows at a point
+            raise DomainError("non-finite value", unparse(comp), comp.span[0]) from None
+        bad = np.isnan(column).any(axis=0)  # on a batch partial marks an overflow NaN
         columns.append([np.where(bad, math.nan, x) for x in column] if bad.any() else column)
     return [list(row) for row in zip(*columns)]
+
+
+def _named_at_a_point(m, point, evaluate):
+    """``evaluate()``, where a DomainError raised at a point (no coordinate an
+    array of points) names that point by the map's variables."""
+    try:
+        return evaluate()
+    except DomainError as err:
+        if not point or any(np.ndim(x) for x in point):
+            raise
+        values = [f"{float(x):g}" for x in point]
+        where = f"{m.variables[0]} = {values[0]}" if len(values) == 1 else \
+            f"({', '.join(m.variables)}) = ({', '.join(values)})"
+        raise DomainError(err.reason, err.expression, err.offset, where) from None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -436,6 +456,26 @@ def test_derivatives_equal_jet_partial_bit_for_bit(case):
             # a float at one point; on a batch an array of the batch's shape
             assert type(D[r][c]) is float if not batch else np.shape(D[r][c]) == batch
             assert _typed_bits(D[r][c]) == _typed_bits(rows[r][c]), (sources, point, p)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_partial_that_overflows_raises_at_a_point_and_marks_a_batch():
+    """A finite Taylor coefficient times prod k! may overflow: for 1e308 x^3 at
+    x = 0.5, f''/2 = 1.5e308 is finite and f'' is not.  Jet.partial then raises
+    the DomainError that derivatives raises there, and on a batch marks the point."""
+    with pytest.raises(DomainError, match="^non-finite value$"):
+        parse("1e308*x^2", ["x"]).eval_jet((0.5,), 2)[0].partial(2)
+    m = parse("1e308*x^3", ["x"])
+    jet = m.eval_jet((0.5,), 2)[0]
+    assert jet.partial(1) == derivatives(m, (0.5,), [(1,)])[0][0]
+    with pytest.raises(DomainError, match="^non-finite value$"):
+        jet.partial(2)
+    with pytest.raises(DomainError, match="^non-finite value in"):
+        derivatives(m, (0.5,), [(2,)])
+    xs = np.array([0.5, 1e-160])
+    got = m.eval_jet((xs,), 2)[0].partial(2)
+    assert np.isnan(got[0]) and got[1] == m.eval_jet((1e-160,), 2)[0].partial(2)
+    assert _typed_bits(got) == _typed_bits(derivatives(m, (xs,), [(2,)])[0][0])
 
 
 @pytest.mark.parametrize("m, point", [
@@ -712,7 +752,7 @@ def _walk_operation(node, env, memo):
                     if not isinstance(a, Jet):
                         return b.__rtruediv__(a)
                     return a / b
-                return a / expr._check(b == 0.0, lambda: DomainError("division by zero"), b)
+                return a / expr._check(b != 0.0, lambda: DomainError("division by zero"), b)
             if isinstance(a, Jet):
                 return a ** b
             if isinstance(b, Jet):
@@ -745,15 +785,14 @@ def _walk_finite(value, node):
         return value
     if not all(math.isfinite(c) for c in nums if type(c) is not np.ndarray):
         raise DomainError("non-finite value", unparse(node), node.span[0])
-    bad = np.logical_not(np.logical_and.reduce([np.isfinite(c) for c in nums
-                                                if type(c) is np.ndarray]))
-    nums = [expr._check(bad, None, c) for c in nums]
+    ok = np.logical_and.reduce([np.isfinite(c) for c in nums if type(c) is np.ndarray])
+    nums = [expr._check(ok, None, c) for c in nums]
     return Jet(value.nvars, value.order, nums) if isinstance(value, Jet) else nums[0]
 
 
 def _walked(m, point, order):
     """``m.eval_jet(point, order)`` by the AST walk."""
-    return list(_walked_each(m, point, order))
+    return _named_at_a_point(m, point, lambda: list(_walked_each(m, point, order)))
 
 
 def _walked_each(m, point, order):

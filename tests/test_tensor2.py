@@ -320,6 +320,21 @@ def test_polar_random():
             assert t2.eigen_sym(S).values[2] > 0.0
 
 
+def _polish(R):
+    """``_orthonormal_polish`` on a 3x3 array, through its 9 floats in row order."""
+    return np.reshape(t2._orthonormal_polish(np.ravel(R).tolist()), (3, 3))
+
+
+def _newton_schulz(R):
+    """One step R (1.5 I - 0.5 R^T R) in float arithmetic, each sum left to right."""
+    r = np.asarray(R).tolist()
+    g = [[r[0][k] * r[0][m] + r[1][k] * r[1][m] + r[2][k] * r[2][m] for m in range(3)]
+         for k in range(3)]
+    s = [[(1.5 if k == m else 0.0) - 0.5 * g[k][m] for m in range(3)] for k in range(3)]
+    return np.array([[r[i][0] * s[0][j] + r[i][1] * s[1][j] + r[i][2] * s[2][j]
+                      for j in range(3)] for i in range(3)])
+
+
 def test_polish_keeps_the_bits_of_the_one_step_polar_took():
     # the 1000-matrix battery of acceptance criterion 7
     battery = np.random.default_rng(7)
@@ -330,22 +345,34 @@ def test_polish_keeps_the_bits_of_the_one_step_polar_took():
             continue
         done += 1
         R = F @ t2.inverse(t2.sqrt_spd(F.T @ F))
-        one_step = R @ (1.5 * t2.I3 - 0.5 * (R.T @ R))
-        assert np.array_equal(t2._orthonormal_polish(R), one_step)
+        one_step = _newton_schulz(R)
+        assert np.array_equal(_polish(R), one_step)
         assert np.array_equal(t2.polar(F).rotation, one_step)
 
 
 def test_polish_steps_to_the_rotation_or_refuses_a_far_matrix():
     R = t2.rot_z(0.7) @ t2.rot_x(0.2)
     for scale in (1.08, 0.92):  # defects 0.166 and 0.154, just below 1 / 6: several steps
-        P = t2._orthonormal_polish(scale * R)
+        P = _polish(scale * R)
         assert np.max(np.abs(P - R)) < 1e-15
     # a singular value 0.1 puts max|R^T R - I| at 0.33, but its square is 0.99
     # from 1: 8 steps would leave R 1e-3 from orthogonal
     v = np.ones(3) / math.sqrt(3.0)
     for bad in (1.1 * R, 0.9 * R, R - 0.9 * np.outer(v, v), np.full((3, 3), math.nan)):
         with pytest.raises(t2.NotNearOrthogonal) as err:
-            t2._orthonormal_polish(bad)
+            _polish(bad)
+        assert not err.value.defect < 1.0 / 6.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_polish_refuses_a_non_finite_entry_wherever_it_is(bad):
+    """Python's max keeps a NaN only as its first argument: the defect must
+    not lose one that only a later entry of R^T R carries."""
+    for k in range(9):
+        r = (t2.rot_z(0.7) @ t2.rot_x(0.2)).ravel().tolist()
+        r[k] = bad
+        with pytest.raises(t2.NotNearOrthogonal) as err:
+            t2._orthonormal_polish(r)
         assert not err.value.defect < 1.0 / 6.0
 
 
