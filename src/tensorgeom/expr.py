@@ -180,7 +180,7 @@ def _check(ok, error, *values):
         if not ok:
             raise error()
     else:
-        values = tuple(_where(np.logical_not(ok), math.nan, v) for v in values)
+        values = tuple(_where(ok, v, math.nan) for v in values)
     return values[0] if len(values) == 1 else values
 
 
