@@ -21,6 +21,9 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -49,10 +52,20 @@ class ValidationError(ValueError):
 # deterministic JSON
 # ---------------------------------------------------------------------------
 
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise DomainError(f"non-finite value {x!r} in report")
-    return format(x, ".1f" if x.is_integer() and abs(x) < 1e16 else ".17g")
+def _fmt_floats(xs) -> list[str]:
+    """Each number (a float, or numpy's) as a report writes it, in one
+    formatting pass: ``.1f`` if it is integral and below 1e16, else ``.17g``;
+    DomainError if it is not finite.  ``.17g`` writes each number but those
+    two kinds with a ".", so they are fixed up after the pass."""
+    out = list(map(format, map(float, xs), repeat(".17g")))
+    if "".join(out).count(".") < len(out):  # each has one "." but those two kinds
+        for i, text in enumerate(out):
+            if "." not in text and "e" not in text:
+                if not text[-1].isdigit():  # nan, inf or -inf
+                    raise DomainError(f"non-finite value {float(text)!r} in report")
+                if len(text) - text.startswith("-") <= 16:
+                    out[i] = text + ".0"
+    return out
 
 
 def _joined(head: str, items: list[str], sep: str, tail: str) -> str:
@@ -76,35 +89,77 @@ def _json_list(items: list[str], indent: int) -> str:
     return _joined("[\n" + inner, items, ",\n" + inner, "\n" + "  " * indent + "]")
 
 
+def _json_array(a: np.ndarray, indent: int) -> str:
+    """A float array with no empty axis: its numbers formatted in one pass,
+    then nested by its shape, innermost axis first."""
+    items = _fmt_floats(a.ravel().tolist())
+    n = a.shape[-1]
+    if n <= 8 and max(map(len, items)) < 24:  # each innermost list on one line
+        items = ["[" + ", ".join(items[i:i + n]) + "]" for i in range(0, len(items), n)]
+    else:
+        items = [_json_list(items[i:i + n], indent + a.ndim - 1) for i in range(0, len(items), n)]
+    for axis in range(a.ndim - 2, -1, -1):
+        n = a.shape[axis]
+        items = [_json_list(items[i:i + n], indent + axis) for i in range(0, len(items), n)]
+    return items[0]
+
+
+_FLOATS = {float, np.float64}
+
+
 def format_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    kind = type(obj)
+    if kind is np.ndarray:
+        if obj.ndim and obj.size and obj.dtype.kind == "f":
+            return _json_array(obj, indent)
+        obj = obj.tolist()  # a list, or the number of a 0-d array
+        kind = type(obj)
+    if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) <= _FLOATS:  # floats (an empty list too): one pass
+            return _json_list(_fmt_floats(obj), indent)
+        return _json_list([format_json(x, indent + 1) for x in obj], indent)
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_floats((obj,))[0]
+    if kind is str:
+        return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        parts = [f'{inner}{json.dumps(str(k))}: {format_json(obj[k], indent + 1)}'
+        inner = "  " * (indent + 1)
+        parts = [f"{inner}{encode_basestring_ascii(str(k))}: {format_json(obj[k], indent + 1)}"
                  for k in sorted(obj)]
-        return _joined("{\n", parts, ",\n", f"\n{pad}}}")
+        return _joined("{\n", parts, ",\n", "\n" + "  " * indent + "}")
     if isinstance(obj, Table):
         return obj._json(indent)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = np.asarray(obj).tolist() if isinstance(obj, np.ndarray) else obj
-        return _json_list([format_json(x, indent + 1) for x in items], indent)
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if obj is None:
         return "null"
-    return json.dumps(str(obj))
+    return encode_basestring_ascii(str(obj))
 
 
-def _cells(row) -> list[str]:
-    """A table row's cells as CSV text: a float through ``_fmt_float``, a
-    string as it is."""
-    return [x if type(x) is str else _fmt_float(float(x)) for x in row]
+# Table rows whose cells are formatted in one pass; it bounds the cells held at once.
+_ROWS_PER_PASS = 32
+
+
+def _cell_rows(rows: list):
+    """Each row of a table, with its cells as CSV text: a float through
+    ``_fmt_floats``, a string as it is.  The cells of each block of
+    rows are formatted in one pass."""
+    for lo in range(0, len(rows), _ROWS_PER_PASS):
+        block = rows[lo:lo + _ROWS_PER_PASS]
+        cells = list(chain.from_iterable(block))
+        if str in set(map(type, cells)):
+            formatted = iter(_fmt_floats([x for x in cells if type(x) is not str]))
+            cells = [x if type(x) is str else next(formatted) for x in cells]
+        else:
+            cells = _fmt_floats(cells)
+        at = 0
+        for row in block:
+            yield row, cells[at:at + len(row)]
+            at += len(row)
 
 
 class Table:
@@ -113,9 +168,10 @@ class Table:
 
     ``format_json`` writes it as it writes ``{"columns": ..., "rows": ...}``,
     and ``write_csv`` as a header line and one line per row.  Both take a
-    row's cells from ``_cells``; JSON quotes the strings.  When ``keep_csv`` is
-    set, the JSON writer keeps each row's CSV line as it formats the row, and
-    ``write_csv`` writes those lines, so each number is formatted once."""
+    row's cells from ``_cell_rows``; JSON quotes the strings.  When
+    ``keep_csv`` is set, the JSON writer keeps each row's CSV line as it
+    formats the row, and ``write_csv`` writes those lines, so each number is
+    formatted once."""
 
     def __init__(self, columns: list[str], rows: list):
         self.columns, self.rows = columns, rows
@@ -125,12 +181,12 @@ class Table:
     def _json(self, indent: int) -> str:
         csv = [] if self.keep_csv else None
         rows = []
-        for row in self.rows:
-            cells = _cells(row)
+        for row, cells in _cell_rows(self.rows):
             if csv is not None:
                 csv.append(",".join(cells))
             if str in map(type, row):
-                cells = [json.dumps(x) if type(x) is str else c for x, c in zip(row, cells)]
+                cells = [encode_basestring_ascii(x) if type(x) is str else c
+                         for x, c in zip(row, cells)]
             rows.append(_json_list(cells, indent + 2))
         self._csv = csv
         text = _json_list(rows, indent + 1)
@@ -143,7 +199,7 @@ class Table:
 def write_csv(path: Path, table: Table) -> None:
     lines, table._csv = table._csv, None
     if lines is None:
-        lines = [",".join(_cells(row)) for row in table.rows]
+        lines = [",".join(cells) for _, cells in _cell_rows(table.rows)]
     path.write_text("\n".join([",".join(table.columns), *lines]) + "\n",
                     encoding="utf-8", newline="\n")
 
@@ -486,25 +542,58 @@ def _run_surface_request(sf: surface.Surface, op: str, p: dict, skipped: list):
     return {"table": Table(["s", "u", "v", "du", "dv", "x1", "x2", "x3"], rows)}
 
 
-def _run_coordmap_request(chart: coords.CoordMap, op: str, p: dict, skipped: list):
+def _chart_columns(chart: coords.CoordMap, op: str, method, field, *z) -> list:
+    """A chart op's results at a point, or at a batch given by an array per coordinate."""
     if op == "metric":
-        met = coords.metric_at(chart, p["z"])
-        return {"covariant": met.cov, "contravariant": met.con, "jacobian": met.jacobian}
+        met = coords.metric_at(chart, z)
+        return [met.cov, met.con, met.jacobian]
     if op == "christoffel":
-        return {"christoffel": coords.christoffel(chart, p["z"], p["method"]),
-                "method": p["method"]}
-    field = _parse(p["field"], chart.map.variables, dict(chart.map.constants))
-    return {"laplacian": coords.laplacian_curvilinear(field, chart, p["z"])}
+        return [coords.christoffel(chart, z, method)]
+    return [coords.laplacian_curvilinear(field, chart, z)]
 
 
-# (variables, components) each scene kind needs, and what it builds from them
+_CHART_KEYS = {"metric": ("covariant", "contravariant", "jacobian"),
+               "christoffel": ("christoffel",), "laplacian": ("laplacian",)}
+
+
+def _run_coordmap_requests(chart: coords.CoordMap, requests: list, skipped: list):
+    """The results of a chart's requests, in order.  The requests of one op,
+    ``method`` and ``field`` run as one batch of their points (``_chunked``,
+    so a point its batch marks runs again alone); a point's error is raised
+    when its request is reached, and a field is parsed when first reached."""
+    def batch(op, method, field, points):
+        if field is not None:
+            field = _parse(field, chart.map.variables, dict(chart.map.constants))
+        extra = {"method": method} if method else {}
+        for values in _chunked(partial(_chart_columns, chart, op, method, field), *zip(*points)):
+            yield values if isinstance(values, ArithmeticError) else \
+                {**dict(zip(_CHART_KEYS[op], values)), **extra}
+
+    points: dict = {}
+    for op, p in requests:
+        points.setdefault((op, p.get("method"), p.get("field")), []).append(p["z"])
+    batches = {key: batch(*key, zs) for key, zs in points.items()}
+    for op, p in requests:
+        result = next(batches[op, p.get("method"), p.get("field")])
+        if isinstance(result, ArithmeticError):
+            raise result
+        yield result
+
+
+def _one_by_one(run: Callable) -> Callable:
+    """The results of a scene's requests, each run in turn by ``run``."""
+    return lambda obj, requests, skipped: (run(obj, op, p, skipped) for op, p in requests)
+
+
+# (variables, components) each scene kind needs, what it builds from them, and
+# what gives its requests' results in order
 _SCENE_KINDS = {
     "curve": (lambda n, m: n == 1 and m in (2, 3), "2 or 3 components of 1 variable",
-              lambda emap, dom: curve.Curve(emap, dom[0]), _run_curve_request),
+              lambda emap, dom: curve.Curve(emap, dom[0]), _one_by_one(_run_curve_request)),
     "surface": (lambda n, m: n == 2 and m == 3, "3 components of 2 variables",
-                surface.surface_from_expr, _run_surface_request),
+                surface.surface_from_expr, _one_by_one(_run_surface_request)),
     "coordmap": (lambda n, m: n == m >= 1, "as many components as variables",
-                 coords.CoordMap, _run_coordmap_request),
+                 coords.CoordMap, _run_coordmap_requests),
 }
 
 
@@ -524,10 +613,11 @@ def cmd_analyze(args) -> int:
     results, skipped = [], []
     diagnostics = {"tolerances": {"grid": args.grid}, "skipped": skipped}
     failure = None
-    for op, p in requests:
+    outcomes = run(obj, requests, skipped)
+    for op, _ in requests:
         try:
             with np.errstate(all="ignore"):  # a non-finite number is named when the request ends
-                result = run(obj, op, p, skipped)
+                result = next(outcomes)
             results.append({"op": op, "result": _finite_result(result)})
         except ArithmeticError as exc:  # report what ran before the failing request
             diagnostics["failure"] = {"request": op, "error": str(exc)}

@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import ExprMap, NumericalFailure, derivatives, parse
-from .tensor2 import _finite
+from .expr import ExprMap, NumericalFailure, _check, _num, derivatives, parse
+from .tensor2 import _finite, _overflow
 
 __all__ = [
     "DegenerateJacobian", "CoordinateSingularity",
@@ -60,14 +60,16 @@ class CoordMap:
 
 def _derivative_arrays(em: ExprMap, z, order: int) -> tuple:
     """The partials of each component to the given order, from one evaluation
-    of the jets: D1[c, k] by z^k, D2[c, k, l] by z^k and z^l, D3[c, k, l, m]
-    and so on.  Each is C-contiguous: numpy's det, @ and einsum round
-    differently on other layouts."""
+    of the jets: D1[..., c, k] by z^k, D2[..., c, k, l] by z^k and z^l,
+    D3[..., c, k, l, m] and so on, where ``...`` are the axes of a batch of
+    points (none at one point).  Each is C-contiguous: numpy's det, @ and
+    einsum round differently on other layouts."""
     n = em.arity
     orders = range(1, order + 1)
-    D = np.array(derivatives(em, z, _powers(n, order)))
+    D = np.array(derivatives(em, z, _powers(n, order)))  # (row, component, *batch)
     starts = np.cumsum([0] + [n ** j for j in orders])
-    return tuple(np.ascontiguousarray(D[a:b].T).reshape(-1, *(n,) * j)
+    return tuple(np.ascontiguousarray(np.moveaxis(D[a:b], (0, 1), (-1, -2)))
+                 .reshape(*D.shape[2:], -1, *(n,) * j)
                  for j, a, b in zip(orders, starts, starts[1:]))
 
 
@@ -80,7 +82,8 @@ def _powers(n: int, order: int) -> tuple:
 
 @dataclass(frozen=True)
 class Metric:
-    """Metric data of a chart at one point.
+    """Metric data of a chart at one point, or at a batch of points on the
+    leading axes of each array.
 
     ``cov``/``con`` are the covariant and contravariant component matrices;
     ``tangent[:, k]`` is the tangent vector to the k-th coordinate line and
@@ -98,44 +101,64 @@ class Metric:
         return float(_finite("the squared line element", lambda: dz @ self.cov @ dz))
 
 
+def _finite_at(name: str, x, rank: int, *values):
+    """``values``, where every number of ``x`` is finite: its last ``rank``
+    axes at a point, and at each point of a batch on the axes before them.
+    At a point NumericalFailure names ``name`` where one is not, as
+    ``tensor2._finite`` does; a batch marks that point NaN in ``values``
+    (``expr._check``), so that it is run again alone."""
+    return _check(np.isfinite(x).all(axis=tuple(range(-rank, 0))),
+                  lambda: _overflow(name, x), *values)
+
+
 def _metric_from_jacobian(J: np.ndarray, z) -> Metric:
-    d = _finite("the Jacobian determinant", np.linalg.det, J)
-    # |J| or |J|^n past the float range leaves d below 1e-10 |J|^n, and an
-    # overflowing inverse makes the inverse metric overflow
+    n = J.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        if abs(d) <= 1e-10 * max(np.linalg.norm(J) ** len(J), np.finfo(float).tiny):
-            raise DegenerateJacobian(f"Jacobian determinant {d:g} at z={tuple(z)}")
+        d = np.linalg.det(J)
+        J = _finite_at("the Jacobian determinant", d, 0, J)
+        # |J| or |J|^n past the float range leaves d below 1e-10 |J|^n.  A
+        # batch's norms may round apart from one matrix's in the last bit, so a
+        # batch also marks a point just above that bound, and the point decides.
+        bound = 1e-10 * np.maximum(np.linalg.norm(J, axis=(-2, -1)) ** n, np.finfo(float).tiny)
+        J = _check(abs(d) > (bound if J.ndim == 2 else bound * (1.0 + 1e-9)),
+                   lambda: DegenerateJacobian(f"Jacobian determinant {d:g} at z={tuple(z)}"), J)
         Jinv = np.linalg.inv(J)
-    # J^T J is finite where |J| is
-    return Metric(cov=J.T @ J, con=_finite("the inverse metric", lambda: Jinv @ Jinv.T),
-                  tangent=J, dual=Jinv, jacobian=J)
+        con = Jinv @ np.swapaxes(Jinv, -1, -2)
+        J, Jinv, con = _finite_at("the inverse metric", con, 2, J, Jinv, con)
+        # J^T J is finite where |J| is
+        return Metric(cov=np.swapaxes(J, -1, -2) @ J, con=con, tangent=J, dual=Jinv, jacobian=J)
 
 
 def metric_at(chart: CoordMap, z) -> Metric:
+    """The metric at a point, or at a batch given by an array per coordinate."""
     return _metric_from_jacobian(chart.jacobian(z), z)
 
 
 def christoffel(chart: CoordMap, z, method: str = "second_derivative") -> np.ndarray:
-    """Connection coefficients G[h, k, l], symmetric in (k, l).
+    """Connection coefficients G[..., h, k, l], symmetric in (k, l), at a
+    point or at a batch given by an array per coordinate (on the leading axes).
 
     ``method="second_derivative"`` contracts the inverse Jacobian with the
     map's second derivatives; ``method="metric_derivative"`` uses the metric
     and its first derivatives.  Both are exact up to rounding.
     """
     J, S = _derivative_arrays(chart.map, z, 2)  # one evaluation of the chart
-    return _finite("a Christoffel symbol", _connection, _metric_from_jacobian(J, z), S, method)
+    met = _metric_from_jacobian(J, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = _connection(met, S, method)
+    return _finite_at("a Christoffel symbol", G, 3, G)
 
 
 def _connection(met: Metric, S: np.ndarray, method: str) -> np.ndarray:
     if method == "second_derivative":
-        return np.einsum("hm,mkl->hkl", met.dual, S)
+        return np.einsum("...hm,...mkl->...hkl", met.dual, S)
     if method == "metric_derivative":
         # dg[a, b, c] = derivative of g_ab by z^c, then
         # G[h, k, l] = g^hm (dg[m, k, l] + dg[m, l, k] - dg[k, l, m]) / 2
         J = met.jacobian
-        dg = np.einsum("mac,mb->abc", S, J) + np.einsum("ma,mbc->abc", J, S)
-        return 0.5 * np.einsum("hm,mkl->hkl", met.con,
-                               dg + dg.transpose(0, 2, 1) - dg.transpose(2, 0, 1))
+        dg = np.einsum("...mac,...mb->...abc", S, J) + np.einsum("...ma,...mbc->...abc", J, S)
+        return 0.5 * np.einsum("...hm,...mkl->...hkl", met.con,
+                               dg + np.swapaxes(dg, -1, -2) - np.moveaxis(dg, -1, -3))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -217,21 +240,22 @@ def divergence_from_chart(field, chart: CoordMap, z) -> float:
     return float(_finite("the divergence", np.trace, D))
 
 
-def laplacian_curvilinear(field, chart: CoordMap, z) -> float:
+def laplacian_curvilinear(field, chart: CoordMap, z):
     """Laplace operator of a scalar field in arbitrary coordinates:
-    g^hk (d_h d_k f - G^l_hk d_l f)."""
-    z = tuple(float(c) for c in z)
+    g^hk (d_h d_k f - G^l_hk d_l f), a float at a point, or an array at a
+    batch given by an array per coordinate."""
+    z = tuple(map(_num, z))
     if not isinstance(field, ExprMap) or field.dimension != 1:
         raise ValueError("needs a scalar ExprMap over the chart variables")
     J, S = _derivative_arrays(chart.map, z, 2)
     met = _metric_from_jacobian(J, z)
     D1, D2 = _derivative_arrays(field, z, 2)
-    d1, d2 = D1[0], D2[0]
-
-    def terms():
+    d1, d2 = D1[..., 0, :], D2[..., 0, :, :]
+    with np.errstate(over="ignore", invalid="ignore"):
         gamma = _connection(met, S, "second_derivative")
-        return np.einsum("hk,hk->", met.con, d2 - np.einsum("lhk,l->hk", gamma, d1))
-    return float(_finite("the Laplacian", terms))
+        lap = np.einsum("...hk,...hk->...", met.con,
+                        d2 - np.einsum("...lhk,...l->...hk", gamma, d1))
+    return _num(_finite_at("the Laplacian", lap, 0, lap))
 
 
 # ---------------------------------------------------------------------------

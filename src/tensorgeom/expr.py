@@ -185,10 +185,11 @@ def _check(ok, error, *values):
 
 
 def _chunked(f, *columns):
-    """Per point, the list of ``f``'s results there.  The points are given by
+    """Per point, the list of ``f``'s results there: a float, a string, or the
+    point's array of a column with trailing axes.  The points are given by
     their coordinate columns; ``f`` takes the coordinates of a chunk of CHUNK
     points at once and returns a list of result columns, each an array over the
-    chunk (vectors on a trailing axis) or one value for all of it.  A point its
+    chunk (vectors on trailing axes) or one value for all of it.  A point its
     chunk marks, by a non-finite number among its results (in a column of
     objects, a NaN) or by an arithmetic or linear-algebra error of ``f`` on the
     whole chunk, is evaluated again alone: its results are ``f`` at that point,
@@ -202,7 +203,7 @@ def _chunked(f, *columns):
         except (ArithmeticError, np.linalg.LinAlgError):
             rows, unmarked = [None] * size, [False] * size
         else:
-            rows = zip(*(r.tolist() for r in results))
+            rows = zip(*(r if r.ndim > 1 else r.tolist() for r in results))
             unmarked = np.logical_and.reduce(
                 [r == r if r.dtype == object else np.isfinite(r).reshape(size, -1).all(axis=1)
                  for r in results]).tolist()

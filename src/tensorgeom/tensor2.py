@@ -178,8 +178,13 @@ def _finite(name: str, f, *args):
     with np.errstate(over="ignore", invalid="ignore"):
         x = f(*args)
     if not np.isfinite(x).all():
-        raise NumericalFailure(f"{name} overflows" + (f" ({x:g})" if np.ndim(x) == 0 else ""))
+        raise _overflow(name, x)
     return x
+
+
+def _overflow(name: str, x) -> NumericalFailure:
+    """The error for ``x``, a result named ``name`` that is not finite."""
+    return NumericalFailure(f"{name} overflows" + (f" ({x:g})" if np.ndim(x) == 0 else ""))
 
 
 def principal_invariants(L) -> tuple[float, float, float]:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import tensorgeom
-from tensorgeom import cli
+from tensorgeom import cli, coords
 from tensorgeom.expr import CHUNK, DomainError
 
 
@@ -296,6 +297,144 @@ def test_a_grid_evaluates_its_expressions_once_per_chunk(tmp_path, monkeypatch, 
         {"op": "curvatures", "params": {"samples": 64}}]))
     assert run(["--out", tmp_path, "analyze", scene]) == 0
     assert len(calls) == math.ceil(64 * 64 / CHUNK)
+
+
+# ---------------------------------------------------------------------------
+# chart requests in batches: the bytes of a scene run request by request
+# ---------------------------------------------------------------------------
+
+SPHERICAL = (["r*sin(p)*cos(t)", "r*sin(p)*sin(t)", "r*cos(p)"], ["r", "p", "t"])
+SKEW = (["q1 + ga*sin(q2)", "q2 + gb*sin(q3)", "q3 + gc*sin(q1)"], ["q1", "q2", "q3"])
+POLAR = (["r*cos(t)", "r*sin(t)"], ["r", "t"])
+
+
+def _chart_scene(chart, points, constants, field, bad=None, shuffle=False):
+    """A coordmap scene with the four requests of the benchmark's chart scenes
+    at each point; ``bad`` (index, request) puts a request in their midst;
+    ``shuffle`` mixes the requests' order."""
+    (components, variables), rng = chart, random.Random(len(points))
+    requests = [r for z in points for r in (
+        {"op": "metric", "params": {"z": z}},
+        {"op": "christoffel", "params": {"z": z, "method": "second_derivative"}},
+        {"op": "christoffel", "params": {"z": z, "method": "metric_derivative"}},
+        {"op": "laplacian", "params": {"z": z, "field": field}})]
+    if shuffle:
+        rng.shuffle(requests)
+    if bad is not None:
+        requests.insert(*bad)
+    return {"kind": "coordmap", "components": components, "variables": variables,
+            "constants": constants, "domain": [[-1e300, 1e300]] * len(variables),
+            "requests": requests}
+
+
+def _points(n, box, seed=0):
+    rng = random.Random(seed)
+    return [[round(rng.uniform(lo, hi), 12) for lo, hi in box] for _ in range(n)]
+
+
+def _spherical(seed, components=SPHERICAL[0], n=40, **kw):
+    """n points of the spherical chart, with a field whose Laplacian is not 0."""
+    box = [(0.5, 3.0), (0.3, 2.8), (-3.0, 3.0)]
+    return _chart_scene((components, SPHERICAL[1]), _points(n, box, seed),
+                        {"fa": 0.7, "fb": -0.4, "fe": 0.3},
+                        "fa*(r*sin(p)*cos(t))^2 + fb*(r*cos(p))^2 + exp(fe*r*sin(p)*sin(t))", **kw)
+
+
+def _polar(seed, **kw):
+    return _chart_scene(POLAR, _points(30, [(0.1, 4.0), (-3.0, 3.0)], seed), {"k": 2.0},
+                        "k*r^2*t", **kw)
+
+
+# a spherical chart, the skew chart, polar and a 1-D chart; requests in mixed
+# order; and hostile points mid-scene: poles, r = 1e200 (det J overflows) and
+# a field whose Laplacian overflows (2e300 / r^2 at r = 1e-5) while its
+# partials do not; and the chart scaled by 1e110, where det J overflows at
+# every point but J^T J does not, so the first request fails
+CHART_SCENES = {
+    "spherical": _spherical(0),
+    "skew": _chart_scene(SKEW, _points(40, [(-3.0, 3.0)] * 3),
+                         {"ga": 0.4, "gb": 0.6, "gc": 0.3, "fa": 0.2}, "fa*(q1 + ga*sin(q2))^2"),
+    "polar": _polar(0),
+    "one_variable": _chart_scene((["s^3 + s"], ["s"]), _points(30, [(-2.0, 2.0)]), {}, "s^4"),
+    "mixed_order": _spherical(1, shuffle=True),
+    "pole": _spherical(2, bad=(77, {"op": "christoffel", "params": {"z": [1.5, 0.0, 0.4]}})),
+    "origin": _spherical(3, bad=(90, {"op": "metric", "params": {"z": [0.0, 1.0, 0.4]}})),
+    "r_1e200": _spherical(4, bad=(61, {"op": "metric", "params": {"z": [1e200, 1.0, 0.4]}})),
+    "scaled_1e110": _spherical(5, [f"1e110*{c}" for c in SPHERICAL[0]], shuffle=True),
+    "laplacian_overflow": _polar(6, bad=(55, {"op": "laplacian", "params": {
+        "z": [1e-5, 0.5], "field": "1e300*t^2"}})),
+}
+
+# the failure each hostile scene stops at (exit 3), by the error's message
+CHART_FAILURES = {"pole": "Jacobian determinant 0 at z=(1.5, 0.0, 0.4)",
+                  "origin": "Jacobian determinant 0 at z=(0.0, 1.0, 0.4)",
+                  "r_1e200": "the Jacobian determinant overflows (inf)",
+                  "scaled_1e110": "the Jacobian determinant overflows (inf)",
+                  "laplacian_overflow": "the Laplacian overflows (inf)"}
+
+
+def _request_by_request(chart, requests, skipped):
+    """The reference: each chart request alone, through the single-point path."""
+    for op, p in requests:
+        if op == "metric":
+            met = coords.metric_at(chart, p["z"])
+            yield {"covariant": met.cov, "contravariant": met.con, "jacobian": met.jacobian}
+        elif op == "christoffel":
+            yield {"christoffel": coords.christoffel(chart, p["z"], p["method"]),
+                   "method": p["method"]}
+        else:
+            field = cli._parse(p["field"], chart.map.variables, dict(chart.map.constants))
+            yield {"laplacian": coords.laplacian_curvilinear(field, chart, p["z"])}
+
+
+@pytest.mark.parametrize("name", sorted(CHART_SCENES))
+def test_chart_batches_equal_request_by_request(name, tmp_path, monkeypatch, capsys):
+    scene = _write(tmp_path, f"{name}.json", CHART_SCENES[name])
+    code = run(["--out", tmp_path / "batches", "--format", "both", "analyze", scene])
+    err = capsys.readouterr().err
+    monkeypatch.setitem(cli._SCENE_KINDS, "coordmap",
+                        (*cli._SCENE_KINDS["coordmap"][:3], _request_by_request))
+    assert run(["--out", tmp_path / "requests", "--format", "both", "analyze", scene]) == code
+    assert capsys.readouterr().err == err
+    batches, requests = _outputs(tmp_path / "batches"), _outputs(tmp_path / "requests")
+    assert list(batches) == [f"{name}_report.json"] and batches == requests
+    report = json.loads(batches[f"{name}_report.json"])
+    if name in CHART_FAILURES:  # the requests before the failing one are reported
+        failure = report["diagnostics"]["failure"]
+        assert code == 3 and failure["error"] == CHART_FAILURES[name]
+        assert err == f"numerical failure in request {failure['request']!r}: {failure['error']}\n"
+        assert len(report["results"]) < len(CHART_SCENES[name]["requests"])
+    else:
+        assert code == 0 and err == ""
+        assert len(report["results"]) == len(CHART_SCENES[name]["requests"])
+
+
+def test_chart_batches_evaluate_each_program_once_per_batch(tmp_path, monkeypatch, capsys):
+    calls = []
+    run_program = cli.ExprMap._run
+
+    def counted(self, key, point):
+        calls.append(np.shape(point[0]))
+        return run_program(self, key, point)
+
+    monkeypatch.setattr(cli.ExprMap, "_run", counted)
+    scene = _write(tmp_path, "sph.json", _spherical(0, n=150))
+    assert run(["--out", tmp_path, "analyze", scene]) == 0
+    # metric, the two christoffel methods, and the laplacian's chart and field
+    assert calls == [(150,)] * 5
+
+
+def test_a_jet_report_writes_the_umbilical_flag_as_a_json_boolean(tmp_path):
+    flags = []
+    for name, components in (("sphere", ["cos(u)*cos(v)", "cos(u)*sin(v)", "sin(u)"]),
+                             ("torus", ["(2 + cos(u))*cos(v)", "(2 + cos(u))*sin(v)", "sin(u)"])):
+        scene = _write(tmp_path, f"{name}.json", _surface_scene(
+            components, [[-1.4, 1.4], [-3.1, 3.1]],
+            [{"op": "jet", "params": {"u": 0.3, "v": 0.5}}]))
+        assert run(["--out", tmp_path, "analyze", scene]) == 0
+        report = (tmp_path / f"{name}_report.json").read_text()
+        flags.append(json.loads(report)["results"][0]["result"]["umbilical"])
+    assert flags == [True, False]
 
 
 def _readme_command_line_section() -> str:

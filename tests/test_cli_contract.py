@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tensorgeom import cli, curve
 from tensorgeom.expr import NumericalFailure, parse
@@ -457,6 +458,44 @@ def _old_format_json(obj, indent: int = 0) -> str:
     if obj is None:
         return "null"
     return json.dumps(str(obj))
+
+
+# integral floats on both sides of 1e16, the smallest subnormal, and numbers
+# of 24 characters or more, which put a list on one line per number
+_WRITER_FLOATS = (0.0, -0.0, 3.0, -7.0, 1e16, -1e16, 1e16 - 2.0, 2.0 - 1e16, 5e-324, -5e-324,
+                  1e-5, 1e22, -1e17, 0.1, -1.2345678901234567e-100, 1.2345678901234567e+300)
+_WRITER_NUMBERS = st.one_of(st.sampled_from(_WRITER_FLOATS),
+                            st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _per_number(x: float) -> str:
+    return format(x, ".1f" if x.is_integer() and abs(x) < 1e16 else ".17g")
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=10),
+                  elements=_WRITER_NUMBERS),
+       st.integers(0, 3))
+def test_the_writer_formats_floats_in_bulk_as_number_by_number(a, indent):
+    want = _old_format_json(a, indent)
+    assert cli.format_json(a, indent) == cli.format_json(a.tolist(), indent) == want
+    assert cli.format_json([*a.reshape(-1)], indent) == _old_format_json(a.reshape(-1), indent)
+    xs = a.reshape(-1).tolist()
+    assert cli._fmt_floats(xs) == list(map(_per_number, xs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=10),
+                  elements=_WRITER_NUMBERS),
+       st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+def test_the_writer_refuses_a_non_finite_float_in_bulk_as_number_by_number(a, bad, data):
+    a.reshape(-1)[data.draw(st.integers(0, a.size - 1))] = bad
+    with pytest.raises(cli.DomainError) as want:
+        _old_format_json(a)
+    for obj in (a, a.tolist(), [*a.reshape(-1)]):
+        with pytest.raises(cli.DomainError) as got:
+            cli.format_json(obj)
+        assert str(got.value) == str(want.value) == f"non-finite value {bad!r} in report"
 
 
 def _csv_cell(x) -> str:
