@@ -18,19 +18,20 @@ byte-identical output.  Every input ends in exit 0, 2 (it breaks its row of
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, coords, curve, surface, tensor2, tensor4
-from .expr import DomainError, ExprMap, _chunked, parse
+from . import __version__
+from ._errors import DomainError
 
 SCHEMA_VERSION = 1
 
@@ -57,8 +58,11 @@ def _fmt_floats(xs) -> list[str]:
     formatting pass: ``.1f`` if it is integral and below 1e16, else ``.17g``;
     DomainError if it is not finite.  ``.17g`` writes each number but those
     two kinds with a ".", so they are fixed up after the pass."""
-    out = list(map(format, map(float, xs), repeat(".17g")))
-    if "".join(out).count(".") < len(out):  # each has one "." but those two kinds
+    xs = tuple(map(float, xs))
+    joined = ("%.17g\n" * len(xs)) % xs
+    out = joined.split("\n")
+    out.pop()  # the empty text after the last newline
+    if joined.count(".") < len(out):  # each has one "." but those two kinds
         for i, text in enumerate(out):
             if "." not in text and "e" not in text:
                 if not text[-1].isdigit():  # nan, inf or -inf
@@ -265,6 +269,7 @@ _PARSED: dict = {}
 
 
 def _parse(source, variables, constants: dict) -> ExprMap:
+    from .expr import parse
     key = (source if isinstance(source, str) else tuple(source), tuple(variables),
            tuple(sorted(constants.items())))
     emap = _PARSED.get(key)
@@ -445,6 +450,8 @@ def _table(columns: list[str], points: list, row: Callable, skipped: list) -> di
     non-finite number in its row) is run again alone (``_chunked``), so its
     row or its failure is exactly what the single point gives; a row of that
     point that still holds a non-finite number fails, naming its column."""
+    from .expr import _chunked
+
     def checked(*point):
         if np.ndim(point[0]):  # a chunk: _chunked marks its rows of non-finite numbers
             return row(*point)
@@ -486,6 +493,7 @@ def _finite_result(result: dict) -> dict:
 
 
 def _run_curve_request(cv: curve.Curve, op: str, p: dict, skipped: list):
+    from . import curve
     if op in ("frenet", "evolute"):
         ts = list(zip(_grid(*cv.domain, p["samples"])))
         # a chunk's vectors are rows of (n, 3) arrays, so .T unpacks their columns
@@ -509,6 +517,7 @@ def _run_curve_request(cv: curve.Curve, op: str, p: dict, skipped: list):
 
 
 def _run_surface_request(sf: surface.Surface, op: str, p: dict, skipped: list):
+    from . import surface
     (u0, u1), (v0, v1) = sf.domain
     columns = {"gauss_curvature": ["u", "v", "K"],
                "curvatures": ["u", "v", "K", "H", "k1", "k2", "class"],
@@ -544,6 +553,7 @@ def _run_surface_request(sf: surface.Surface, op: str, p: dict, skipped: list):
 
 def _chart_columns(chart: coords.CoordMap, op: str, method, field, *z) -> list:
     """A chart op's results at a point, or at a batch given by an array per coordinate."""
+    from . import coords
     if op == "metric":
         met = coords.metric_at(chart, z)
         return [met.cov, met.con, met.jacobian]
@@ -561,6 +571,8 @@ def _run_coordmap_requests(chart: coords.CoordMap, requests: list, skipped: list
     ``method`` and ``field`` run as one batch of their points (``_chunked``,
     so a point its batch marks runs again alone); a point's error is raised
     when its request is reached, and a field is parsed when first reached."""
+    from .expr import _chunked
+
     def batch(op, method, field, points):
         if field is not None:
             field = _parse(field, chart.map.variables, dict(chart.map.constants))
@@ -585,15 +597,22 @@ def _one_by_one(run: Callable) -> Callable:
     return lambda obj, requests, skipped: (run(obj, op, p, skipped) for op, p in requests)
 
 
-# (variables, components) each scene kind needs, what it builds from them, and
-# what gives its requests' results in order
+def _module(name: str):
+    """The package's module ``name``, loaded on first use."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
+# (variables, components) each scene kind needs, what it builds from them (its
+# module loaded then), and what gives its requests' results in order
 _SCENE_KINDS = {
     "curve": (lambda n, m: n == 1 and m in (2, 3), "2 or 3 components of 1 variable",
-              lambda emap, dom: curve.Curve(emap, dom[0]), _one_by_one(_run_curve_request)),
+              lambda emap, dom: _module("curve").Curve(emap, dom[0]),
+              _one_by_one(_run_curve_request)),
     "surface": (lambda n, m: n == 2 and m == 3, "3 components of 2 variables",
-                surface.surface_from_expr, _one_by_one(_run_surface_request)),
+                lambda emap, dom: _module("surface").surface_from_expr(emap, dom),
+                _one_by_one(_run_surface_request)),
     "coordmap": (lambda n, m: n == m >= 1, "as many components as variables",
-                 coords.CoordMap, _run_coordmap_requests),
+                 lambda emap, dom: _module("coords").CoordMap(emap, dom), _run_coordmap_requests),
 }
 
 
@@ -633,6 +652,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    from . import curve
     job = _load_json(args.path)
     p = _validate("reconstruct", "reconstruct", job, "")
     c_map, t_map = (_parse(p[k], ["s"], p["constants"]) for k in ("curvature", "torsion"))
@@ -649,6 +669,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_tensor(args) -> int:
+    from . import tensor2, tensor4
     job = _load_json(args.path)
     op = job.get("op")
     p = _validate("tensor", ("rotation", "axis") if op == "rotation" and "axis" in job else op,
@@ -679,6 +700,7 @@ def cmd_tensor(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
+    from . import coords, curve, expr, surface, tensor2, tensor4
     rng = np.random.default_rng(20211105)
     checks = []
 
@@ -710,7 +732,7 @@ def cmd_check(args) -> int:
     add("deviatoric projector norm", abs(tensor4.inner4(dev, dev) - 5.0), 1e-14)
     add("projector orthogonality", abs(tensor4.inner4(sph, dev)), 1e-14)
 
-    helix = curve.Curve(parse(["2*cos(t)", "2*sin(t)", "t"], ["t"]), (0.0, 12.0))
+    helix = curve.Curve(expr.parse(["2*cos(t)", "2*sin(t)", "t"], ["t"]), (0.0, 12.0))
     d = curve.frenet(helix, 1.0)
     add("helix curvature", abs(d.curvature - 0.4), 1e-12)
     add("helix torsion", abs(d.torsion + 0.2), 1e-12)

@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import ExprMap, NumericalFailure, _check, _num, derivatives, parse
+from ._errors import NumericalFailure
+from .expr import ExprMap, _check, _num, derivatives, parse
 from .tensor2 import _finite, _overflow
 
 __all__ = [

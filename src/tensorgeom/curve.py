@@ -17,8 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import (ExprMap, NumericalFailure, _check, _chunked, _pointwise, _pow, _raising,
-                   _stack, _abs_arguments, derivatives, parse)
+from ._errors import NumericalFailure, _stack
+from .expr import (ExprMap, _check, _chunked, _pointwise, _pow, _raising, _abs_arguments,
+                   derivatives, parse)
 from .tensor2 import (NotNearOrthogonal, _finite, _orthonormal_polish, cross, mixed, norm,
                       normalize)
 from .tensor2 import sqrt_spd  # noqa: F401 -- unused; bench/'s tracer test looks it up

@@ -49,6 +49,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._errors import DomainError, NumericalFailure  # noqa: F401 -- re-exported
+
 MAX_ORDER = 3
 # Deepest nesting ``parse`` accepts; it keeps the recursive parser and
 # compiler far from the interpreter's recursion limit.
@@ -73,11 +75,6 @@ __all__ = [
 ]
 
 
-class NumericalFailure(ArithmeticError):
-    """Base of every typed numerical error in tensorgeom (a pole, overflow, a
-    degenerate frame or metric); each subclass also keeps its builtin base."""
-
-
 class ParseError(ValueError):
     """Source text violates the grammar; carries the byte offset."""
 
@@ -92,26 +89,6 @@ class UnknownIdentifier(ParseError):
 
 class ArityMismatch(ParseError):
     pass
-
-
-class DomainError(NumericalFailure):
-    """A builtin was evaluated outside its domain (log of non-positive,
-    division by zero, sqrt of a negative, a pole of tan, overflow, a
-    non-finite result, ...).  ``point`` names the coordinates where it was
-    raised, as "(u, v) = (0.5, 0.1)"; ``detail`` is the message without it."""
-
-    def __init__(self, message: str, expression: str | None = None, offset: int | None = None,
-                 point: str | None = None):
-        self.reason = message
-        self.expression = expression
-        self.offset = offset
-        text = message
-        if expression is not None:
-            text += f" in '{expression}'"
-        if offset is not None:
-            text += f" (offset {offset})"
-        self.detail = text
-        super().__init__(text if point is None else f"{text} at {point}")
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +208,6 @@ def _pointwise(f, *columns) -> list:
     evaluated on chunks of points at once (``_chunked``): the first point where
     ``f`` raises an arithmetic error raises it."""
     return [values[0] for values in _raising(_chunked(lambda *chunk: [f(*chunk)], *columns))]
-
-
-def _stack(values) -> np.ndarray:
-    """Components (floats at one point, arrays of one shape on a batch) as one
-    array with the components on its last axis."""
-    if type(values[0]) is not np.ndarray:
-        return np.array(values, dtype=float)
-    return np.stack(values, axis=-1)
 
 
 # ---------------------------------------------------------------------------

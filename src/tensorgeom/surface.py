@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._errors import NumericalFailure, _stack
 from .curve import _ORDERS, _SCAN, _rk4, _sign_changes, integrate
-from .expr import (ExprMap, NumericalFailure, _check, _map, _merged, _pointwise, _pow, _stack,
-                   _abs_arguments, derivatives, parse)
+from .expr import (ExprMap, _check, _map, _merged, _pointwise, _pow, _abs_arguments,
+                   derivatives, parse)
 from .tensor2 import _components, _finite, _unit_scaled, cross, norm
 
 __all__ = [

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import NumericalFailure, _stack
+from ._errors import NumericalFailure, _stack
 
 __all__ = [
     "SingularTensor", "NotSkew", "NotSymmetric", "NotSPD",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import NumericalFailure
+from ._errors import NumericalFailure
 from .tensor2 import I3, _finite, _unit_scaled, tensor_norm
 
 __all__ = [

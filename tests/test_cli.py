@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import tensorgeom
-from tensorgeom import cli, coords
+from tensorgeom import cli, coords, expr
 from tensorgeom.expr import CHUNK, DomainError
 
 
@@ -142,8 +142,8 @@ def test_coordmap_requests(tmp_path):
 
 def test_a_run_parses_each_distinct_expression_once(tmp_path, monkeypatch):
     parsed = []
-    parse = cli.parse
-    monkeypatch.setattr(cli, "parse", lambda *args: parsed.append(args[0]) or parse(*args))
+    parse = expr.parse
+    monkeypatch.setattr(expr, "parse", lambda *args: parsed.append(args[0]) or parse(*args))
     laplacian = [{"op": "laplacian", "params": {"z": [1.0 + k / 4, 0.5], "field": f}}
                  for k in range(3) for f in ("r^2", "t")]
     scene = _write(tmp_path, "polar.json", {
@@ -285,14 +285,14 @@ def test_chunked_tables_equal_point_by_point(name, tmp_path, monkeypatch, capsys
 
 def test_a_grid_evaluates_its_expressions_once_per_chunk(tmp_path, monkeypatch, capsys):
     calls = []
-    run_program = cli.ExprMap._run
+    run_program = expr.ExprMap._run
 
     def counted(self, key, point):  # the jets and derivative rows, not the values
         if key != 0:
             calls.append(point)
         return run_program(self, key, point)
 
-    monkeypatch.setattr(cli.ExprMap, "_run", counted)
+    monkeypatch.setattr(expr.ExprMap, "_run", counted)
     scene = _write(tmp_path, "ps.json", dict(GRID_SCENES["curvatures"], requests=[
         {"op": "curvatures", "params": {"samples": 64}}]))
     assert run(["--out", tmp_path, "analyze", scene]) == 0
@@ -411,13 +411,13 @@ def test_chart_batches_equal_request_by_request(name, tmp_path, monkeypatch, cap
 
 def test_chart_batches_evaluate_each_program_once_per_batch(tmp_path, monkeypatch, capsys):
     calls = []
-    run_program = cli.ExprMap._run
+    run_program = expr.ExprMap._run
 
     def counted(self, key, point):
         calls.append(np.shape(point[0]))
         return run_program(self, key, point)
 
-    monkeypatch.setattr(cli.ExprMap, "_run", counted)
+    monkeypatch.setattr(expr.ExprMap, "_run", counted)
     scene = _write(tmp_path, "sph.json", _spherical(0, n=150))
     assert run(["--out", tmp_path, "analyze", scene]) == 0
     # metric, the two christoffel methods, and the laplacian's chart and field
